@@ -16,7 +16,8 @@ import random
 import time
 
 from beyondplanar import _kernels_py
-from beyondplanar.bounds import _diagonal_conflicts, _skip
+from beyondplanar.bounds import _skip
+from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
 from beyondplanar.quasiplanar import build_crossing_graph
 
@@ -39,7 +40,7 @@ def random_graph(v: int, p: float, seed: int) -> list[int]:
 
 def diagonal_conflicts(n: int) -> list[int]:
     diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
-    return _diagonal_conflicts(n, diagonals)
+    return crossing_masks(n, diagonals)
 
 
 def clique_workloads(heavy: bool):

@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _native
-from .convex import choose_block_size, convex_edges_cross, count_convex_crossings, verify_k_planar
+from .convex import choose_block_size, count_convex_crossings, verify_k_planar
+from .crossings import canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges
 
 DEFAULT_BUDGET = 10**8
@@ -46,15 +47,14 @@ def edge_bound_general(n: int, k: int) -> float:
 def count_crossings(instance: PointSet | int, edges: Iterable[Edge] | None = None) -> int:
     """Crossing pairs among the edges; all of K_n when edges is None.
 
-    An integer instance means n points in convex position (combinatorial
-    interleaving test); a PointSet uses the exact segment predicate.
+    An integer instance means n points in convex position: C(n, 4) in
+    closed form for all of K_n, the interleaving test for a subset. A
+    PointSet uses the exact segment predicate.
     """
-    if isinstance(instance, PointSet):
-        es = all_edges(instance.n) if edges is None else sorted({Edge.of(e[0], e[1]) for e in edges})
-        return sum(
-            1 for i in range(len(es)) for j in range(i + 1, len(es)) if instance.edges_cross(es[i], es[j])
-        )
-    return count_convex_crossings(instance, None if edges is None else list(edges))
+    if not isinstance(instance, PointSet):
+        return count_convex_crossings(instance, edges)
+    es = all_edges(instance.n) if edges is None else canonical_edges(instance, edges)
+    return sum(mask.bit_count() for mask in crossing_masks(instance, es)) // 2
 
 
 def crossing_lemma_bound(n: int, e: int) -> Fraction:
@@ -81,16 +81,6 @@ class SubgraphSearchResult:
     edges: tuple[Edge, ...]
     proven: bool
     nodes: int
-
-
-def _diagonal_conflicts(n: int, diagonals: Sequence[Edge]) -> list[int]:
-    masks = [0] * len(diagonals)
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            if convex_edges_cross(n, diagonals[i], diagonals[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
 
 
 def _skip(n: int, e: Edge) -> int:
@@ -121,7 +111,7 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
         allowed = [e for e in diagonals if _skip(n, e) >= smallest]
         canonical = Edge(0, smallest)
         forced_mask = 1 << allowed.index(canonical)
-        conflicts = _diagonal_conflicts(n, allowed)
+        conflicts = crossing_masks(n, allowed)
         cap = None if cap_total is None else cap_total - len(hull)
         size, members, case_proven, nodes = _native.max_conflict_bounded_set(
             conflicts, k, cap=cap, budget=budget, forced_mask=forced_mask

@@ -142,14 +142,6 @@ def _convex_realization(n: int) -> PointSet:
     return gen_convex_polygon(n, seed=0)
 
 
-def _count_class_crossings(points: PointSet, edges: list, k: int):
-    for e in edges:
-        crossings = sum(1 for f in edges if points.edges_cross(e, f))
-        if crossings > k:
-            return e, crossings
-    return None
-
-
 def _cmd_verify(args) -> int:
     coloring = _load_coloring(getattr(args, "in"))
     if args.instance is not None:
@@ -160,15 +152,12 @@ def _cmd_verify(args) -> int:
         points = None  # points in convex position, index order clockwise
 
     if args.mode == "kplanar":
+        instance = coloring.n if points is None else points
         for color, edges in enumerate(coloring.classes()):
-            if points is None:
-                result = verify_k_planar(coloring.n, edges, args.k)
-                offender = None if result.ok else (result.witness, result.crossings)
-            else:
-                offender = _count_class_crossings(points, edges, args.k)
-            if offender is not None:
-                e, crossings = offender
-                print(f"FAIL kplanar class={color} edge={_fmt_edge(e)} crossings={crossings} limit={args.k}")
+            result = verify_k_planar(instance, edges, args.k)
+            if not result.ok:
+                edge = _fmt_edge(result.witness)
+                print(f"FAIL kplanar class={color} edge={edge} crossings={result.crossings} limit={args.k}")
                 return 1
         print(f"verified kplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
         return 0

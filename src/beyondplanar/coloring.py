@@ -70,15 +70,3 @@ class Coloring:
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, num_colors={self.num_colors})"
 
-
-def from_classes(n: int, classes: Iterable[Iterable[Edge]]) -> Coloring:
-    """Build a coloring from per-color edge lists (must partition K_n)."""
-    assignment: dict[Edge, int] = {}
-    k = 0
-    for k, edges in enumerate(classes, start=1):
-        for e in edges:
-            e = Edge.of(e[0], e[1])
-            if e in assignment:
-                raise ValueError(f"edge {tuple(e)} assigned twice")
-            assignment[e] = k - 1
-    return Coloring(n, k, assignment)

@@ -5,15 +5,18 @@ crossing structure depends only on the cyclic vertex order, so edges are
 plain index pairs on a virtual regular n-gon and no coordinates appear.
 Two chords {i, j} and {k, l} of the regular n-gon are parallel exactly when
 i + j and k + l agree mod n, which makes (i + j) mod n a slope label.
+`verify_k_planar` also takes a PointSet, so one verifier serves both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coloring import Coloring
-from .geometry import Edge, all_edges
+from .crossings import canonical_edges, crossing_masks
+from .geometry import Edge, PointSet, all_edges
 
 
 def _check_edge(n: int, e: Edge) -> Edge:
@@ -41,12 +44,6 @@ def convex_edges_cross(n: int, e: Edge, f: Edge) -> bool:
     if e.u in f or e.v in f:
         return False
     return (e.u < f.u < e.v) != (e.u < f.v < e.v)
-
-
-def crossing_count(n: int, e: Edge, edges: Iterable[Edge]) -> int:
-    """Number of chords in `edges` properly crossing e (e itself ignored)."""
-    e = _check_edge(n, e)
-    return sum(1 for f in edges if f != e and convex_edges_cross(n, e, f))
 
 
 def slope_partition(n: int, s: int) -> Coloring:
@@ -92,43 +89,20 @@ class KPlanarResult:
         return self.ok
 
 
-def verify_k_planar(n: int, edges: Iterable[Edge], k: int) -> KPlanarResult:
-    """Check that every chord in the set crosses at most k others in the set.
+def verify_k_planar(instance: PointSet | int, edges: Iterable[Edge], k: int) -> KPlanarResult:
+    """Check that every edge in the set crosses at most k others in the set.
 
-    On failure the witness is the first offending edge in lexicographic
-    order together with its exact crossing count.
+    The instance is a PointSet, or an int n for convex position in index
+    order. On failure the witness is the first offending edge in
+    lexicographic order together with its exact crossing count.
     """
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
-    es = sorted(_check_edge(n, e) for e in set(edges))
-    counts = [0] * len(es)
-    for a in range(len(es)):
-        for b in range(a + 1, len(es)):
-            if convex_edges_cross(n, es[a], es[b]):
-                counts[a] += 1
-                counts[b] += 1
-    for e, c in zip(es, counts):
-        if c > k:
-            return KPlanarResult(False, e, c)
+    es = canonical_edges(instance, edges)
+    for e, mask in zip(es, crossing_masks(instance, es)):
+        if mask.bit_count() > k:
+            return KPlanarResult(False, e, mask.bit_count())
     return KPlanarResult(True)
-
-
-def max_crossings_in_class(n: int, coloring: Coloring, color: int) -> tuple[int, Edge | None]:
-    """Exact max, over edges of the class, of same-class crossings, with witness."""
-    if coloring.n != n:
-        raise ValueError(f"coloring is over n={coloring.n}, not n={n}")
-    es = coloring.class_edges(color)
-    best, witness = 0, None
-    counts = [0] * len(es)
-    for a in range(len(es)):
-        for b in range(a + 1, len(es)):
-            if convex_edges_cross(n, es[a], es[b]):
-                counts[a] += 1
-                counts[b] += 1
-    for e, c in zip(es, counts):
-        if witness is None or c > best:
-            best, witness = c, e
-    return best, witness
 
 
 def choose_block_size(k: int) -> int:
@@ -146,12 +120,12 @@ def choose_block_size(k: int) -> int:
     return s
 
 
-def count_convex_crossings(n: int, edges: Sequence[Edge] | None = None) -> int:
-    """Number of properly crossing chord pairs; all of K_n when edges is None."""
-    es = all_edges(n) if edges is None else sorted(_check_edge(n, e) for e in set(edges))
-    total = 0
-    for a in range(len(es)):
-        for b in range(a + 1, len(es)):
-            if convex_edges_cross(n, es[a], es[b]):
-                total += 1
-    return total
+def count_convex_crossings(n: int, edges: Iterable[Edge] | None = None) -> int:
+    """Number of properly crossing chord pairs; all of K_n when edges is None.
+
+    Any four points of a convex polygon span exactly one crossing pair, so
+    K_n has C(n, 4) of them.
+    """
+    if edges is None:
+        return math.comb(n, 4)
+    return sum(mask.bit_count() for mask in crossing_masks(n, canonical_edges(n, edges))) // 2

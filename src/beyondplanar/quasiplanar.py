@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from . import _native
 from .coloring import Coloring
+from .crossings import canonical_edges, crossing_masks
 from .geometry import Edge, Point, PointSet, all_edges
 
 DEFAULT_BUDGET = 10**8
@@ -55,13 +56,7 @@ class CrossingGraph:
 
 def build_crossing_graph(points: PointSet) -> CrossingGraph:
     edges = all_edges(points.n)
-    masks = [0] * len(edges)
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if points.edges_cross(edges[i], edges[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return CrossingGraph(points.n, tuple(edges), tuple(masks))
+    return CrossingGraph(points.n, tuple(edges), tuple(crossing_masks(points, edges)))
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,9 @@ def max_crossing_family(
     edges = tuple(graph.edge_list[i] for i in members)
     if len(edges) != size:
         raise AssertionError("clique kernel returned inconsistent certificate")
-    for a in range(size):
-        for b in range(a + 1, size):
-            if not graph.adjacent(members[a], members[b]):
-                raise AssertionError("clique certificate is not a crossing family")
+    chosen = sum(1 << i for i in set(members))
+    if chosen.bit_count() != size or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
+        raise AssertionError("clique certificate is not a crossing family")
     if points is not None and not check_pairwise_crossing(points, edges):
         raise AssertionError("crossing family certificate fails exact re-verification")
     return CrossingFamily(edges, proven_maximum=proven)
@@ -133,16 +127,8 @@ def is_k_quasi_planar(
     """
     if k < 2:
         raise ValueError(f"k >= 2 required, got {k}")
-    es = sorted({Edge.of(e[0], e[1]) for e in edges})
-    for e in es:
-        if not 0 <= e.u < e.v < points.n:
-            raise ValueError(f"edge {tuple(e)} out of range for n={points.n}")
-    masks = [0] * len(es)
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if points.edges_cross(es[i], es[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    es = canonical_edges(points, edges)
+    masks = crossing_masks(points, es)
     size, members, proven, _nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
     if size >= k:
         witness = tuple(es[i] for i in members[:k])

@@ -90,3 +90,17 @@ def naive_max_k_plane_convex(n, k, diagonals_only=True):
         if ok and mask.bit_count() > best:
             best = mask.bit_count()
     return best + (len(hull) if diagonals_only else 0)
+
+
+def naive_convex_crossings(n, edges=None):
+    """Crossing pairs among chords of convex K_n, counted pair by pair.
+
+    Counts all of K_n when edges is None. Uses the per-pair predicate
+    `convex_edges_cross`, not the crossing layer, so closed forms and mask
+    sums can be checked against it.
+    """
+    from beyondplanar.convex import convex_edges_cross
+    from beyondplanar.geometry import Edge, all_edges
+
+    es = all_edges(n) if edges is None else sorted({Edge.of(e[0], e[1]) for e in edges})
+    return sum(1 for i, e in enumerate(es) for f in es[i + 1 :] if convex_edges_cross(n, e, f))

@@ -24,12 +24,12 @@ from beyondplanar.bounds import (
 from beyondplanar.convex import (
     convex_edges_cross,
     count_convex_crossings,
-    crossing_count,
     position_crossing_cap,
     slope_partition,
     slope_position,
     verify_k_planar,
 )
+from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import (
     all_edges,
     gen_convex_polygon,
@@ -46,7 +46,7 @@ from beyondplanar.quasiplanar import (
     verify_partition,
     verify_spanning_tree,
 )
-from oracles import naive_max_clique_enum
+from oracles import naive_convex_crossings, naive_max_clique_enum
 
 
 def _done(num: int, label: str, started: float, budget: float) -> None:
@@ -72,13 +72,11 @@ def test_criterion_02_slope_blocks_with_position_refinement():
         for s in range(3, n + 1):
             coloring = slope_partition(n, s)
             k = (s - 1) * (s - 2) // 2
-            classes = coloring.classes()
-            for edges in classes:
+            for edges in coloring.classes():
                 assert verify_k_planar(n, edges, k).ok
-            for e in all_edges(n):
-                same = crossing_count(n, e, classes[coloring.color_of(e)])
-                j = slope_position(n, s, e)
-                assert same <= position_crossing_cap(s, j) <= k
+                for e, mask in zip(edges, crossing_masks(n, edges)):
+                    j = slope_position(n, s, e)
+                    assert mask.bit_count() <= position_crossing_cap(s, j) <= k
     _done(2, "every slope class meets (s-1)(s-2)/2 and the per-position cap", started, 10.0)
 
 
@@ -109,7 +107,7 @@ def test_criterion_04_crossing_counts_dominate_lower_bounds():
         assert Fraction(cr) >= crossing_lemma_bound(n, e)
         assert cr >= peeling_bound(n, e)
     for n in range(4, 13):
-        assert count_crossings(n) == math.comb(n, 4)
+        assert count_crossings(n) == math.comb(n, 4) == naive_convex_crossings(n)
     _done(4, "observed crossings dominate the lemma and peeling bounds", started, 5.0)
 
 

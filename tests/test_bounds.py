@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from oracles import naive_max_k_plane_convex
+from oracles import naive_convex_crossings, naive_max_k_plane_convex
 
 from beyondplanar.bounds import (
     BoundReport,
@@ -60,7 +60,7 @@ class TestCountCrossings:
         assert count_crossings(4) == 1
 
     def test_convex_k12_is_choose_4(self):
-        assert count_crossings(12) == comb(12, 4)
+        assert count_crossings(12) == comb(12, 4) == naive_convex_crossings(12)
 
     def test_k5_minus_diagonal(self):
         edges = [e for e in all_edges(5) if e != Edge(0, 2)]
@@ -69,9 +69,20 @@ class TestCountCrossings:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_pointset_dispatch_matches_convex(self, n):
         ps = gen_convex_polygon(n, seed=3)
-        assert count_crossings(ps) == count_crossings(n) == comb(n, 4)
+        assert count_crossings(ps) == count_crossings(n) == comb(n, 4) == naive_convex_crossings(n)
         diagonals = [e for e in all_edges(n) if (e.v - e.u) % n not in (1, n - 1)]
-        assert count_crossings(ps, diagonals) == count_crossings(n, diagonals)
+        assert count_crossings(ps, diagonals) == count_crossings(n, diagonals) == naive_convex_crossings(n, diagonals)
+
+    def test_reversed_duplicates_count_once(self):
+        edges = [(0, 3), (3, 0), (1, 4)]
+        assert count_crossings(6, edges) == count_crossings(gen_convex_polygon(6), edges) == 1
+
+    @pytest.mark.parametrize("edges", [[(-1, 2), (0, 3)], [(0, 9), (1, 3)]])
+    def test_pointset_edges_out_of_range_raise(self, edges):
+        with pytest.raises(ValueError, match="out of range"):
+            count_crossings(gen_convex_polygon(6), edges)
+        with pytest.raises(ValueError, match="out of range"):
+            count_crossings(6, edges)
 
 
 class TestCrossingLemmaBound:
@@ -97,7 +108,7 @@ class TestPeelingBound:
 
     def test_convex_k7(self):
         assert peeling_bound(7, 21) == 25
-        assert count_crossings(7) == comb(7, 4) >= 25
+        assert count_crossings(7) == comb(7, 4) == naive_convex_crossings(7) >= 25
 
     def test_small_values(self):
         # 5e - 15n + 25 at the degenerate end; negative values are

@@ -102,12 +102,17 @@ class TestExitCodes:
         assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 2
         assert "n=" in capsys.readouterr().err
 
-    def test_kplanar_verify_failure_is_1(self, tmp_path, capsys):
+    def test_kplanar_verify_failure_is_1(self, paths, tmp_path, capsys):
         col = tmp_path / "k6.txt"
         col.write_text(write_coloring(Coloring(6, 1, {e: 0 for e in all_edges(6)})))
         assert run("verify", "kplanar", "--k", "1", "--in", str(col)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "crossings=" in out
+        # Coordinates of a convex hexagon give the same witness line.
+        assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
+        capsys.readouterr()
+        assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 1
+        assert capsys.readouterr().out == out
 
     def test_bounds_reports_ok(self, capsys):
         assert run("bounds", "--n", "20", "--k", "1") == 0

@@ -11,19 +11,19 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import naive_convex_crossings
 
 from beyondplanar.convex import (
     choose_block_size,
     convex_edges_cross,
     count_convex_crossings,
-    crossing_count,
-    max_crossings_in_class,
     position_crossing_cap,
     slope_class,
     slope_partition,
     slope_position,
     verify_k_planar,
 )
+from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import Edge, Point, all_edges, gen_convex_polygon, segments_cross
 
 AFFINE_REGULAR_HEXAGON = [Point(2, 0), Point(1, 1), Point(-1, 1), Point(-2, 0), Point(-1, -1), Point(1, -1)]
@@ -127,9 +127,9 @@ class TestSlopePartition:
         for s in range(3, n + 1):
             col = slope_partition(n, s)
             for edges in col.classes():
-                for e in edges:
+                for e, mask in zip(edges, crossing_masks(n, edges)):
                     cap = position_crossing_cap(s, slope_position(n, s, e))
-                    assert crossing_count(n, e, edges) <= cap, (n, s, e)
+                    assert mask.bit_count() <= cap, (n, s, e)
 
 
 class TestVerifyKPlanar:
@@ -150,6 +150,30 @@ class TestVerifyKPlanar:
         res = verify_k_planar(6, all_edges(6), 3)
         assert not res and res.crossings == 4
 
+    def test_reversed_duplicates_are_one_edge(self):
+        assert verify_k_planar(6, [(0, 3), (3, 0), (1, 4)], 1)
+
+    def test_pointset_instance_matches_convex_index_order(self):
+        ps = gen_convex_polygon(6, seed=0)
+        assert verify_k_planar(ps, all_edges(6), 4)
+        res = verify_k_planar(ps, all_edges(6), 3)
+        assert (res.ok, res.witness, res.crossings) == (False, Edge(0, 3), 4)
+        assert verify_k_planar(6, all_edges(6), 3) == res
+
+    def test_rejects_out_of_range_edges(self):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_k_planar(6, [(0, 6)], 1)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_k_planar(gen_convex_polygon(6), [(-1, 2)], 1)
+
+
+def max_crossings_in_class(n, coloring, color):
+    """Most same-class crossings over the class's edges, with the first edge reaching it."""
+    edges = coloring.class_edges(color)
+    counts = [mask.bit_count() for mask in crossing_masks(n, edges)]
+    best = max(counts)
+    return best, edges[counts.index(best)]
+
 
 class TestMaxCrossingsInClass:
     def test_prop1_classes_are_1_planar(self):
@@ -169,7 +193,7 @@ class TestMaxCrossingsInClass:
         col = slope_partition(6, 6)
         mx, witness = max_crossings_in_class(6, col, 0)
         assert mx == 4
-        assert crossing_count(6, witness, all_edges(6)) == 4
+        assert sum(convex_edges_cross(6, witness, f) for f in all_edges(6)) == 4
 
     def test_all_edges_class_matches_exact_geometry(self):
         # Independent oracle: same quantity measured with exact segment
@@ -205,10 +229,13 @@ class TestChooseBlockSize:
 class TestCountConvexCrossings:
     def test_complete_graph_is_choose_4(self):
         for n in range(4, 13):
-            assert count_convex_crossings(n) == comb(n, 4)
+            assert count_convex_crossings(n) == comb(n, 4) == naive_convex_crossings(n)
 
     def test_subset(self):
         # K_5 minus one diagonal: C(5,4) = 5 crossings minus the removed
         # diagonal's 2.
         edges = [e for e in all_edges(5) if e != Edge(0, 2)]
-        assert count_convex_crossings(5, edges) == 3
+        assert count_convex_crossings(5, edges) == 3 == naive_convex_crossings(5, edges)
+
+    def test_reversed_duplicates_count_once(self):
+        assert count_convex_crossings(6, [(0, 3), (3, 0), (1, 4)]) == 1
