@@ -2,9 +2,10 @@
 
 Workloads: maximum-clique searches on crossing graphs and dense random
 graphs, and the crossing-bounded subset search on the diagonals of convex
-polygons (the extremal-subgraph oracle's inner loop). Both
-implementations must return identical sizes and node counts; the table
-reports wall times and speedups.
+polygons (the extremal-subgraph oracle's inner loop), one of them wider
+than a 64-bit word. Both implementations must return identical sizes and
+node counts; the table reports wall times and speedups. The compiled
+kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
@@ -15,16 +16,13 @@ import argparse
 import random
 import time
 
-from beyondplanar import _kernels_py
+from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _skip
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
 from beyondplanar.quasiplanar import build_crossing_graph
 
-try:
-    from beyondplanar import _kernels
-except ImportError:
-    _kernels = None
+compiled = _native if _native.IMPLEMENTATION == "compiled" else None
 
 
 def random_graph(v: int, p: float, seed: int) -> list[int]:
@@ -55,6 +53,8 @@ def clique_workloads(heavy: bool):
 def subset_workloads(heavy: bool):
     for n, k in ((9, 2), (9, 4), (10, 2)):
         yield f"subset convex diagonals n={n} k={k}", "max_conflict_bounded_set", (diagonal_conflicts(n),), {"k": k}
+    wide = {"k": 2, "budget": 300_000}  # 65 diagonals, over one word; far from proven, so a budget ends it
+    yield "subset convex diagonals n=13 k=2 b=3e5", "max_conflict_bounded_set", (diagonal_conflicts(13),), wide
     if heavy:
         yield "subset convex diagonals n=10 k=3", "max_conflict_bounded_set", (diagonal_conflicts(10),), {"k": 3}
 
@@ -76,22 +76,22 @@ def main() -> None:
     parser.add_argument("--heavy", action="store_true", help="include the larger workloads")
     args = parser.parse_args()
 
-    if _kernels is None:
+    if compiled is None:
         print("compiled kernel not built; timing the pure-Python implementation only")
     header = f"{'workload':<38} {'size':>5} {'nodes':>9} {'python':>9} {'compiled':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for label, op, wargs, wkwargs in list(clique_workloads(args.heavy)) + list(subset_workloads(args.heavy)):
         py_result, py_time = run_one(_kernels_py, op, wargs, wkwargs, args.repeat)
-        if _kernels is not None:
-            c_result, c_time = run_one(_kernels, op, wargs, wkwargs, args.repeat)
+        if compiled is not None:
+            c_result, c_time = run_one(compiled, op, wargs, wkwargs, args.repeat)
             if (py_result[0], py_result[3]) != (c_result[0], c_result[3]):
                 raise SystemExit(f"implementations disagree on {label}: {py_result} vs {c_result}")
             speedup = f"{py_time / c_time:8.1f}x" if c_time > 0 else "     inf"
-            compiled = f"{c_time * 1000:7.1f}ms"
+            c_ms = f"{c_time * 1000:7.1f}ms"
         else:
-            speedup, compiled = "       -", "        -"
-        print(f"{label:<38} {py_result[0]:>5} {py_result[3]:>9} {py_time * 1000:7.1f}ms {compiled} {speedup}")
+            speedup, c_ms = "       -", "        -"
+        print(f"{label:<38} {py_result[0]:>5} {py_result[3]:>9} {py_time * 1000:7.1f}ms {c_ms} {speedup}")
 
 
 if __name__ == "__main__":

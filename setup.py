@@ -1,32 +1,11 @@
-"""Build script: compiles the optional search-kernel extension.
+"""Build script: compiles the search kernels in _kernels.c into a shared library.
 
-The package is fully functional without the extension (a pure-Python
-implementation is selected at import time); set BEYONDPLANAR_PURE=1 to
-skip compilation explicitly.
+The package runs without it (see _native), so a failed compile only
+warns. Build in place with `python3 setup.py build_ext --inplace`.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-PYX = "src/beyondplanar/_kernels.pyx"
-
-ext_modules = []
-if not os.environ.get("BEYONDPLANAR_PURE") and os.path.exists(PYX):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "beyondplanar._kernels",
-                    [PYX],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level=3,
-        )
-
-setup(ext_modules=ext_modules)
+# _kernels_lib: a name no .py module has, since imports try extension files first.
+kernels = Extension("beyondplanar._kernels_lib", ["src/beyondplanar/_kernels.c"], extra_compile_args=["-O3"], optional=True)
+setup(ext_modules=[kernels])

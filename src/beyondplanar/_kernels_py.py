@@ -1,9 +1,12 @@
 """Pure-Python search kernels: max clique and conflict-bounded subset search.
 
-Reference implementations of the two hot exact-search loops. A compiled
-extension with the same two entry points is preferred at import time when
-available (see _native); these versions use arbitrary-width int bitmasks,
-so they have no size limit and serve as the correctness baseline.
+Reference implementations of the two hot exact-search loops. The compiled
+kernels in _kernels.c are preferred when built (see _native); they share
+this module's input checks and relabelling and follow the same branch
+order, so both return identical results, node counts included. These
+versions use arbitrary-width int bitmasks, so they have no size limit and
+serve as the correctness baseline. Both walk their search trees with
+explicit stacks, so input size is not bounded by the recursion limit.
 
 Result convention shared by both kernels: (size, members, proven, nodes).
 `proven` is False only when the node budget was exhausted; the best
@@ -15,6 +18,40 @@ knows `target` is a valid upper bound, such a result is the exact optimum.
 from __future__ import annotations
 
 IMPLEMENTATION = "python"
+
+
+def _check_masks(masks: list[int], wide: str, self_loop: str) -> None:
+    n = len(masks)
+    for i, mask in enumerate(masks):
+        if mask >> n:
+            raise ValueError(wide.format(i=i, n=n))
+        if mask >> i & 1:
+            raise ValueError(self_loop.format(i=i))
+
+
+def check_conflicts(conflicts: list[int]) -> None:
+    """Raise ValueError unless conflicts[i] is a bitmask over the other indices."""
+    _check_masks(conflicts, "conflict mask of index {i} has bits >= {n}", "index {i} conflicts with itself")
+
+
+def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
+    """Check the adjacency masks, then relabel by descending degree.
+
+    Returns (order, radj): vertex order[i] of the input is vertex i of the
+    relabelled graph radj. Greedy coloring is tighter when dense vertices
+    are colored first.
+    """
+    _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    pos = {v: i for i, v in enumerate(order)}
+    radj = [0] * len(adj)
+    for i, v in enumerate(order):
+        m = adj[v]
+        while m:
+            b = m & -m
+            m ^= b
+            radj[i] |= 1 << pos[b.bit_length() - 1]
+    return order, radj
 
 
 def max_clique(
@@ -31,69 +68,57 @@ def max_clique(
     members), which turns the search into an existence test for cliques
     larger than the floor.
     """
+    order, radj = degree_order(adj)
     n = len(adj)
-    for v, mask in enumerate(adj):
-        if mask >> n:
-            raise ValueError(f"adjacency mask of vertex {v} has bits >= {n}")
-        if mask & (1 << v):
-            raise ValueError(f"vertex {v} is self-adjacent")
-
     best_size = floor_size
     best_mask = 0
     nodes = 0
     exhausted = False
-    done = False
 
-    # Relabel by descending degree: greedy coloring is tighter when dense
-    # vertices are colored first.
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for i, v in enumerate(order):
-        m = adj[v]
-        while m:
-            b = m & -m
-            m ^= b
-            radj[i] |= 1 << pos[b.bit_length() - 1]
-
-    def expand(r_size: int, r_mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask, nodes, exhausted, done
+    # A node is (r_size, r_mask, cand): the clique so far and the vertices
+    # adjacent to all of it. stack[t] is the open node at depth t with its
+    # untried branches: (vertex, color) pairs in coloring order, colors
+    # non-decreasing, tried from the end.
+    stack: list[list] = []
+    r_size, r_mask, cand = 0, 0, (1 << n) - 1
+    while True:
         nodes += 1
         if nodes >= budget:
             exhausted = True
-            done = True
-            return
-        if cand == 0:
-            if r_size > best_size:
-                best_size = r_size
-                best_mask = r_mask
-                if target is not None and best_size >= target:
-                    done = True
-            return
-        # Greedy coloring of the candidates; seq holds (vertex, color) in
-        # coloring order, colors non-decreasing.
-        seq: list[tuple[int, int]] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                seq.append((v, color))
-                uncolored ^= b
-                avail &= ~radj[v] & uncolored
-        for v, c in reversed(seq):
-            if r_size + c <= best_size:
-                return
-            b = 1 << v
-            expand(r_size + 1, r_mask | b, cand & radj[v])
-            if done:
-                return
-            cand ^= b
-
-    expand(0, 0, (1 << n) - 1 if n else 0)
+            break
+        if cand:
+            seq: list[tuple[int, int]] = []
+            uncolored = cand
+            color = 0
+            while uncolored:
+                color += 1
+                avail = uncolored
+                while avail:
+                    b = avail & -avail
+                    v = b.bit_length() - 1
+                    seq.append((v, color))
+                    uncolored ^= b
+                    avail &= ~radj[v] & uncolored
+            stack.append([r_size, r_mask, cand, seq])
+        elif r_size > best_size:
+            best_size = r_size
+            best_mask = r_mask
+            if target is not None and best_size >= target:
+                break
+        # Next branch: the last untried vertex of the deepest open node whose
+        # color bound can still beat the best clique.
+        while stack:
+            frame = stack[-1]
+            r_size, r_mask, cand, seq = frame
+            if seq and r_size + seq[-1][1] > best_size:
+                break
+            stack.pop()
+        else:
+            break
+        v = seq.pop()[0]
+        b = 1 << v
+        frame[2] = cand ^ b
+        r_size, r_mask, cand = r_size + 1, r_mask | b, cand & radj[v]
 
     members = sorted(order[i] for i in range(n) if best_mask >> i & 1)
     return best_size, members, not exhausted, nodes
@@ -114,82 +139,72 @@ def max_conflict_bounded_set(
     part of every considered subset (used for symmetry-reduced casework);
     the returned size is -1 if the forced set itself is infeasible.
     """
+    check_conflicts(conflicts)
     d = len(conflicts)
-    for i, mask in enumerate(conflicts):
-        if mask >> d:
-            raise ValueError(f"conflict mask of index {i} has bits >= {d}")
-        if mask & (1 << i):
-            raise ValueError(f"index {i} conflicts with itself")
-
     best_size = -1
     best_mask = 0
     nodes = 0
     exhausted = False
-    done = False
     cnt = [0] * d  # conflicts with currently chosen, for every index
     suffix = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << i)
 
-    def record(size: int, chosen: int) -> None:
-        nonlocal best_size, best_mask, done
-        if size > best_size:
-            best_size = size
-            best_mask = chosen
-            if cap is not None and best_size >= cap:
-                done = True
-
-    def include(i: int, chosen: int, blocked: int) -> int:
-        # Returns the updated blocked mask; cnt updates are undone by undo().
-        bit = 1 << i
-        m = conflicts[i]
-        while m:
-            b = m & -m
-            m ^= b
-            j = b.bit_length() - 1
-            cnt[j] += 1
-            if cnt[j] == k and chosen >> j & 1:
-                blocked |= conflicts[j] & ~chosen  # j saturated: neighbors barred
-            elif cnt[j] == k + 1 and not chosen >> j & 1:
-                blocked |= b  # j itself can no longer fit
-        if cnt[i] == k:
-            blocked |= conflicts[i] & ~chosen  # i enters already saturated
-        return blocked | bit
-
-    def undo(i: int) -> None:
-        m = conflicts[i]
-        while m:
-            b = m & -m
-            m ^= b
-            cnt[b.bit_length() - 1] -= 1
-
-    def dfs(i: int, size: int, chosen: int, blocked: int) -> None:
-        nonlocal nodes, exhausted, done
+    # A node decides index i given the chosen set and the indices barred
+    # from it. Each index is first included, then excluded; stack holds the
+    # nodes whose include branch is open, so their exclude branch is next.
+    stack: list[tuple[int, int, int, int]] = []
+    i = size = chosen = blocked = 0
+    while True:
         nodes += 1
         if nodes >= budget:
             exhausted = True
-            done = True
-            return
+            break
         if i == d:
-            record(size, chosen)
-            return
-        ub = size + (suffix[i] & ~blocked).bit_count()
-        if cap is not None:
-            ub = min(ub, cap)
-        if ub <= best_size:
-            return
-        bit = 1 << i
-        can_take = not blocked >> i & 1 and cnt[i] <= k
-        if can_take:
-            nb = include(i, chosen, blocked)
-            dfs(i + 1, size + 1, chosen | bit, nb)
-            undo(i)
-            if done:
-                return
-        if forced_mask >> i & 1:
-            return  # forced index: no exclude branch
-        dfs(i + 1, size, chosen, blocked | bit)
+            if size > best_size:
+                best_size = size
+                best_mask = chosen
+                if cap is not None and best_size >= cap:
+                    break
+        else:
+            ub = size + (suffix[i] & ~blocked).bit_count()
+            if cap is not None:
+                ub = min(ub, cap)
+            if ub > best_size:
+                bit = 1 << i
+                if not blocked >> i & 1 and cnt[i] <= k:
+                    stack.append((i, size, chosen, blocked))
+                    m = conflicts[i]
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        j = b.bit_length() - 1
+                        cnt[j] += 1
+                        if cnt[j] == k and chosen >> j & 1:
+                            blocked |= conflicts[j] & ~chosen  # j saturated: neighbors barred
+                        elif cnt[j] == k + 1 and not chosen >> j & 1:
+                            blocked |= b  # j itself can no longer fit
+                    if cnt[i] == k:
+                        blocked |= conflicts[i] & ~chosen  # i enters already saturated
+                    i, size, chosen, blocked = i + 1, size + 1, chosen | bit, blocked | bit
+                    continue
+                if not forced_mask >> i & 1:  # forced index: no exclude branch
+                    i, blocked = i + 1, blocked | bit
+                    continue
+        # Backtrack: undo the deepest open include branch and take its
+        # exclude branch, unless that index is forced.
+        while stack:
+            i, size, chosen, blocked = stack.pop()
+            m = conflicts[i]
+            while m:
+                b = m & -m
+                m ^= b
+                cnt[b.bit_length() - 1] -= 1
+            if not forced_mask >> i & 1:
+                break
+        else:
+            break
+        i, blocked = i + 1, blocked | 1 << i
 
-    dfs(0, 0, 0, 0)
     members = [i for i in range(d) if best_mask >> i & 1]
     return best_size, members, not exhausted, nodes

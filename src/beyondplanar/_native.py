@@ -1,22 +1,34 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: the compiled kernels when the library is built, pure Python otherwise.
 
-Set BEYONDPLANAR_PURE=1 to force the pure implementation (used by the
-parity tests and the benchmark).
+`python3 setup.py build_ext --inplace` builds _kernels.c into the library
+file found here; without it the package runs _kernels_py, with identical
+results.
 """
 
 from __future__ import annotations
 
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
 
 from . import _kernels_py
 
-if os.environ.get("BEYONDPLANAR_PURE"):
+
+def find_library(directory: str) -> str | None:
+    """Path of the built kernel library in `directory`, or None."""
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_kernels_lib" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+_path = find_library(os.path.dirname(__file__))
+if _path is None:
     _impl = _kernels_py
 else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+    from ._kernels_c import CompiledKernels
+
+    _impl = CompiledKernels(_path)
 
 IMPLEMENTATION: str = _impl.IMPLEMENTATION
 max_clique = _impl.max_clique

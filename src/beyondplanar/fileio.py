@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring
-from .geometry import Edge, Point, PointSet, all_edges, find_collinear_triple, find_duplicate
+from .geometry import Edge, Point, PointSet, all_edges
 from .quasiplanar import check_pairwise_crossing
 
 
@@ -77,13 +77,10 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
 
-    dup = find_duplicate(pts)
-    if dup is not None:
-        raise ParseError(line_no, f"duplicate points at indices {dup[0]} and {dup[1]}")
-    triple = find_collinear_triple(pts)
-    if triple is not None:
-        raise ParseError(line_no, f"collinear triple at indices {triple[0]}, {triple[1]}, {triple[2]}")
-    points = PointSet(pts)
+    try:
+        points = PointSet(pts)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
     family = None
     rest = list(stream)

@@ -257,9 +257,12 @@ def gen_convex_polygon(n: int, seed: int = 0, max_attempts: int = 64) -> PointSe
         for i in range(n):
             theta = math.pi / 2 - 2.0 * math.pi * i / n  # clockwise from 12 o'clock
             raw.append((_GEN_RADIUS * math.cos(theta), _GEN_RADIUS * math.sin(theta)))
-        pts = _attempt_points(raw, rng)
-        if find_duplicate(pts) is None and find_collinear_triple(pts) is None and _is_clockwise_convex(pts):
-            return PointSet(pts)
+        try:
+            points = PointSet(_attempt_points(raw, rng))
+        except ValueError:
+            continue
+        if _is_clockwise_convex(points):
+            return points
     raise GenerationError(f"convex generator failed for n={n}, seed={seed} after {max_attempts} attempts")
 
 
@@ -313,8 +316,9 @@ def gen_perfect_crossing_family_pointset(
             b = a + math.pi + (rng.random() - 0.5) * math.pi / (6.0 * n)
             raw.append((_GEN_RADIUS * math.cos(a), _GEN_RADIUS * math.sin(a)))
             raw.append((_GEN_RADIUS * math.cos(b), _GEN_RADIUS * math.sin(b)))
-        pts = _attempt_points(raw, rng)
-        if find_duplicate(pts) is not None or find_collinear_triple(pts) is not None:
+        try:
+            pts = PointSet(_attempt_points(raw, rng))
+        except ValueError:
             continue
         family = [Edge(2 * i, 2 * i + 1) for i in range(n)]
         ok = all(
@@ -323,5 +327,5 @@ def gen_perfect_crossing_family_pointset(
             for f in family[idx + 1 :]
         )
         if ok:
-            return PointSet(pts), family
+            return pts, family
     raise GenerationError(f"crossing-family generator failed for n={n}, seed={seed}")

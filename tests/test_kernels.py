@@ -7,7 +7,9 @@ from oracles import naive_max_clique_mask as naive_max_clique
 from oracles import naive_max_conflict_bounded
 
 from beyondplanar import _kernels_py
-from beyondplanar import _native
+from beyondplanar.bounds import _skip
+from beyondplanar.crossings import crossing_masks
+from beyondplanar.geometry import all_edges
 
 
 def random_graph(v, p, seed):
@@ -21,12 +23,9 @@ def random_graph(v, p, seed):
     return adj
 
 
-KERNELS = [_kernels_py] if _native.IMPLEMENTATION == "python" else [_kernels_py, _native]
-
-
-@pytest.fixture(params=KERNELS, ids=lambda m: m.IMPLEMENTATION)
+@pytest.fixture(params=["python", "compiled"])
 def kernel(request):
-    return request.param
+    return _kernels_py if request.param == "python" else request.getfixturevalue("compiled_kernels")
 
 
 class TestMaxClique:
@@ -56,18 +55,22 @@ class TestMaxClique:
                 assert adj[members[a]] >> members[b] & 1
 
     @pytest.mark.parametrize("v", [63, 64, 65, 100, 140])
-    def test_implementations_agree_beyond_64_vertices(self, v):
+    def test_implementations_agree_beyond_64_vertices(self, compiled_kernels, v):
         # Masks wider than one machine word exercise the compiled kernel's
-        # multi-word bitsets; both implementations must agree exactly.
+        # multi-word bitsets; it must match the pure kernel exactly.
         adj = random_graph(v, 0.25, v)
-        pure = _kernels_py.max_clique(adj)
-        active = _native.max_clique(adj)
-        assert pure[:3] == active[:3]
-        size, members, proven, _ = active
+        result = compiled_kernels.max_clique(adj)
+        assert result == _kernels_py.max_clique(adj)
+        size, members, proven, _ = result
         assert proven and len(members) == size
         for a in range(size):
             for b in range(a + 1, size):
                 assert adj[members[a]] >> members[b] & 1
+
+    def test_complete_graph_deeper_than_the_recursion_limit(self, kernel):
+        n = 1100
+        size, members, proven, _ = kernel.max_clique([((1 << n) - 1) ^ (1 << v) for v in range(n)])
+        assert (size, members, proven) == (n, list(range(n)), True)
 
     def test_floor_size_hides_small_cliques(self, kernel):
         adj = random_graph(10, 0.3, 42)
@@ -164,3 +167,23 @@ class TestMaxConflictBoundedSet:
         conflicts = random_graph(16, 0.5, 5)
         _, _, proven, nodes = kernel.max_conflict_bounded_set(conflicts, 2, budget=10)
         assert not proven and nodes <= 10
+
+    def test_many_indices_without_recursion(self, kernel):
+        assert kernel.max_conflict_bounded_set([0] * 1200, 0) == (1200, list(range(1200)), True, 2401)
+
+    @pytest.mark.parametrize("n", [13, 15])  # 65 and 90 diagonals: more than one 64-bit word
+    @pytest.mark.parametrize("case", ["budget", "cap", "forced"])
+    def test_implementations_agree_beyond_64_indices(self, compiled_kernels, n, case):
+        diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
+        conflicts = crossing_masks(n, diagonals)
+        k, kwargs = {
+            "budget": (2, {"budget": 20000}),
+            "cap": (0, {"cap": n - 3}),  # a triangulation's diagonal count
+            "forced": (1, {"budget": 20000, "forced_mask": 1 | 1 << 64}),
+        }[case]
+        result = compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs)
+        assert result == _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
+        size, members, _, _ = result
+        chosen = sum(1 << i for i in members)
+        assert len(members) == max(size, 0)
+        assert all((conflicts[i] & chosen).bit_count() <= k for i in members)
