@@ -7,6 +7,11 @@ than a 64-bit word. Both implementations must return identical sizes and
 node counts; the table reports wall times and speedups. The compiled
 kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
+A second table times the crossing layer, `crossing_masks` on the complete
+graph of random n = 24, 32 and 40 points (the benchmark's sizes). It has
+no compiled twin. Each row checks its crossing count against a count made
+pair by pair with `segments_cross` outside the timing.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -19,7 +24,7 @@ import time
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _skip
 from beyondplanar.crossings import crossing_masks
-from beyondplanar.geometry import all_edges, gen_random_pointset
+from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
 from beyondplanar.quasiplanar import build_crossing_graph
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
@@ -59,8 +64,7 @@ def subset_workloads(heavy: bool):
         yield "subset convex diagonals n=10 k=3", "max_conflict_bounded_set", (diagonal_conflicts(10),), {"k": 3}
 
 
-def run_one(impl, op: str, args, kwargs, repeat: int) -> tuple[tuple, float]:
-    fn = getattr(impl, op)
+def run_one(fn, args, kwargs, repeat: int) -> tuple:
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -82,9 +86,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for label, op, wargs, wkwargs in list(clique_workloads(args.heavy)) + list(subset_workloads(args.heavy)):
-        py_result, py_time = run_one(_kernels_py, op, wargs, wkwargs, args.repeat)
+        py_result, py_time = run_one(getattr(_kernels_py, op), wargs, wkwargs, args.repeat)
         if compiled is not None:
-            c_result, c_time = run_one(compiled, op, wargs, wkwargs, args.repeat)
+            c_result, c_time = run_one(getattr(compiled, op), wargs, wkwargs, args.repeat)
             if (py_result[0], py_result[3]) != (c_result[0], c_result[3]):
                 raise SystemExit(f"implementations disagree on {label}: {py_result} vs {c_result}")
             speedup = f"{py_time / c_time:8.1f}x" if c_time > 0 else "     inf"
@@ -92,6 +96,22 @@ def main() -> None:
         else:
             speedup, c_ms = "       -", "        -"
         print(f"{label:<38} {py_result[0]:>5} {py_result[3]:>9} {py_time * 1000:7.1f}ms {c_ms} {speedup}")
+
+    print()
+    header = f"{'crossing layer':<38} {'crossings':>9} {'python':>9}"
+    print(header)
+    print("-" * len(header))
+    for n in (24, 32, 40):
+        points, edges = gen_random_pointset(n, seed=n), all_edges(n)
+        p = points.points
+        want = sum(
+            segments_cross(p[e.u], p[e.v], p[f.u], p[f.v]) for i, e in enumerate(edges) for f in edges[i + 1 :]
+        )
+        masks, t = run_one(crossing_masks, (points, edges), {}, args.repeat)
+        got = sum(m.bit_count() for m in masks) // 2
+        if got != want:
+            raise SystemExit(f"crossing_masks counts {got} crossings on random n={n}, segments_cross {want}")
+        print(f"{f'crossing masks random n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ knows `target` is a valid upper bound, such a result is the exact optimum.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 IMPLEMENTATION = "python"
 
 
@@ -42,16 +44,15 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     are colored first.
     """
     _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
-    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * len(adj)
-    for i, v in enumerate(order):
-        m = adj[v]
-        while m:
-            b = m & -m
-            m ^= b
-            radj[i] |= 1 << pos[b.bit_length() - 1]
-    return order, radj
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    if n <= 1:
+        return order, list(adj)
+    # Character k of a row's n-digit binary string is bit n-1-k, so new bit
+    # j = n-1-k of a relabelled row is old bit order[j] of the source row.
+    pick = itemgetter(*(n - 1 - order[j] for j in range(n - 1, -1, -1)))
+    width = f"0{n}b"
+    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
 
 
 def max_clique(

@@ -1,19 +1,27 @@
 """The crossing layer: which edges of a list properly cross.
 
-An instance is a PointSet, decided with the exact segment predicate, or an
-int n for n points in convex position in index order, where two chords
-cross iff their endpoints interleave. Every crossing graph, and every
-crossing count that is not the closed form C(n, 4) of convex K_n, comes
-from `crossing_masks`. `convex_edges_cross`, `PointSet.edges_cross` and
-`check_pairwise_crossing` stay independent of it so that they can
-re-check its answers.
+An instance is a PointSet or an int n for n points in convex position in
+index order. Every crossing graph, and every crossing count that is not
+the closed form C(n, 4) of convex K_n, comes from `crossing_masks`.
+
+It never tests a pair of edges. It uses side masks, the order-type view
+of Goodman and Pollack: for each edge ab and each point w that the edge
+list touches, one exact integer sign, det(b - a, w - a) on a PointSet and
+(w - a)(b - w) in convex position (positive iff w lies strictly between a
+and b). Whole rows of bitmasks then give the edges whose ends ab
+separates and the edges each point lies left of. Two edges properly cross
+iff each one's line separates the other's ends; an edge that shares an
+endpoint with ab has that end on its line and drops out. General position
+makes every other sign nonzero. `segments_cross`, `PointSet.edges_cross`,
+`convex_edges_cross` and `check_pairwise_crossing` decide one pair at a
+time and stay independent of this layer, so they can re-check it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Edge, PointSet, segments_cross
+from .geometry import Edge, PointSet
 
 
 def canonical_edges(instance: PointSet | int, edges: Iterable) -> list[Edge]:
@@ -28,32 +36,35 @@ def canonical_edges(instance: PointSet | int, edges: Iterable) -> list[Edge]:
     return sorted(out)
 
 
-def _interleave(a: int, b: int, c: int, d: int) -> bool:
-    # Chords a<b and c<d of a convex polygon cross iff exactly one of c, d
-    # lies strictly between a and b and no endpoint is shared.
-    return a < c < b < d or c < a < d < b
-
-
 def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]:
     """Bit j of masks[i] is set iff edges[i] and edges[j] properly cross.
 
     The edges keep the caller's order and must already be in `Edge.of`
     form and in range, as `canonical_edges` and `all_edges` give them.
     """
+    inc: dict[int, int] = {}  # point -> mask of the edges ending at it
+    for i, e in enumerate(edges):
+        for w in e:
+            inc[w] = inc.get(w, 0) | 1 << i
+    used = sorted(inc)
     if isinstance(instance, PointSet):
-        p = instance.points
-        ends = [(p[u], p[v]) for u, v in edges]
-        cross = segments_cross
-    else:
-        ends = edges
-        cross = _interleave
-    masks = [0] * len(ends)
-    for i, (a, b) in enumerate(ends):
-        bit, row = 1 << i, 0
-        for j in range(i + 1, len(ends)):
-            c, d = ends[j]
-            if cross(a, b, c, d):
-                row |= 1 << j
-                masks[j] |= bit
-        masks[i] |= row
-    return masks
+        xy = [(p.x, p.y) for p in instance.points]
+        used_xy = [xy[w] for w in used]
+    left_of = dict.fromkeys(used, 0)  # point -> mask of the edges it lies left of
+    split = []  # split[i] = mask of the edges whose ends lie on both sides of edge i
+    for i, (a, b) in enumerate(edges):
+        if isinstance(instance, PointSet):
+            (ax, ay), (bx, by) = xy[a], xy[b]
+            dx, dy = bx - ax, by - ay
+            sides = [dx * (y - ay) - dy * (x - ax) for x, y in used_xy]
+        else:
+            sides = [(w - a) * (b - w) for w in used]
+        bit, left, right = 1 << i, 0, 0
+        for w, s in zip(used, sides):
+            if s > 0:
+                left |= inc[w]
+                left_of[w] |= bit
+            elif s < 0:
+                right |= inc[w]
+        split.append(left & right)
+    return [row & (left_of[a] ^ left_of[b]) for row, (a, b) in zip(split, edges)]

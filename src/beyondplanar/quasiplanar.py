@@ -65,6 +65,7 @@ class CrossingFamily:
 
     edges: tuple[Edge, ...]
     proven_maximum: bool = False
+    nodes: int = 0  # search nodes the clique kernel spent finding it
 
     @property
     def size(self) -> int:
@@ -96,7 +97,7 @@ def max_crossing_family(
     segment predicate instead of being trusted from the graph.
     """
     target = graph.n // 2
-    size, members, proven, _nodes = _native.max_clique(list(graph.masks), budget=budget, target=target)
+    size, members, proven, nodes = _native.max_clique(list(graph.masks), budget=budget, target=target)
     edges = tuple(graph.edge_list[i] for i in members)
     if len(edges) != size:
         raise AssertionError("clique kernel returned inconsistent certificate")
@@ -105,7 +106,7 @@ def max_crossing_family(
         raise AssertionError("clique certificate is not a crossing family")
     if points is not None and not check_pairwise_crossing(points, edges):
         raise AssertionError("crossing family certificate fails exact re-verification")
-    return CrossingFamily(edges, proven_maximum=proven)
+    return CrossingFamily(edges, proven_maximum=proven, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,17 @@ def is_k_quasi_planar(
         raise ValueError(f"k >= 2 required, got {k}")
     es = canonical_edges(points, edges)
     masks = crossing_masks(points, es)
-    size, members, proven, _nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
+    size, members, proven, nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
     if size >= k:
         witness = tuple(es[i] for i in members[:k])
         if not check_pairwise_crossing(points, witness):
             raise AssertionError("quasi-planarity witness fails exact re-verification")
         return QuasiPlanarResult(False, witness)
     if not proven:
-        raise SearchBudgetError(f"existence search for {k} pairwise crossing edges exceeded budget {budget}")
+        raise SearchBudgetError(
+            f"existence search for {k} pairwise crossing edges exceeded budget {budget}"
+            f" after {nodes} nodes; the largest crossing family found has fewer than {k} edges"
+        )
     return QuasiPlanarResult(True)
 
 
@@ -362,7 +366,8 @@ def crossing_family_partition(
     family = max_crossing_family(graph, points=points, budget=budget)
     if not family.proven_maximum:
         raise SearchBudgetError(
-            f"maximum crossing family not proven within budget {budget}; color guarantee would be unsound"
+            f"maximum crossing family not proven within budget {budget} after {family.nodes} nodes"
+            f" (largest found: {family.size} edges); color guarantee would be unsound"
         )
     m = family.size
 

@@ -104,3 +104,34 @@ def naive_convex_crossings(n, edges=None):
 
     es = all_edges(n) if edges is None else sorted({Edge.of(e[0], e[1]) for e in edges})
     return sum(1 for i, e in enumerate(es) for f in es[i + 1 :] if convex_edges_cross(n, e, f))
+
+
+def naive_crossing_masks(instance, edges):
+    """Crossing masks of an edge list, decided pair by pair.
+
+    Bit j of masks[i] is set iff edges[i] and edges[j] properly cross, by
+    `segments_cross` on a PointSet and by `convex_edges_cross` for an int
+    n (convex position in index order). It shares no code with the
+    crossing layer's side masks, so it can check them.
+    """
+    from beyondplanar.convex import convex_edges_cross
+    from beyondplanar.geometry import PointSet, segments_cross
+
+    if isinstance(instance, PointSet):
+        p = instance.points
+
+        def cross(e, f):
+            return segments_cross(p[e[0]], p[e[1]], p[f[0]], p[f[1]])
+
+    else:
+
+        def cross(e, f):
+            return convex_edges_cross(instance, e, f)
+
+    masks = [0] * len(edges)
+    for i, e in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            if cross(e, edges[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks

@@ -114,6 +114,14 @@ class TestExitCodes:
         assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 1
         assert capsys.readouterr().out == out
 
+    def test_family_budget_exhausted_is_2(self, paths, capsys):
+        assert run("gen", "random", "--n", "20", "--seed", "1", "--out", paths["inst"]) == 0
+        capsys.readouterr()
+        assert run("partition", "family", "--k", "3", "--budget", "3", "--in", paths["inst"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: maximum crossing family not proven within budget 3 after 3 nodes" in captured.err
+
     def test_bounds_reports_ok(self, capsys):
         assert run("bounds", "--n", "20", "--k", "1") == 0
         out = capsys.readouterr().out

@@ -1,26 +1,20 @@
 """The crossing layer against the per-pair predicates it replaces.
 
-`crossing_masks` is compared pair by pair with `segments_cross` on random
-and convex point sets and with `convex_edges_cross` on convex index order,
-for complete graphs, random edge subsets and the (skip, edge) order of the
-extremal oracle's diagonal lists.
+`crossing_masks` is compared with `naive_crossing_masks`, which decides
+every pair with `segments_cross` or `convex_edges_cross`, on random and
+convex point sets and on convex index order: complete graphs up to the
+benchmark's n = 40, random edge subsets, the (skip, edge) order of the
+extremal oracle's diagonal lists, reversed and shuffled caller orders,
+subsets that leave most points unused, and coordinates at the limit.
 """
 
 import random
 
 import pytest
+from oracles import naive_crossing_masks
 
-from beyondplanar.convex import convex_edges_cross
 from beyondplanar.crossings import canonical_edges, crossing_masks
-from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon, gen_random_pointset, segments_cross
-
-
-def pairwise_masks(edges, cross):
-    return [sum(1 << j for j, f in enumerate(edges) if j != i and cross(e, f)) for i, e in enumerate(edges)]
-
-
-def segment_predicate(points):
-    return lambda e, f: segments_cross(points[e.u], points[e.v], points[f.u], points[f.v])
+from beyondplanar.geometry import COORD_LIMIT, Edge, PointSet, all_edges, gen_convex_polygon, gen_random_pointset
 
 
 def skip_order(n):
@@ -36,22 +30,74 @@ def random_subset(n, seed):
     return rng.sample(edges, rng.randrange(len(edges) + 1))
 
 
+def extreme_pointset(n, seed):
+    """n points in general position, each coordinate within 3 of +/-COORD_LIMIT or random."""
+    rng = random.Random(f"extreme:{n}:{seed}")
+
+    def coord():
+        if rng.random() < 0.8:
+            return rng.choice((-1, 1)) * (COORD_LIMIT - rng.randrange(4))
+        return rng.randint(-COORD_LIMIT, COORD_LIMIT)
+
+    while True:
+        try:
+            return PointSet([(coord(), coord()) for _ in range(n)])
+        except ValueError:
+            continue
+
+
 class TestCrossingMasks:
     @pytest.mark.parametrize("n", [3, 5, 9, 14])
     @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
     def test_pointset_matches_segments_cross(self, make, n):
         points = make(n, seed=n)
-        cross = segment_predicate(points)
         for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), skip_order(n)):
-            assert crossing_masks(points, edges) == pairwise_masks(edges, cross)
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_convex_matches_convex_edges_cross(self, n):
-        def cross(e, f):
-            return convex_edges_cross(n, e, f)
-
         for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), skip_order(n)):
-            assert crossing_masks(n, edges) == pairwise_masks(edges, cross)
+            assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
+
+    @pytest.mark.parametrize("n", [24, 32, 40])
+    def test_complete_graph_at_benchmark_sizes(self, n):
+        points = gen_random_pointset(n, seed=n)
+        edges = all_edges(n)
+        assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coordinates_at_the_limit(self, seed):
+        points = extreme_pointset(12, seed)
+        assert max(abs(c) for p in points for c in (p.x, p.y)) >= COORD_LIMIT - 3
+        for edges in (all_edges(12), random_subset(12, seed)):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("n", [9, 14])
+    def test_reversed_and_shuffled_caller_order(self, n):
+        points = gen_random_pointset(n, seed=n + 1)
+        shuffled = all_edges(n)
+        random.Random(n).shuffle(shuffled)
+        for edges in (all_edges(n)[::-1], shuffled):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subsets_that_leave_most_points_unused(self, seed):
+        n = 40
+        rng = random.Random(f"sparse:{seed}")
+        points = gen_random_pointset(n, seed=seed)
+        few = sorted(rng.sample(range(n), 6))
+        among_few = [Edge(u, v) for u in few for v in few if u < v]
+        scattered = rng.sample(all_edges(n), 8)
+        for edges in (among_few, scattered, among_few[:1], []):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_convex_index_order_matches_a_convex_polygon(self, n):
+        polygon = gen_convex_polygon(n, seed=n)
+        for edges in (all_edges(n), random_subset(n, 2), skip_order(n)):
+            assert crossing_masks(n, edges) == crossing_masks(polygon, edges)
 
 
 class TestCanonicalEdges:

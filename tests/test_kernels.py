@@ -9,7 +9,7 @@ from oracles import naive_max_conflict_bounded
 from beyondplanar import _kernels_py
 from beyondplanar.bounds import _skip
 from beyondplanar.crossings import crossing_masks
-from beyondplanar.geometry import all_edges
+from beyondplanar.geometry import all_edges, gen_random_pointset
 
 
 def random_graph(v, p, seed):
@@ -97,6 +97,26 @@ class TestMaxClique:
     def test_rejects_out_of_range_bits(self, kernel):
         with pytest.raises(ValueError):
             kernel.max_clique([2, 1 | 4])
+
+
+def reference_relabel(adj):
+    """Descending-degree relabelling, one bit at a time."""
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    pos = {v: i for i, v in enumerate(order)}
+    return order, [sum(1 << pos[w] for w in range(len(adj)) if adj[v] >> w & 1) for v in order]
+
+
+class TestDegreeOrder:
+    @pytest.mark.parametrize("v", [0, 1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_the_bitwise_relabel_on_random_graphs(self, v, p):
+        adj = random_graph(v, p, v)
+        assert _kernels_py.degree_order(adj) == reference_relabel(adj)
+
+    def test_matches_the_bitwise_relabel_on_a_crossing_graph(self):
+        n = 40
+        adj = crossing_masks(gen_random_pointset(n, seed=n), all_edges(n))
+        assert _kernels_py.degree_order(adj) == reference_relabel(adj)
 
 
 class TestMaxConflictBoundedSet:

@@ -2,9 +2,11 @@
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import naive_crossing_masks
 
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import slope_partition, verify_k_planar
+from beyondplanar.crossings import crossing_masks
 from beyondplanar.fileio import parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import Edge, PointSet, all_edges, gen_random_pointset
 from beyondplanar.quasiplanar import (
@@ -53,6 +55,16 @@ class TestFileRoundTrips:
         back = parse_coloring(text)
         assert back == coloring
         assert write_coloring(back) == text
+
+
+class TestCrossingMasks:
+    @given(point_sets(min_n=3, max_n=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_subsets_match_the_pairwise_oracle(self, points, data):
+        edges = data.draw(st.lists(st.sampled_from(all_edges(points.n)), unique=True), label="edges")
+        masks = crossing_masks(points, edges)
+        assert masks == naive_crossing_masks(points, edges)
+        assert all(masks[j] >> i & 1 == mask >> j & 1 for i, mask in enumerate(masks) for j in range(len(edges)))
 
 
 class TestQuasiPlanarity:

@@ -16,6 +16,7 @@ from beyondplanar.geometry import (
 )
 from beyondplanar.quasiplanar import (
     CrossingFamily,
+    SearchBudgetError,
     build_crossing_graph,
     check_pairwise_crossing,
     crossing_family_partition,
@@ -101,6 +102,11 @@ class TestIsKQuasiPlanar:
         ps = gen_convex_polygon(4, 0)
         with pytest.raises(ValueError):
             is_k_quasi_planar(ps, all_edges(4), 1)
+
+    def test_budget_error_says_what_was_spent(self):
+        ps = gen_random_pointset(20, seed=1)
+        with pytest.raises(SearchBudgetError, match="exceeded budget 3 after 3 nodes;.* fewer than 3 edges"):
+            is_k_quasi_planar(ps, all_edges(20), 3, budget=3)
 
 
 class TestDoubleStarPartition:
@@ -260,6 +266,13 @@ class TestCrossingFamilyPartition:
             assert is_k_quasi_planar(ps, edges, k).ok
         assert verify_partition(ps, col)
         assert all(len(c) > 0 for c in col.classes())
+
+    def test_budget_error_says_what_was_spent(self):
+        ps = gen_random_pointset(20, seed=1)
+        family = max_crossing_family(build_crossing_graph(ps), budget=3)
+        assert not family.proven_maximum and family.nodes == 3
+        with pytest.raises(SearchBudgetError, match=r"budget 3 after 3 nodes \(largest found: 0 edges\)"):
+            crossing_family_partition(ps, 3, budget=3)
 
     def test_leftover_classes_are_star_unions(self):
         ps = gen_random_pointset(11, 9)
