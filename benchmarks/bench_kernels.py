@@ -12,6 +12,10 @@ graph of random n = 24, 32 and 40 points (the benchmark's sizes). It has
 no compiled twin. Each row checks its crossing count against a count made
 pair by pair with `segments_cross` outside the timing.
 
+A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
+on the kernel in use: its size, the search nodes summed over its
+symmetry cases, and its wall time.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -22,7 +26,7 @@ import random
 import time
 
 from beyondplanar import _kernels_py, _native
-from beyondplanar.bounds import _skip
+from beyondplanar.bounds import _skip, max_k_plane_subgraph
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
 from beyondplanar.quasiplanar import build_crossing_graph
@@ -112,6 +116,14 @@ def main() -> None:
         if got != want:
             raise SystemExit(f"crossing_masks counts {got} crossings on random n={n}, segments_cross {want}")
         print(f"{f'crossing masks random n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+
+    print()
+    header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"
+    print(header)
+    print("-" * len(header))
+    for n, k in ((9, 4), (10, 2), (11, 2), (12, 1)):
+        result, t = run_one(max_k_plane_subgraph, (n, k), {}, args.repeat)
+        print(f"{f'max_k_plane_subgraph n={n} k={k}':<38} {result.size:>5} {result.nodes:>9} {t * 1000:7.1f}ms")
 
 
 if __name__ == "__main__":

@@ -75,6 +75,10 @@ long long bp_max_clique(int n, int W, const u64 *adj, long long budget, long lon
         base[depth] = top;
         if (++nodes >= budget) {
             *exhausted = 1;
+            if (depth > *best) { /* the clique on the path is the best so far */
+                *best = depth;
+                memcpy(members, path, depth * sizeof(int));
+            }
             break;
         }
         if (lowest(c, W) >= 0) {
@@ -108,7 +112,8 @@ long long bp_max_clique(int n, int W, const u64 *adj, long long budget, long lon
    unused high bits of its last word are kept set so that counting the
    free indices needs no mask. An included index stays in chosen while its
    include branch is open, so chosen doubles as the stack of open branches.
-   *best enters as -1. Returns the node count. */
+   *best enters as the floor: only larger subsets are recorded. Returns the
+   node count. */
 long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, const u64 *forced,
                                       long long cap, long long budget, int *cnt, u64 *blocked,
                                       u64 *chosen, u64 *best_mask, long long *best, int *exhausted)

@@ -81,12 +81,14 @@ class CompiledKernels:
         cap: int | None = None,
         budget: int = 10**8,
         forced_mask: int = 0,
+        floor_size: int = -1,
     ) -> tuple[int, list[int], bool, int]:
         """Largest index subset in which every member conflicts with at most k members; see _kernels_py."""
         _kernels_py.check_conflicts(conflicts)
         d = len(conflicts)
         w = max(1, -(-d // 64))
-        best, exhausted = _ll(-1), _int(0)
+        floor = _clamp(floor_size, -1, d + 1)
+        best, exhausted = _ll(floor), _int(0)
         best_mask = _zeros(_u64, w)
         nodes = self._subset(
             d, w, _clamp(k, -1, d + 1), _words(conflicts, w), _words([forced_mask & ((1 << d) - 1)], w),
@@ -94,5 +96,7 @@ class CompiledKernels:
             _zeros(_int, d), _zeros(_u64, (d + 1) * w), _zeros(_u64, w), best_mask,
             ctypes.byref(best), ctypes.byref(exhausted),
         )
+        if best.value == floor:
+            return max(floor_size, -1), [], not exhausted.value, nodes
         members = [i for i in range(d) if best_mask[i >> 6] >> (i & 63) & 1]
         return best.value, members, not exhausted.value, nodes

@@ -67,7 +67,8 @@ def max_clique(
     branched from the highest color class down. Cliques of size at most
     `floor_size` are ignored (size comes back as floor_size with empty
     members), which turns the search into an existence test for cliques
-    larger than the floor.
+    larger than the floor. When the budget runs out, the clique on the
+    current search path counts as found.
     """
     order, radj = degree_order(adj)
     n = len(adj)
@@ -86,6 +87,9 @@ def max_clique(
         nodes += 1
         if nodes >= budget:
             exhausted = True
+            if r_size > best_size:  # the clique on the path is the best so far
+                best_size = r_size
+                best_mask = r_mask
             break
         if cand:
             seq: list[tuple[int, int]] = []
@@ -131,6 +135,7 @@ def max_conflict_bounded_set(
     cap: int | None = None,
     budget: int = 10**8,
     forced_mask: int = 0,
+    floor_size: int = -1,
 ) -> tuple[int, list[int], bool, int]:
     """Largest index subset in which every member conflicts with at most k members.
 
@@ -139,23 +144,40 @@ def max_conflict_bounded_set(
     stops the search with a proven optimum. Indices in forced_mask must be
     part of every considered subset (used for symmetry-reduced casework);
     the returned size is -1 if the forced set itself is infeasible.
+    Subsets of size at most `floor_size` are ignored (size comes back as
+    floor_size with empty members), so a caller that already holds a
+    solution prunes every branch that cannot beat it; a floor below -1
+    counts as -1.
+
+    Conflict counts are kept as counter masks rather than one counter per
+    index: ge[v] is the mask of indices that conflict with at least v
+    chosen members (ge[0] is every index). Including i with conflict mask
+    m raises the counts of m by one, ge[v] |= ge[v-1] & m from the top
+    level down, so an index is over capacity when it is in ge[k+1] and
+    saturated when it is in ge[k] but not ge[k+1]. Each include branch
+    pushes its parent's ge list, so backtracking restores it as it is.
     """
     check_conflicts(conflicts)
     d = len(conflicts)
-    best_size = -1
+    k = max(-1, min(k, d))  # no index conflicts with d others, so a larger k never binds
+    floor_size = max(floor_size, -1)
+    if cap is None:
+        cap = d + 1  # no subset is larger
+    best_size = floor_size
     best_mask = 0
     nodes = 0
     exhausted = False
-    cnt = [0] * d  # conflicts with currently chosen, for every index
     suffix = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << i)
 
-    # A node decides index i given the chosen set and the indices barred
-    # from it. Each index is first included, then excluded; stack holds the
-    # nodes whose include branch is open, so their exclude branch is next.
-    stack: list[tuple[int, int, int, int]] = []
+    # A node decides index i given the chosen set, the indices barred from
+    # it and the counter masks ge[0..k+1]. Each index is first included,
+    # then excluded; stack holds the nodes whose include branch is open,
+    # so their exclude branch is next.
+    stack: list[tuple[int, int, int, int, list[int]]] = []
     i = size = chosen = blocked = 0
+    ge = [-1] + [0] * (k + 1)
     while True:
         nodes += 1
         if nodes >= budget:
@@ -165,42 +187,38 @@ def max_conflict_bounded_set(
             if size > best_size:
                 best_size = size
                 best_mask = chosen
-                if cap is not None and best_size >= cap:
+                if best_size >= cap:
                     break
         else:
             ub = size + (suffix[i] & ~blocked).bit_count()
-            if cap is not None:
-                ub = min(ub, cap)
+            if ub > cap:
+                ub = cap
             if ub > best_size:
                 bit = 1 << i
-                if not blocked >> i & 1 and cnt[i] <= k:
-                    stack.append((i, size, chosen, blocked))
+                if not (blocked | ge[k + 1]) >> i & 1:
+                    stack.append((i, size, chosen, blocked, ge))
                     m = conflicts[i]
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        j = b.bit_length() - 1
-                        cnt[j] += 1
-                        if cnt[j] == k and chosen >> j & 1:
-                            blocked |= conflicts[j] & ~chosen  # j saturated: neighbors barred
-                        elif cnt[j] == k + 1 and not chosen >> j & 1:
-                            blocked |= b  # j itself can no longer fit
-                    if cnt[i] == k:
-                        blocked |= conflicts[i] & ~chosen  # i enters already saturated
+                    was = ge
+                    ge = ge.copy()
+                    for v in range(min(k, size) + 1, 0, -1):  # levels above size + 1 stay empty
+                        ge[v] |= ge[v - 1] & m
+                    blocked |= ge[k + 1] & m & ~chosen  # over capacity: barred
+                    # Chosen members that just reached k, and i if it enters
+                    # with k: saturated, so their other conflicts are barred.
+                    sat = ge[k] & ~was[k] & chosen | was[k] & bit
+                    while sat:
+                        b = sat & -sat
+                        sat ^= b
+                        blocked |= conflicts[b.bit_length() - 1] & ~chosen
                     i, size, chosen, blocked = i + 1, size + 1, chosen | bit, blocked | bit
                     continue
                 if not forced_mask >> i & 1:  # forced index: no exclude branch
                     i, blocked = i + 1, blocked | bit
                     continue
-        # Backtrack: undo the deepest open include branch and take its
+        # Backtrack: return to the deepest open include branch and take its
         # exclude branch, unless that index is forced.
         while stack:
-            i, size, chosen, blocked = stack.pop()
-            m = conflicts[i]
-            while m:
-                b = m & -m
-                m ^= b
-                cnt[b.bit_length() - 1] -= 1
+            i, size, chosen, blocked, ge = stack.pop()
             if not forced_mask >> i & 1:
                 break
         else:

@@ -11,6 +11,15 @@ search runs over diagonal subsets. A rotation of the polygon maps
 solutions to solutions, which allows casework on the smallest chord skip
 present: the representative case forces one canonical diagonal and drops
 all shorter skips.
+
+The best size so far is carried from case to case as the subset kernel's
+floor: a case records only subsets that beat it, so a case that cannot
+(in particular every case after the closed-form cap is met) prunes at
+its root. Witnesses are the ones a search without the floor returns: a
+subtree holding an optimal leaf has an upper bound at least that leaf's
+size, so it is never pruned before the first optimal leaf in DFS order
+is reached, and a later case replaces the witness only when strictly
+larger, as before.
 """
 
 from __future__ import annotations
@@ -93,7 +102,8 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     Hull edges are always included. Diagonal subsets are searched by
     branch and bound with crossing-count propagation, capped by the closed
     formula when k <= 4, one rotation-symmetry case per smallest forced
-    skip. The witness is re-verified independently before returning.
+    skip, each floored at the best size of the cases before it. The
+    witness is re-verified independently before returning.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got {n}")
@@ -114,11 +124,11 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
         conflicts = crossing_masks(n, allowed)
         cap = None if cap_total is None else cap_total - len(hull)
         size, members, case_proven, nodes = _native.max_conflict_bounded_set(
-            conflicts, k, cap=cap, budget=budget, forced_mask=forced_mask
+            conflicts, k, cap=cap, budget=budget, forced_mask=forced_mask, floor_size=best_size - len(hull)
         )
         total_nodes += nodes
         proven = proven and case_proven
-        if size >= 0 and len(hull) + size > best_size:
+        if members:
             best_size = len(hull) + size
             best_edges = tuple(hull) + tuple(allowed[i] for i in members)
 

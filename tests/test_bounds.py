@@ -163,6 +163,15 @@ class TestMaxKPlaneSubgraph:
                 r = max_k_plane_subgraph(n, k)
                 assert 2 * count_crossings(n, r.edges) <= k * r.size
 
+    def test_floor_carried_across_symmetry_cases_prunes(self):
+        # The first case (smallest skip 2) already meets the closed-form cap
+        # of 26 edges, so every later case prunes at its root.
+        r = max_k_plane_subgraph(12, 1)
+        assert r.proven and r.size == 26 == edge_bound_small_k(12, 1)
+        assert r.nodes < 100
+        r = max_k_plane_subgraph(11, 2)
+        assert r.proven and r.size == 28 and r.nodes <= 11_810
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             max_k_plane_subgraph(2, 0)

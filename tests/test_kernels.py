@@ -90,6 +90,16 @@ class TestMaxClique:
         size, _, proven, nodes = kernel.max_clique(adj, budget=5)
         assert not proven and nodes <= 5
 
+    def test_budget_stop_reports_the_clique_on_its_path(self, kernel):
+        # The third node already holds two vertices of the triangle.
+        assert kernel.max_clique([0b110, 0b101, 0b011], budget=3) == (2, [1, 2], False, 3)
+        adj = crossing_masks(gen_random_pointset(20, seed=1), all_edges(20))
+        size, members, proven, nodes = kernel.max_clique(adj, budget=3)
+        assert (size, proven, nodes) == (2, False, 3)
+        assert adj[members[0]] >> members[1] & 1
+        # The path's clique is not reported when it does not beat the floor.
+        assert kernel.max_clique(adj, budget=3, floor_size=2) == (2, [], False, 3)
+
     def test_rejects_self_adjacency(self, kernel):
         with pytest.raises(ValueError):
             kernel.max_clique([1])
@@ -191,8 +201,33 @@ class TestMaxConflictBoundedSet:
     def test_many_indices_without_recursion(self, kernel):
         assert kernel.max_conflict_bounded_set([0] * 1200, 0) == (1200, list(range(1200)), True, 2401)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_floor_at_or_above_the_optimum_finds_nothing(self, kernel, seed, k):
+        conflicts = random_graph(10, 0.4, 200 + seed)
+        want = naive_max_conflict_bounded(conflicts, k)
+        for floor in (want, want + 2):
+            assert kernel.max_conflict_bounded_set(conflicts, k, floor_size=floor)[:3] == (floor, [], True)
+        # A floor the cap already meets prunes at the root.
+        assert kernel.max_conflict_bounded_set(conflicts, k, cap=want, floor_size=want) == (want, [], True, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_floor_below_the_optimum_keeps_the_answer(self, kernel, seed, k):
+        conflicts = random_graph(10, 0.4, 200 + seed)
+        size, members, proven, nodes = kernel.max_conflict_bounded_set(conflicts, k)
+        assert proven and size == naive_max_conflict_bounded(conflicts, k)
+        for floor in range(-3, size):
+            got = kernel.max_conflict_bounded_set(conflicts, k, floor_size=floor)
+            assert got[:3] == (size, members, True) and got[3] <= nodes
+
+    def test_floor_below_an_infeasible_forced_set(self, kernel):
+        conflicts = [0b10, 0b01]
+        assert kernel.max_conflict_bounded_set(conflicts, 0, forced_mask=0b11, floor_size=-1)[:3] == (-1, [], True)
+        assert kernel.max_conflict_bounded_set(conflicts, 0, forced_mask=0b11, floor_size=-5)[:3] == (-1, [], True)
+
     @pytest.mark.parametrize("n", [13, 15])  # 65 and 90 diagonals: more than one 64-bit word
-    @pytest.mark.parametrize("case", ["budget", "cap", "forced"])
+    @pytest.mark.parametrize("case", ["budget", "cap", "forced", "floor"])
     def test_implementations_agree_beyond_64_indices(self, compiled_kernels, n, case):
         diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
         conflicts = crossing_masks(n, diagonals)
@@ -200,6 +235,7 @@ class TestMaxConflictBoundedSet:
             "budget": (2, {"budget": 20000}),
             "cap": (0, {"cap": n - 3}),  # a triangulation's diagonal count
             "forced": (1, {"budget": 20000, "forced_mask": 1 | 1 << 64}),
+            "floor": (1, {"budget": 20000, "floor_size": n - 1}),
         }[case]
         result = compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs)
         assert result == _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
@@ -207,3 +243,23 @@ class TestMaxConflictBoundedSet:
         chosen = sum(1 << i for i in members)
         assert len(members) == max(size, 0)
         assert all((conflicts[i] & chosen).bit_count() <= k for i in members)
+
+    def test_implementations_agree_on_random_arguments(self, compiled_kernels):
+        # The pure kernel's counter masks against the compiled kernel's
+        # per-index counters: every argument combined, node counts included.
+        rng = random.Random(2024)
+        for trial in range(2000):
+            d = rng.randint(0, 20)
+            conflicts = random_graph(d, rng.random(), trial)
+            k = rng.choice([-1, 0, 1, 2, 5, d, d + 3])
+            kwargs = {}
+            if rng.random() < 0.5:
+                kwargs["budget"] = rng.randint(0, 2000)
+            if rng.random() < 0.5:
+                kwargs["cap"] = rng.randint(-2, d + 2)
+            if rng.random() < 0.5:
+                kwargs["forced_mask"] = rng.getrandbits(d) & rng.getrandbits(d)
+            if rng.random() < 0.5:
+                kwargs["floor_size"] = rng.randint(-2, d + 2)
+            want = _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
+            assert compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs) == want, (d, k, kwargs)

@@ -269,9 +269,9 @@ class TestCrossingFamilyPartition:
 
     def test_budget_error_says_what_was_spent(self):
         ps = gen_random_pointset(20, seed=1)
-        family = max_crossing_family(build_crossing_graph(ps), budget=3)
-        assert not family.proven_maximum and family.nodes == 3
-        with pytest.raises(SearchBudgetError, match=r"budget 3 after 3 nodes \(largest found: 0 edges\)"):
+        family = max_crossing_family(build_crossing_graph(ps), points=ps, budget=3)
+        assert not family.proven_maximum and family.nodes == 3 and family.size == 2
+        with pytest.raises(SearchBudgetError, match=r"budget 3 after 3 nodes \(largest found: 2 edges\)"):
             crossing_family_partition(ps, 3, budget=3)
 
     def test_leftover_classes_are_star_unions(self):
