@@ -33,8 +33,7 @@ from . import _native
 from .convex import choose_block_size, count_convex_crossings, verify_k_planar
 from .crossings import canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges
-
-DEFAULT_BUDGET = 10**8
+from .quasiplanar import DEFAULT_BUDGET
 
 
 def edge_bound_small_k(n: int, k: int) -> Fraction:

@@ -17,6 +17,7 @@ from .coloring import Coloring
 from .convex import slope_partition, verify_k_planar
 from .fileio import Instance, ParseError, parse_coloring, parse_instance, write_coloring, write_instance
 from .geometry import (
+    Edge,
     GenerationError,
     PointSet,
     all_edges,
@@ -62,14 +63,6 @@ def _emit(text: str, out: str | None, summary: str) -> None:
     print(f"{summary} out={out}")
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read_text(path))
-
-
-def _load_coloring(path: str) -> Coloring:
-    return parse_coloring(_read_text(path))
-
-
 def _fmt_edge(e) -> str:
     return f"{e.u}-{e.v}"
 
@@ -91,7 +84,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    instance = _load_instance(getattr(args, "in"))
+    instance = parse_instance(_read_text(getattr(args, "in")))
     points = instance.points
     extra = ""
 
@@ -143,17 +136,23 @@ def _convex_realization(n: int) -> PointSet:
 
 
 def _cmd_verify(args) -> int:
-    coloring = _load_coloring(getattr(args, "in"))
+    coloring = parse_coloring(_read_text(getattr(args, "in")))
     if args.instance is not None:
-        points = _load_instance(args.instance).points
+        points = parse_instance(_read_text(args.instance)).points
         if points.n != coloring.n:
             raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
     else:
         points = None  # points in convex position, index order clockwise
+    # Only the colors that occur, in increasing order: an empty class is
+    # trivially k-planar and k-quasi-planar, and the header may declare
+    # far more colors than K_n has edges.
+    classes: dict[int, list[Edge]] = {}
+    for e, color in coloring.items():
+        classes.setdefault(color, []).append(e)
 
     if args.mode == "kplanar":
         instance = coloring.n if points is None else points
-        for color, edges in enumerate(coloring.classes()):
+        for color, edges in sorted(classes.items()):
             result = verify_k_planar(instance, edges, args.k)
             if not result.ok:
                 edge = _fmt_edge(result.witness)
@@ -168,7 +167,7 @@ def _cmd_verify(args) -> int:
         print(f"verified quasiplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
         return 0
     realized = points if points is not None else _convex_realization(coloring.n)
-    for color, edges in enumerate(coloring.classes()):
+    for color, edges in sorted(classes.items()):
         result = is_k_quasi_planar(realized, edges, args.k, budget=args.budget)
         if not result.ok:
             witness = ",".join(_fmt_edge(e) for e in result.witness)
@@ -192,19 +191,8 @@ def _cmd_bounds(args) -> int:
         raise CommandError(f"--k must be nonnegative, got {k}")
     e = n * (n - 1) // 2
     observed = bounds_mod.count_crossings(n)
-    rows = []
-    if k <= 4:
-        rows.append(
-            bounds_mod.BoundReport(
-                "kplanar-edge-bound", f"n={n} k={k}", _fraction_str(bounds_mod.edge_bound_small_k(n, k)), "-", None
-            )
-        )
-    else:
-        rows.append(
-            bounds_mod.BoundReport(
-                "kplanar-edge-bound", f"n={n} k={k}", _fraction_str(bounds_mod.edge_bound_general(n, k)), "-", None
-            )
-        )
+    edge_bound = bounds_mod.edge_bound_small_k if k <= 4 else bounds_mod.edge_bound_general
+    rows = [bounds_mod.BoundReport("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(edge_bound(n, k)), "-", None)]
     if 2 * e >= 9 * n:
         lemma = bounds_mod.crossing_lemma_bound(n, e)
         rows.append(
@@ -232,16 +220,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    instance = _load_instance(getattr(args, "in"))
-    points = instance.points
-    coloring = _load_coloring(args.coloring) if args.coloring is not None else None
+    points = parse_instance(_read_text(getattr(args, "in"))).points
+    coloring = parse_coloring(_read_text(args.coloring)) if args.coloring is not None else None
     if coloring is not None and coloring.n != points.n:
         raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
-    report = validate_pointset(points)
-    if report.convex_position:
-        svg = render_svg(points, coloring, order=report.convex_cyclic_order)
-    else:
-        svg = render_svg(points, coloring)
+    # Fewer than 3 points have no convex order and are drawn to scale.
+    order = validate_pointset(points).convex_cyclic_order if points.n >= 3 else None
+    svg = render_svg(points, coloring, order=order)
     classes = coloring.num_colors if coloring is not None else 1
     _emit(svg, args.out, f"svg n={points.n} classes={classes}")
     return 0

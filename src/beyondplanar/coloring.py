@@ -3,12 +3,12 @@
 A coloring assigns every edge of K_n to exactly one color class. Classes
 are dense integers 0..num_colors-1; partition constructors keep them all
 nonempty, but the container itself only requires assigned colors to be in
-range, so partial verifier workflows can build colorings incrementally.
+range, so a class may be empty (a parsed file may declare any count).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .geometry import Edge, all_edges
 
@@ -18,12 +18,12 @@ class Coloring:
 
     __slots__ = ("n", "num_colors", "_assignment")
 
-    def __init__(self, n: int, num_colors: int, assignment: Mapping[Edge, int] | Iterable[tuple[Edge, int]]):
+    def __init__(self, n: int, num_colors: int, assignment: Mapping[Edge, int]):
         if n < 2:
             raise ValueError(f"a coloring needs n >= 2 vertices, got {n}")
         if num_colors < 1:
             raise ValueError(f"num_colors >= 1 required, got {num_colors}")
-        amap = dict(assignment.items() if isinstance(assignment, Mapping) else assignment)
+        amap = dict(assignment)
         expected = all_edges(n)
         if len(amap) != len(expected):
             raise ValueError(f"coloring covers {len(amap)} edges, K_{n} has {len(expected)}")
@@ -36,9 +36,6 @@ class Coloring:
         self.n = n
         self.num_colors = num_colors
         self._assignment = amap
-
-    def color_of(self, e: Edge) -> int:
-        return self._assignment[Edge.of(e[0], e[1])]
 
     def get(self, u: int, v: int) -> int:
         return self._assignment[Edge.of(u, v)]

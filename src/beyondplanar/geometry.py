@@ -20,6 +20,8 @@ COORD_LIMIT = 1 << 30
 
 _GEN_BOX = 10**6
 _GEN_RADIUS = 10**6
+_GEN_ATTEMPTS = 64  # whole-construction resamples (convex, crossing family)
+_GEN_ATTEMPTS_PER_POINT = 500  # candidate draws per point (random)
 
 
 class GenerationError(RuntimeError):
@@ -183,7 +185,6 @@ class ValidationReport:
     general_position: bool
     convex_position: bool
     convex_cyclic_order: tuple[int, ...] | None
-    duplicate_pair: tuple[int, int] | None = None
     collinear_triple: tuple[int, int, int] | None = None
 
 
@@ -214,17 +215,19 @@ def validate_pointset(points) -> ValidationReport:
     """Check general position and convex position of raw points.
 
     Returns the clockwise cyclic order of hull indices (rotated to start at
-    the smallest index) when the set is in convex position.
+    the smallest index) when the set is in convex position. A PointSet is
+    not re-checked for duplicates or collinear triples: its constructor
+    already rejected both.
     """
     pts = points.points if isinstance(points, PointSet) else _as_points(points)
     if len(pts) < 3:
         raise ValueError(f"validation needs at least 3 points, got {len(pts)}")
-    dup = find_duplicate(pts)
-    if dup is not None:
-        return ValidationReport(False, False, None, duplicate_pair=dup)
-    bad = find_collinear_triple(pts)
-    if bad is not None:
-        return ValidationReport(False, False, None, collinear_triple=bad)
+    if not isinstance(points, PointSet):
+        if find_duplicate(pts) is not None:
+            return ValidationReport(False, False, None)
+        bad = find_collinear_triple(pts)
+        if bad is not None:
+            return ValidationReport(False, False, None, collinear_triple=bad)
     hull = convex_hull_indices(pts)
     if len(hull) != len(pts):
         return ValidationReport(True, False, None)
@@ -243,7 +246,7 @@ def _is_clockwise_convex(points: Sequence[Point]) -> bool:
     return all(orientation(points[i], points[(i + 1) % n], points[(i + 2) % n]) == -1 for i in range(n))
 
 
-def gen_convex_polygon(n: int, seed: int = 0, max_attempts: int = 64) -> PointSet:
+def gen_convex_polygon(n: int, seed: int = 0) -> PointSet:
     """n integer points in convex general position, clockwise in index order.
 
     Realized on a circle of radius ~10^6; only the cyclic order matters for
@@ -252,7 +255,7 @@ def gen_convex_polygon(n: int, seed: int = 0, max_attempts: int = 64) -> PointSe
     if n < 3:
         raise ValueError(f"a convex polygon needs n >= 3, got {n}")
     rng = random.Random(f"convex:{n}:{seed}")
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         raw = []
         for i in range(n):
             theta = math.pi / 2 - 2.0 * math.pi * i / n  # clockwise from 12 o'clock
@@ -263,10 +266,10 @@ def gen_convex_polygon(n: int, seed: int = 0, max_attempts: int = 64) -> PointSe
             continue
         if _is_clockwise_convex(points):
             return points
-    raise GenerationError(f"convex generator failed for n={n}, seed={seed} after {max_attempts} attempts")
+    raise GenerationError(f"convex generator failed for n={n}, seed={seed} after {_GEN_ATTEMPTS} attempts")
 
 
-def gen_random_pointset(n: int, seed: int = 0, max_attempts_per_point: int = 500) -> PointSet:
+def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
     """n uniform integer points in a fixed box, collinear triples rejected."""
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
@@ -274,7 +277,7 @@ def gen_random_pointset(n: int, seed: int = 0, max_attempts_per_point: int = 500
     pts: list[Point] = []
     directions: list[set[tuple[int, int]]] = []  # per anchor: reduced directions to later points
     for _ in range(n):
-        for _attempt in range(max_attempts_per_point):
+        for _attempt in range(_GEN_ATTEMPTS_PER_POINT):
             cand = Point(rng.randrange(0, _GEN_BOX + 1), rng.randrange(0, _GEN_BOX + 1))
             if any(cand == p for p in pts):
                 continue
@@ -291,9 +294,7 @@ def gen_random_pointset(n: int, seed: int = 0, max_attempts_per_point: int = 500
     return PointSet(pts)
 
 
-def gen_perfect_crossing_family_pointset(
-    n: int, seed: int = 0, max_attempts: int = 64
-) -> tuple[PointSet, list[Edge]]:
+def gen_perfect_crossing_family_pointset(n: int, seed: int = 0) -> tuple[PointSet, list[Edge]]:
     """2n points carrying a perfect crossing family of n pairwise crossing edges.
 
     Near-diametral chords of a large circle: chord i runs from angle a_i in
@@ -309,7 +310,7 @@ def gen_perfect_crossing_family_pointset(
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
     rng = random.Random(f"family:{n}:{seed}")
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         raw: list[tuple[float, float]] = []
         for i in range(n):
             a = math.pi * (i + 0.2 + 0.6 * rng.random()) / n

@@ -75,11 +75,6 @@ class CrossingFamily:
         return {v for e in self.edges for v in e}
 
 
-def _family_edges(family) -> tuple[Edge, ...]:
-    edges = family.edges if isinstance(family, CrossingFamily) else tuple(family)
-    return tuple(Edge.of(e[0], e[1]) for e in edges)
-
-
 def check_pairwise_crossing(points: PointSet, edges: Sequence[Edge]) -> bool:
     return all(
         points.edges_cross(edges[i], edges[j]) for i in range(len(edges)) for j in range(i + 1, len(edges))
@@ -256,7 +251,7 @@ def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
     each supporting line then has exactly n-1 other family edges with one
     endpoint per side, so the sides split the 2n points evenly.
     """
-    edges = _family_edges(family)
+    edges = tuple(Edge.of(e[0], e[1]) for e in family)
     n = len(edges)
     if points.n != 2 * n:
         raise ValueError(f"family of size {n} cannot be perfect on {points.n} points")
@@ -279,13 +274,10 @@ def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
         for w in range(points.n):
             if w in e:
                 continue
-            side = _cross2(d, base, points[w])
-            if side > 0:
+            if _cross2(d, base, points[w]) > 0:  # never 0: a PointSet has no collinear triple
                 left.add(w)
-            elif side < 0:
-                right.add(w)
             else:
-                raise ValueError(f"point {w} lies on the supporting line of {tuple(e)}")
+                right.add(w)
         if len(left) != n or len(right) != n:
             raise AssertionError(f"line of {tuple(e)} does not halve the point set")
         lines.append(HalvingLine(e, fwd, rear, d, frozenset(left), frozenset(right)))
@@ -309,39 +301,35 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     group's first line. Every edge is covered by some group; assigning
     each edge to its first covering group turns coverage into a partition,
     and subsets of k-quasi-planar edge sets stay k-quasi-planar.
+
+    Every edge a group covers has an endpoint in X_l, and the X_l
+    partition P, so only the groups a <= b of an edge's two endpoints can
+    cover it. The first covering group is therefore a when a == b or both
+    endpoints lie on one side of group a's first line, and otherwise b,
+    which then needs both endpoints on one side of its own first line.
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
     system = halving_line_system(points, family)
-    n = system.size
-    c = -(-n // (k - 1))
-    groups = [system.lines[l * (k - 1) : (l + 1) * (k - 1)] for l in range(c)]
+    c = -(-system.size // (k - 1))
+    group_of = {v: i // (k - 1) for i, ln in enumerate(system.lines) for v in ln.edge}
+    left = [system.lines[l * (k - 1)].left for l in range(c)]  # each group's first line
 
     assignment: dict[Edge, int] = {}
-    for l, group in enumerate(groups):
-        members = {v for ln in group for v in ln.edge}
-        first = group[0]
-        for e in all_edges(points.n):
-            if e in assignment:
-                continue
-            in_u, in_v = e.u in members, e.v in members
-            if in_u and in_v:
-                assignment[e] = l
-            elif in_u or in_v:
-                same_left = e.u in first.left and e.v in first.left
-                same_right = e.u in first.right and e.v in first.right
-                if same_left or same_right:
-                    assignment[e] = l
-    missing = [e for e in all_edges(points.n) if e not in assignment]
-    if missing:
-        raise AssertionError(f"halving groups left {len(missing)} edges uncovered, e.g. {tuple(missing[0])}")
+    for e in all_edges(points.n):
+        a, b = sorted((group_of[e.u], group_of[e.v]))
+        if a == b or (e.u in left[a]) == (e.v in left[a]):
+            assignment[e] = a
+        elif (e.u in left[b]) == (e.v in left[b]):
+            assignment[e] = b
+        else:
+            raise AssertionError(f"halving groups leave edge {tuple(e)} uncovered")
     return Coloring(points.n, c, assignment)
 
 
 @dataclass(frozen=True)
 class FamilyPartitionReport:
     m: int
-    colors_used: int
     family: CrossingFamily
     note: str | None = None
     leftover_groups: tuple[tuple[int, ...], ...] = field(default=())
@@ -373,7 +361,7 @@ def crossing_family_partition(
 
     if m < k:
         coloring = Coloring(points.n, 1, {e: 0 for e in all_edges(points.n)})
-        report = FamilyPartitionReport(m, 1, family, note=f"m={m} < k={k}: one color suffices")
+        report = FamilyPartitionReport(m, family, note=f"m={m} < k={k}: one color suffices")
         return coloring, report
 
     prime = sorted(family.vertices())
@@ -400,5 +388,5 @@ def crossing_family_partition(
         else:
             assignment[e] = c1 + min(gu, gv)
     coloring = Coloring(points.n, c1 + len(groups), assignment)
-    report = FamilyPartitionReport(m, coloring.num_colors, family, leftover_groups=tuple(groups))
+    report = FamilyPartitionReport(m, family, leftover_groups=tuple(groups))
     return coloring, report

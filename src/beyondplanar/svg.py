@@ -27,15 +27,20 @@ PALETTE = (
     "#98df8a",
 )
 
+_SIZE = 640
+_MARGIN = 40
+_POINT_RADIUS = 4.0
+_STROKE_WIDTH = 1.6
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _circle_layout(n: int, size: float, margin: float) -> list[tuple[float, float]]:
+def _circle_layout(n: int) -> list[tuple[float, float]]:
     # Clockwise from 12 o'clock, matching the convex generator's index order.
-    c = size / 2.0
-    r = c - margin
+    c = _SIZE / 2.0
+    r = c - _MARGIN
     out = []
     for i in range(n):
         theta = math.pi / 2 - 2.0 * math.pi * i / n
@@ -43,26 +48,22 @@ def _circle_layout(n: int, size: float, margin: float) -> list[tuple[float, floa
     return out
 
 
-def _coordinate_layout(points: PointSet, size: float, margin: float) -> list[tuple[float, float]]:
+def _coordinate_layout(points: PointSet) -> list[tuple[float, float]]:
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1)
-    scale = (size - 2.0 * margin) / span
+    scale = (_SIZE - 2.0 * _MARGIN) / span
     # Center the drawing; SVG y grows downward.
-    off_x = (size - (hi_x - lo_x) * scale) / 2.0
-    off_y = (size - (hi_y - lo_y) * scale) / 2.0
-    return [(off_x + (p.x - lo_x) * scale, size - off_y - (p.y - lo_y) * scale) for p in points]
+    off_x = (_SIZE - (hi_x - lo_x) * scale) / 2.0
+    off_y = (_SIZE - (hi_y - lo_y) * scale) / 2.0
+    return [(off_x + (p.x - lo_x) * scale, _SIZE - off_y - (p.y - lo_y) * scale) for p in points]
 
 
 def render_svg(
     instance: PointSet | int,
     coloring: Coloring | None = None,
     *,
-    size: int = 640,
-    margin: int = 40,
-    point_radius: float = 4.0,
-    stroke_width: float = 1.6,
     labels: bool = False,
     order: tuple[int, ...] | None = None,
 ) -> str:
@@ -78,38 +79,38 @@ def render_svg(
         if order is not None:
             if sorted(order) != list(range(n)):
                 raise ValueError("order must be a permutation of the point indices")
-            slots = _circle_layout(n, float(size), float(margin))
+            slots = _circle_layout(n)
             pos = [(0.0, 0.0)] * n
             for slot, orig in enumerate(order):
                 pos[orig] = slots[slot]
         else:
-            pos = _coordinate_layout(instance, float(size), float(margin))
+            pos = _coordinate_layout(instance)
     else:
         n = int(instance)
         if n < 1:
             raise ValueError(f"n >= 1 required, got {n}")
-        pos = _circle_layout(n, float(size), float(margin))
+        pos = _circle_layout(n)
     if coloring is None:
         coloring = Coloring(n, 1, {e: 0 for e in all_edges(n)}) if n >= 2 else None
     elif coloring.n != n:
         raise ValueError(f"coloring is over n={coloring.n}, instance has n={n}")
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     if coloring is not None:
         for color, edges in enumerate(coloring.classes()):
             stroke = PALETTE[color % len(PALETTE)]
-            out.append(f'<g stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" fill="none">')
+            out.append(f'<g stroke="{stroke}" stroke-width="{_fmt(_STROKE_WIDTH)}" fill="none">')
             for e in edges:
                 (x1, y1), (x2, y2) = pos[e.u], pos[e.v]
                 out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
             out.append("</g>")
     out.append('<g fill="black">')
     for x, y in pos:
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(point_radius)}"/>')
+        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(_POINT_RADIUS)}"/>')
     out.append("</g>")
     if labels:
         out.append('<g font-family="monospace" font-size="12" fill="black">')

@@ -135,3 +135,39 @@ def naive_crossing_masks(instance, edges):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+
+def naive_halving_cover(points, family, k):
+    """For every edge of K(P), the halving groups that cover it, in order.
+
+    Consecutive halving lines form groups of k-1. Group l covers an edge
+    with both endpoints among its lines' endpoints X_l, or with one there
+    and both on one side of the group's first line. Every group is
+    checked against every edge. Only the halving lines themselves come
+    from the package.
+    """
+    from beyondplanar.geometry import all_edges
+    from beyondplanar.quasiplanar import halving_line_system
+
+    lines = halving_line_system(points, family).lines
+    groups = [lines[a : a + k - 1] for a in range(0, len(lines), k - 1)]
+    cover = {e: [] for e in all_edges(points.n)}
+    for l, group in enumerate(groups):
+        members = {v for ln in group for v in ln.edge}
+        first = group[0]
+        for e, covering in cover.items():
+            inside = (e.u in members) + (e.v in members)
+            same_side = {e.u, e.v} <= first.left or {e.u, e.v} <= first.right
+            if inside == 2 or (inside == 1 and same_side):
+                covering.append(l)
+    return cover
+
+
+def naive_halving_partition(points, family, k):
+    """Halving-line partition: each edge goes to the first group that covers it."""
+    from beyondplanar.coloring import Coloring
+
+    num_groups = -(-(points.n // 2) // (k - 1))
+    cover = naive_halving_cover(points, family, k)
+    return Coloring(points.n, num_groups, {e: covering[0] for e, covering in cover.items()})

@@ -7,8 +7,8 @@ import pytest
 
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
-from beyondplanar.fileio import parse_coloring, write_coloring
-from beyondplanar.geometry import all_edges, gen_convex_polygon
+from beyondplanar.fileio import parse_coloring, parse_instance, write_coloring
+from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon
 from beyondplanar.svg import PALETTE, render_svg
 
 
@@ -59,6 +59,22 @@ class TestPipelines:
         assert run("partition", "family", "--k", "3", "--in", paths["inst"], "--out", paths["col"]) == 0
         assert "m=" in capsys.readouterr().out
         assert run("verify", "quasiplanar", "--k", "3", "--in", paths["col"], "--instance", paths["inst"]) == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_render_below_three_points(self, n, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        col = tmp_path / "col.txt"
+        svg = tmp_path / "fig.svg"
+        assert run("gen", "random", "--n", str(n), "--seed", "4", "--out", str(inst)) == 0
+        points = parse_instance(inst.read_text()).points
+        assert run("render", "--in", str(inst), "--out", str(svg)) == 0
+        assert svg.read_text() == render_svg(points)
+        if n == 2:
+            coloring = Coloring(2, 1, {Edge(0, 1): 0})
+            col.write_text(write_coloring(coloring))
+            assert run("render", "--in", str(inst), "--coloring", str(col), "--out", str(svg)) == 0
+            assert svg.read_text() == render_svg(points, coloring)
+        assert capsys.readouterr().err == ""
 
     def test_every_slope_class_respects_guaranteed_k(self, paths):
         assert run("gen", "convex", "--n", "10", "--out", paths["inst"]) == 0
@@ -122,6 +138,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: maximum crossing family not proven within budget 3 after 3 nodes" in captured.err
 
+    def test_coloring_header_far_larger_than_file_is_2(self, tmp_path, capsys):
+        # Reaching the error costs what the file holds, not the C(n, 2)
+        # edges its header declares.
+        col = tmp_path / "huge.txt"
+        col.write_text("100000 1\n")
+        assert run("verify", "kplanar", "--k", "1", "--in", str(col)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 1: missing edge (0, 1) (4999950000 edges absent)\n"
+
     def test_bounds_reports_ok(self, capsys):
         assert run("bounds", "--n", "20", "--k", "1") == 0
         out = capsys.readouterr().out
@@ -131,6 +156,33 @@ class TestExitCodes:
         assert run("bounds", "--n", "5", "--k", "2") == 0
         out = capsys.readouterr().out
         assert "crossing-lemma" not in out and "kplanar-edge-bound" in out
+
+
+class TestVerifyDeclaredColors:
+    # Empty classes are trivially k-planar and k-quasi-planar, so verify
+    # costs what the edges use, not what the header declares.
+    @pytest.mark.parametrize("mode", ["kplanar", "quasiplanar"])
+    def test_billion_declared_colors(self, mode, tmp_path, capsys):
+        col = tmp_path / "sparse.txt"
+        col.write_text("3 1000000000\n0 1 0\n0 2 0\n1 2 0\n")
+        assert run("verify", mode, "--k", "2", "--in", str(col)) == 0
+        assert capsys.readouterr().out == f"verified {mode} k=2 n=3 classes=1000000000\n"
+
+    @pytest.mark.parametrize(
+        "mode, k, line",
+        [
+            ("kplanar", 1, "FAIL kplanar class=2 edge=0-2 crossings=3 limit=1"),
+            ("quasiplanar", 3, "FAIL quasiplanar class=2 k=3 witness=0-3,1-4,2-5"),
+        ],
+    )
+    def test_fail_line_skips_empty_classes(self, mode, k, line, tmp_path, capsys):
+        # Convex K_6: class 0 holds the hull edges, which cross nothing;
+        # class 2 holds the diagonals; classes 1 and 3 are empty.
+        assignment = {e: (0 if e.v - e.u in (1, 5) else 2) for e in all_edges(6)}
+        col = tmp_path / "k6.txt"
+        col.write_text(write_coloring(Coloring(6, 4, assignment)))
+        assert run("verify", mode, "--k", str(k), "--in", str(col)) == 1
+        assert capsys.readouterr().out == line + "\n"
 
 
 class TestStdoutData:

@@ -135,7 +135,7 @@ class TestColoringFormat:
     def test_missing_edge_named(self):
         coloring = slope_partition(6, 3)
         lines = [ln for ln in write_coloring(coloring).splitlines() if not ln.startswith("0 5 ")]
-        with pytest.raises(ParseError, match=r"missing edge \(0, 5\)"):
+        with pytest.raises(ParseError, match=r"missing edge \(0, 5\) \(1 edges absent\)"):
             parse_coloring("\n".join(lines) + "\n")
 
     def test_color_out_of_range(self):

@@ -3,7 +3,7 @@
 from math import comb
 
 import pytest
-from oracles import naive_max_clique_enum
+from oracles import naive_halving_cover, naive_halving_partition, naive_max_clique_enum
 
 from beyondplanar.coloring import Coloring
 from beyondplanar.geometry import (
@@ -218,6 +218,17 @@ class TestHalvingLinePartition:
         ps, fam = gen_perfect_crossing_family_pointset(3, 0)
         with pytest.raises(ValueError):
             halving_line_partition(ps, fam, 2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_first_covering_group_oracle(self, n):
+        # Every edge has exactly one covering group, so trying the larger
+        # endpoint group first would give the same partition.
+        for seed in range(4):
+            ps, fam = gen_perfect_crossing_family_pointset(n, seed)
+            for k in range(3, n + 3):
+                cover = naive_halving_cover(ps, fam, k)
+                assert all(len(covering) == 1 for covering in cover.values()), (seed, k)
+                assert halving_line_partition(ps, fam, k) == naive_halving_partition(ps, fam, k), (seed, k)
 
     def test_fewer_colors_on_family_edges_force_k_crossing(self):
         # Pigeonhole floor: crammed into fewer classes, some class holds at
