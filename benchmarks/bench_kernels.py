@@ -16,6 +16,12 @@ A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the search nodes summed over its
 symmetry cases, and its wall time.
 
+A fourth table times `max_crossing_family` on the crossing graph of
+random n = 40, 48 and 60 points (seed 2; n = 60 with seed 1 under
+--heavy): its size, whether it proved the optimum, its search nodes and
+its wall time. Each row must prove the size that a clique search over the
+whole crossing graph proved for that instance.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -29,7 +35,7 @@ from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _skip, max_k_plane_subgraph
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
-from beyondplanar.quasiplanar import build_crossing_graph
+from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
 
@@ -66,6 +72,14 @@ def subset_workloads(heavy: bool):
     yield "subset convex diagonals n=13 k=2 b=3e5", "max_conflict_bounded_set", (diagonal_conflicts(13),), wide
     if heavy:
         yield "subset convex diagonals n=10 k=3", "max_conflict_bounded_set", (diagonal_conflicts(10),), {"k": 3}
+
+
+def family_workloads(heavy: bool):
+    # (n, seed, size): random point sets and the maximum crossing family
+    # size that one clique search over the whole crossing graph proved.
+    yield from ((40, 2, 17), (48, 2, 22), (60, 2, 26))
+    if heavy:
+        yield 60, 1, 26
 
 
 def run_one(fn, args, kwargs, repeat: int) -> tuple:
@@ -124,6 +138,18 @@ def main() -> None:
     for n, k in ((9, 4), (10, 2), (11, 2), (12, 1)):
         result, t = run_one(max_k_plane_subgraph, (n, k), {}, args.repeat)
         print(f"{f'max_k_plane_subgraph n={n} k={k}':<38} {result.size:>5} {result.nodes:>9} {t * 1000:7.1f}ms")
+
+    print()
+    header = f"{'maximum crossing family':<38} {'size':>5} {'proven':>6} {'nodes':>9} {_native.IMPLEMENTATION:>9}"
+    print(header)
+    print("-" * len(header))
+    for n, seed, want in family_workloads(args.heavy):
+        points = gen_random_pointset(n, seed=seed)
+        family, t = run_one(max_crossing_family, (build_crossing_graph(points),), {"points": points}, args.repeat)
+        if not family.proven_maximum or family.size != want:
+            raise SystemExit(f"max_crossing_family on random n={n} seed={seed}: {family}, expected {want} proven")
+        label = f"max_crossing_family random n={n} s={seed}"
+        print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {t * 1000:7.1f}ms")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ and b). Whole rows of bitmasks then give the edges whose ends ab
 separates and the edges each point lies left of. Two edges properly cross
 iff each one's line separates the other's ends; an edge that shares an
 endpoint with ab has that end on its line and drops out. General position
-makes every other sign nonzero. `segments_cross`, `PointSet.edges_cross`,
-`convex_edges_cross` and `check_pairwise_crossing` decide one pair at a
-time and stay independent of this layer, so they can re-check it.
+makes every other sign nonzero. The same signs give each edge's depth,
+the fewer points on either side of its line; only `build_crossing_graph`
+asks for depths, so no other caller pays for counting them.
+`segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
+`check_pairwise_crossing` decide one pair at a time and stay independent
+of this layer, so they can re-check it.
 """
 
 from __future__ import annotations
@@ -42,6 +45,17 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
     The edges keep the caller's order and must already be in `Edge.of`
     form and in range, as `canonical_edges` and `all_edges` give them.
     """
+    return _crossing_pass(instance, edges)
+
+
+def _crossing_pass(
+    instance: PointSet | int, edges: Sequence[Edge], depths: list[int] | None = None
+) -> list[int]:
+    """`crossing_masks`; when a `depths` list is given, also append each edge's depth to it.
+
+    The depth of an edge is the smaller number of the touched points on
+    either side of its line, counted from the same signs as the masks.
+    """
     inc: dict[int, int] = {}  # point -> mask of the edges ending at it
     for i, e in enumerate(edges):
         for w in e:
@@ -67,4 +81,7 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
             elif s < 0:
                 right |= inc[w]
         split.append(left & right)
+        if depths is not None:
+            on_left = len([s for s in sides if s > 0])
+            depths.append(min(on_left, len(used) - 2 - on_left))
     return [row & (left_of[a] ^ left_of[b]) for row, (a, b) in zip(split, edges)]

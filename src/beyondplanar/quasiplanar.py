@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import _native
 from .coloring import Coloring
-from .crossings import canonical_edges, crossing_masks
+from .crossings import _crossing_pass, canonical_edges, crossing_masks
 from .geometry import Edge, Point, PointSet, all_edges
 
 DEFAULT_BUDGET = 10**8
@@ -41,6 +42,7 @@ class CrossingGraph:
     n: int
     edge_list: tuple[Edge, ...]
     masks: tuple[int, ...]  # masks[i] = bitmask of edge indices crossing edge i
+    depths: tuple[int, ...]  # depths[i] = fewer points on either side of edge i's line
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.masks[i] >> j & 1)
@@ -56,7 +58,9 @@ class CrossingGraph:
 
 def build_crossing_graph(points: PointSet) -> CrossingGraph:
     edges = all_edges(points.n)
-    return CrossingGraph(points.n, tuple(edges), tuple(crossing_masks(points, edges)))
+    depths: list[int] = []
+    masks = _crossing_pass(points, edges, depths)
+    return CrossingGraph(points.n, tuple(edges), tuple(masks), tuple(depths))
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class CrossingFamily:
 
     edges: tuple[Edge, ...]
     proven_maximum: bool = False
-    nodes: int = 0  # search nodes the clique kernel spent finding it
+    nodes: int = 0  # search nodes of all the clique searches that found it
 
     @property
     def size(self) -> int:
@@ -81,24 +85,75 @@ def check_pairwise_crossing(points: PointSet, edges: Sequence[Edge]) -> bool:
     )
 
 
+def _induced(masks: Sequence[int], keep: list[int]) -> list[int]:
+    """Adjacency masks of the subgraph on the ascending vertex list `keep`, relabelled 0..len(keep)-1."""
+    n, width = len(masks), f"0{len(masks)}b"
+    # Character k of a row's n-digit binary string is bit n-1-k, so new bit
+    # j of a row is character n-1-keep[j] of the old one.
+    pick = itemgetter(*(n - 1 - v for v in reversed(keep)))
+    return [int("".join(pick(format(masks[v], width))), 2) for v in keep]
+
+
 def max_crossing_family(
     graph: CrossingGraph, points: PointSet | None = None, budget: int = DEFAULT_BUDGET
 ) -> CrossingFamily:
     """Exact maximum crossing family via branch-and-bound clique search.
 
-    Pairwise crossing edges are vertex-disjoint, so floor(n/2) is a sound
-    size target: reaching it ends the search with a proven optimum. When
-    `points` is given, the certificate is re-verified with the exact
+    Each of t pairwise crossing edges has the other t-1 crossing its line,
+    one endpoint on each side, so it has depth at least t-1. The optimum m
+    is therefore proven on small subgraphs: for t from floor(n/2) down,
+    the clique search runs on the edges of depth >= t-1 until it finds t
+    edges or the largest family found so far has t. Every t above m was
+    then searched to exhaustion. A last search on the whole graph, for m
+    edges with every smaller family ignored, returns the first family of m
+    edges in the full search's branch order, so the family depends only
+    on the point set. Nodes of all searches count against `budget`; when
+    it runs out, the largest family found so far comes back unproven.
+
+    When `points` is given, the certificate is re-verified with the exact
     segment predicate instead of being trusted from the graph.
     """
-    target = graph.n // 2
-    size, members, proven, nodes = _native.max_clique(list(graph.masks), budget=budget, target=target)
-    edges = tuple(graph.edge_list[i] for i in members)
-    if len(edges) != size:
-        raise AssertionError("clique kernel returned inconsistent certificate")
+    best: list[int] = []  # edge indices of the largest family found so far
+    nodes = 0
+
+    def search(masks: list[int], target: int, floor_size: int) -> tuple[list[int], bool]:
+        nonlocal nodes
+        if nodes >= budget:
+            return [], False
+        size, members, proven, spent = _native.max_clique(
+            masks, budget=budget - nodes, target=target, floor_size=floor_size
+        )
+        nodes += spent
+        if len(members) != (size if size > floor_size else 0):
+            raise AssertionError("clique kernel returned inconsistent certificate")
+        return members, proven
+
+    t = graph.n // 2
+    while t > len(best):
+        keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
+        if len(keep) >= t:  # fewer edges than t hold no family of t
+            members, proven = search(_induced(graph.masks, keep), t, len(best))
+            if members:
+                best = [keep[i] for i in members]
+            if not proven:
+                return _certified(graph, points, best, False, nodes)
+        t -= 1
+    if best:
+        members, proven = search(list(graph.masks), len(best), len(best) - 1)
+        if not proven:
+            return _certified(graph, points, best, False, nodes)
+        best = members
+    return _certified(graph, points, best, True, nodes)
+
+
+def _certified(
+    graph: CrossingGraph, points: PointSet | None, members: list[int], proven: bool, nodes: int
+) -> CrossingFamily:
+    """The family on edge indices `members`, after re-checking that its edges cross pairwise."""
     chosen = sum(1 << i for i in set(members))
-    if chosen.bit_count() != size or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
+    if chosen.bit_count() != len(members) or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
         raise AssertionError("clique certificate is not a crossing family")
+    edges = tuple(graph.edge_list[i] for i in sorted(members))
     if points is not None and not check_pairwise_crossing(points, edges):
         raise AssertionError("crossing family certificate fails exact re-verification")
     return CrossingFamily(edges, proven_maximum=proven, nodes=nodes)

@@ -2,7 +2,8 @@
 
 One stroke color per class from a fixed 12-color palette (cycling when a
 partition has more classes). Output is byte-stable: fixed float format,
-edges emitted class by class in lexicographic order, vertices last.
+one group per class that holds an edge, in color order, with its edges
+in lexicographic order, and vertices last.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coloring import Coloring
-from .geometry import PointSet, all_edges
+from .geometry import Edge, PointSet, all_edges
 
 PALETTE = (
     "#1f77b4",
@@ -72,7 +73,8 @@ def render_svg(
     An integer instance means n points in convex position, laid out on a
     circle; a PointSet is drawn to scale from its coordinates, or on a
     circle when `order` gives its clockwise convex order. Without a
-    coloring, all edges form one class.
+    coloring, all edges form one class. Empty classes draw nothing, so
+    the output grows with the edges, not with the declared class count.
     """
     if isinstance(instance, PointSet):
         n = instance.n
@@ -101,7 +103,10 @@ def render_svg(
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     if coloring is not None:
-        for color, edges in enumerate(coloring.classes()):
+        by_color: dict[int, list[Edge]] = {}
+        for e, color in coloring.items():
+            by_color.setdefault(color, []).append(e)
+        for color, edges in sorted(by_color.items()):
             stroke = PALETTE[color % len(PALETTE)]
             out.append(f'<g stroke="{stroke}" stroke-width="{_fmt(_STROKE_WIDTH)}" fill="none">')
             for e in edges:

@@ -137,6 +137,22 @@ def naive_crossing_masks(instance, edges):
     return masks
 
 
+def naive_edge_depths(points):
+    """Depth of every edge of K(P), in `all_edges` order, point by point.
+
+    The depth of edge uv is the smaller number of points strictly on
+    either side of its line, decided by `orientation` for each point. It
+    shares no code with the crossing layer's side masks.
+    """
+    from beyondplanar.geometry import all_edges, orientation
+
+    p = points.points
+    depths = []
+    for u, v in all_edges(points.n):
+        signs = [orientation(p[u], p[v], p[w]) for w in range(points.n) if w not in (u, v)]
+        depths.append(min(signs.count(1), signs.count(-1)))
+    return depths
+
 
 def naive_halving_cover(points, family, k):
     """For every edge of K(P), the halving groups that cover it, in order.

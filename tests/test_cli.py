@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, exit codes, witnesses, determinism."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -251,6 +252,37 @@ class TestRenderSvg:
         svg = render_svg(12, coloring)
         assert svg.count("<g stroke=") == 4
         assert svg.count("<line") == 66
+
+    def test_slope_partitions_render_byte_identical(self):
+        # Digest of these SVGs as the renderer drew them when it wrote one
+        # group per declared class; slope partitions use every class, so
+        # grouping by used class must not change a byte.
+        from beyondplanar.convex import slope_partition
+
+        h = hashlib.sha256()
+        for n in range(8, 41):
+            for s in (3, 4):
+                h.update(render_svg(n, slope_partition(n, s)).encode())
+            h.update(render_svg(gen_convex_polygon(n, seed=n), slope_partition(n, 3)).encode())
+        assert h.hexdigest() == "69625b096dd6a686026cccccd164b085b72472a78f7898e59fb6ca4cc67f6d3a"
+
+    def test_unused_classes_draw_no_group(self, tmp_path, capsys):
+        # The header declares a million classes; the file uses one.
+        inst, col, svg = tmp_path / "inst.txt", tmp_path / "col.txt", tmp_path / "fig.svg"
+        inst.write_text("3\n0 0\n10 0\n0 10\n")
+        col.write_text("3 1000000\n0 1 0\n0 2 0\n1 2 0\n")
+        assert run("render", "--in", str(inst), "--coloring", str(col), "--out", str(svg)) == 0
+        assert capsys.readouterr().out.strip() == f"svg n=3 classes=1000000 out={svg}"
+        text = svg.read_text()
+        assert text.count("<g stroke=") == 1 and text.count("<line ") == 3
+        assert len(text) < 2000
+
+    def test_empty_class_between_used_ones_keeps_strokes(self):
+        coloring = Coloring(4, 3, {e: 0 if e.u == 0 else 2 for e in all_edges(4)})
+        svg = render_svg(4, coloring)
+        assert svg.count("<g stroke=") == 2
+        assert f'<g stroke="{PALETTE[0]}"' in svg and f'<g stroke="{PALETTE[2]}"' in svg
+        assert f'stroke="{PALETTE[1]}"' not in svg
 
     def test_coordinate_layout_respects_scale(self):
         points = gen_convex_polygon(5, seed=1)

@@ -2,7 +2,7 @@
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import naive_crossing_masks
+from oracles import naive_crossing_masks, naive_edge_depths
 
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import slope_partition, verify_k_planar
@@ -94,6 +94,15 @@ class TestMaxCrossingFamily:
         seen = [v for e in family.edges for v in e]
         assert len(seen) == len(set(seen))
         assert check_pairwise_crossing(points, family.edges)
+
+    @given(point_sets(min_n=4, max_n=12))
+    @settings(max_examples=40, deadline=None)
+    def test_every_family_edge_is_deep_enough(self, points):
+        # Each of m pairwise crossing edges has the other m-1 crossing its
+        # line, so at least m-1 points lie on either side of it.
+        family = max_crossing_family(build_crossing_graph(points))
+        depth = dict(zip(all_edges(points.n), naive_edge_depths(points)))
+        assert all(depth[e] >= family.size - 1 for e in family.edges)
 
     @given(st.integers(min_value=4, max_value=12), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

@@ -3,7 +3,9 @@
 from math import comb
 
 import pytest
-from oracles import naive_halving_cover, naive_halving_partition, naive_max_clique_enum
+from oracles import naive_edge_depths, naive_halving_cover, naive_halving_partition, naive_max_clique_enum
+
+from beyondplanar import _native
 
 from beyondplanar.coloring import Coloring
 from beyondplanar.geometry import (
@@ -49,6 +51,26 @@ class TestBuildCrossingGraph:
         g = build_crossing_graph(gen_convex_polygon(n, 1))
         assert g.num_adjacencies == comb(n, 4)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 20, 31])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_depths_match_the_pointwise_oracle(self, n, seed):
+        ps = gen_random_pointset(n, seed)
+        assert list(build_crossing_graph(ps).depths) == naive_edge_depths(ps)
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_convex_depths_are_the_shorter_arc(self, n):
+        ps = gen_convex_polygon(n, 0)
+        g = build_crossing_graph(ps)
+        assert list(g.depths) == naive_edge_depths(ps)
+        # Index order is the convex order, so v-u-1 points lie on one side.
+        assert list(g.depths) == [min(e.v - e.u - 1, n - 1 - e.v + e.u) for e in g.edge_list]
+
+    def test_perfect_family_edges_are_halving(self):
+        ps, family = gen_perfect_crossing_family_pointset(5, 0)
+        g = build_crossing_graph(ps)
+        depth = dict(zip(g.edge_list, g.depths))
+        assert all(depth[Edge.of(*e)] == 4 for e in family)
+
 
 class TestMaxCrossingFamily:
     def test_convex_k6_is_3(self):
@@ -72,6 +94,52 @@ class TestMaxCrossingFamily:
         g = build_crossing_graph(ps)
         fam = max_crossing_family(g, points=ps)
         assert fam.size == naive_max_crossing_family_size(g) == n // 2
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 17, 24, 31, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_family_as_the_unfiltered_search(self, n, seed):
+        # The search on the whole graph, aimed at floor(n/2), returns the
+        # first maximum family in its branch order; the depth search must
+        # return that same family.
+        ps = gen_random_pointset(n, seed)
+        g = build_crossing_graph(ps)
+        _, members, proven, _ = _native.max_clique(list(g.masks), target=n // 2)
+        fam = max_crossing_family(g, points=ps)
+        assert proven and fam.proven_maximum
+        assert fam.edges == tuple(g.edge_list[i] for i in members)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_size_matches_brute_force(self, n, seed):
+        g = build_crossing_graph(gen_random_pointset(n, seed))
+        fam = max_crossing_family(g)
+        assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(g)
+
+    def test_works_without_points_and_on_tiny_sets(self):
+        for n in range(1, 4):
+            fam = max_crossing_family(build_crossing_graph(gen_random_pointset(n, 0)))
+            assert fam.size == (n >= 2) and fam.proven_maximum
+
+    def test_budget_stop_in_the_last_search_keeps_the_size_unproven(self):
+        ps = gen_random_pointset(40, seed=0)
+        g = build_crossing_graph(ps)
+        full = max_crossing_family(g, points=ps)
+        replay = _native.max_clique(list(g.masks), target=full.size, floor_size=full.size - 1)[3]
+        budget = full.nodes - replay // 2  # the depth searches finish, the last one does not
+        fam = max_crossing_family(g, points=ps, budget=budget)
+        assert not fam.proven_maximum and fam.nodes <= budget
+        assert fam.size == full.size and check_pairwise_crossing(ps, fam.edges)
+        with pytest.raises(SearchBudgetError, match=f"budget {budget} after {fam.nodes} nodes"):
+            crossing_family_partition(ps, 3, budget=budget)
+
+    @pytest.mark.parametrize("budget", [1, 2, 10, 20, 40])
+    def test_budget_stop_in_the_depth_searches(self, budget):
+        ps = gen_random_pointset(40, seed=3)
+        g = build_crossing_graph(ps)
+        fam = max_crossing_family(g, points=ps, budget=budget)
+        assert not fam.proven_maximum and fam.nodes <= budget
+        assert check_pairwise_crossing(ps, fam.edges)
+        assert fam.size <= max_crossing_family(g).size
 
     def test_certificate_is_a_matching(self):
         ps = gen_random_pointset(10, 4)
