@@ -18,6 +18,7 @@ knows `target` is a valid upper bound, such a result is the exact optimum.
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Sequence
 
 IMPLEMENTATION = "python"
 
@@ -36,6 +37,17 @@ def check_conflicts(conflicts: list[int]) -> None:
     _check_masks(conflicts, "conflict mask of index {i} has bits >= {n}", "index {i} conflicts with itself")
 
 
+def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
+    """Adjacency masks of the subgraph on the vertices `keep`, vertex keep[j] relabelled j."""
+    if not keep:
+        return []
+    n, width = len(masks), f"0{len(masks)}b"
+    # Character k of a row's n-digit binary string is bit n-1-k, so new bit
+    # j of a row is character n-1-keep[j] of the old one.
+    pick = itemgetter(*(n - 1 - v for v in reversed(keep)))
+    return [int("".join(pick(format(masks[v], width))), 2) for v in keep]
+
+
 def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     """Check the adjacency masks, then relabel by descending degree.
 
@@ -44,15 +56,8 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     are colored first.
     """
     _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    if n <= 1:
-        return order, list(adj)
-    # Character k of a row's n-digit binary string is bit n-1-k, so new bit
-    # j = n-1-k of a relabelled row is old bit order[j] of the source row.
-    pick = itemgetter(*(n - 1 - order[j] for j in range(n - 1, -1, -1)))
-    width = f"0{n}b"
-    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    return order, induced(adj, order)
 
 
 def max_clique(

@@ -17,7 +17,6 @@ from .coloring import Coloring
 from .convex import slope_partition, verify_k_planar
 from .fileio import Instance, ParseError, parse_coloring, parse_instance, write_coloring, write_instance
 from .geometry import (
-    Edge,
     GenerationError,
     PointSet,
     all_edges,
@@ -143,16 +142,14 @@ def _cmd_verify(args) -> int:
             raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
     else:
         points = None  # points in convex position, index order clockwise
-    # Only the colors that occur, in increasing order: an empty class is
-    # trivially k-planar and k-quasi-planar, and the header may declare
-    # far more colors than K_n has edges.
-    classes: dict[int, list[Edge]] = {}
-    for e, color in coloring.items():
-        classes.setdefault(color, []).append(e)
+    # Only the colors that occur: an empty class is trivially k-planar and
+    # k-quasi-planar, and the header may declare far more colors than K_n
+    # has edges.
+    classes = coloring.classes()
 
     if args.mode == "kplanar":
         instance = coloring.n if points is None else points
-        for color, edges in sorted(classes.items()):
+        for color, edges in classes.items():
             result = verify_k_planar(instance, edges, args.k)
             if not result.ok:
                 edge = _fmt_edge(result.witness)
@@ -167,7 +164,7 @@ def _cmd_verify(args) -> int:
         print(f"verified quasiplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
         return 0
     realized = points if points is not None else _convex_realization(coloring.n)
-    for color, edges in sorted(classes.items()):
+    for color, edges in classes.items():
         result = is_k_quasi_planar(realized, edges, args.k, budget=args.budget)
         if not result.ok:
             witness = ",".join(_fmt_edge(e) for e in result.witness)

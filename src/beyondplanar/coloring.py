@@ -40,17 +40,16 @@ class Coloring:
     def get(self, u: int, v: int) -> int:
         return self._assignment[Edge.of(u, v)]
 
-    def classes(self) -> list[list[Edge]]:
-        """Edge lists per color, each sorted lexicographically."""
-        out: list[list[Edge]] = [[] for _ in range(self.num_colors)]
-        for e in all_edges(self.n):
-            out[self._assignment[e]].append(e)
-        return out
+    def classes(self) -> dict[int, list[Edge]]:
+        """Edge lists of the colors in use, in color order, each sorted lexicographically.
 
-    def class_edges(self, color: int) -> list[Edge]:
-        if not 0 <= color < self.num_colors:
-            raise ValueError(f"color {color} outside 0..{self.num_colors - 1}")
-        return [e for e in all_edges(self.n) if self._assignment[e] == color]
+        Unused colors get no entry, so the cost follows the edges, not the
+        declared color count.
+        """
+        out: dict[int, list[Edge]] = {}
+        for e, color in self.items():
+            out.setdefault(color, []).append(e)
+        return dict(sorted(out.items()))
 
     def items(self) -> Iterator[tuple[Edge, int]]:
         for e in all_edges(self.n):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring
-from .geometry import Edge, Point, PointSet
-from .quasiplanar import check_pairwise_crossing
+from .geometry import Edge, Point, PointSet, check_pairwise_crossing
 
 
 class ParseError(ValueError):
@@ -44,9 +43,7 @@ def _expect_ints(line_no: int, parts: list[str], count: int, what: str) -> list[
         raise ParseError(line_no, f"expected {what}, got {' '.join(parts)!r}") from None
 
 
-def write_instance(instance: Instance | PointSet) -> str:
-    if isinstance(instance, PointSet):
-        instance = Instance(instance)
+def write_instance(instance: Instance) -> str:
     lines = [str(instance.points.n)]
     lines += [f"{p.x} {p.y}" for p in instance.points]
     if instance.family is not None:

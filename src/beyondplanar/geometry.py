@@ -78,6 +78,13 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return orientation(c, d, a) * orientation(c, d, b) < 0
 
 
+def check_pairwise_crossing(points: PointSet, edges: Sequence[Edge]) -> bool:
+    """True iff every two of the edges cross, by the exact segment predicate."""
+    return all(
+        points.edges_cross(edges[i], edges[j]) for i in range(len(edges)) for j in range(i + 1, len(edges))
+    )
+
+
 def _as_points(points: Iterable) -> tuple[Point, ...]:
     out = []
     for p in points:
@@ -182,10 +189,8 @@ class PointSet(Sequence[Point]):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    general_position: bool
     convex_position: bool
     convex_cyclic_order: tuple[int, ...] | None
-    collinear_triple: tuple[int, int, int] | None = None
 
 
 def convex_hull_indices(points: Sequence[Point]) -> list[int]:
@@ -211,29 +216,22 @@ def convex_hull_indices(points: Sequence[Point]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def validate_pointset(points) -> ValidationReport:
-    """Check general position and convex position of raw points.
+def validate_pointset(points: PointSet) -> ValidationReport:
+    """Check convex position of a point set.
 
     Returns the clockwise cyclic order of hull indices (rotated to start at
-    the smallest index) when the set is in convex position. A PointSet is
-    not re-checked for duplicates or collinear triples: its constructor
-    already rejected both.
+    the smallest index) when the set is in convex position. General
+    position needs no check: the PointSet constructor already rejected
+    duplicates and collinear triples.
     """
-    pts = points.points if isinstance(points, PointSet) else _as_points(points)
-    if len(pts) < 3:
-        raise ValueError(f"validation needs at least 3 points, got {len(pts)}")
-    if not isinstance(points, PointSet):
-        if find_duplicate(pts) is not None:
-            return ValidationReport(False, False, None)
-        bad = find_collinear_triple(pts)
-        if bad is not None:
-            return ValidationReport(False, False, None, collinear_triple=bad)
-    hull = convex_hull_indices(pts)
-    if len(hull) != len(pts):
-        return ValidationReport(True, False, None)
+    if points.n < 3:
+        raise ValueError(f"validation needs at least 3 points, got {points.n}")
+    hull = convex_hull_indices(points.points)
+    if len(hull) != points.n:
+        return ValidationReport(False, None)
     cw = list(reversed(hull))
     start = cw.index(min(cw))
-    return ValidationReport(True, True, tuple(cw[start:] + cw[:start]))
+    return ValidationReport(True, tuple(cw[start:] + cw[:start]))
 
 
 def _attempt_points(raw: list[tuple[float, float]], rng: random.Random) -> list[Point]:
@@ -302,7 +300,7 @@ def gen_perfect_crossing_family_pointset(n: int, seed: int = 0) -> tuple[PointSe
     opposite-end perturbations small enough that the 2n endpoints interleave
     as A_0..A_{n-1}, B_0..B_{n-1} around the circle. Any two such chords have
     interleaved endpoints and therefore cross. The construction is certified
-    exactly (every pair checked with segments_cross) and re-sampled on failure.
+    exactly (every pair checked with check_pairwise_crossing) and re-sampled on failure.
 
     Returns the point set (endpoints of chord i at positions 2i, 2i+1) and
     the family edges (2i, 2i+1).
@@ -322,11 +320,6 @@ def gen_perfect_crossing_family_pointset(n: int, seed: int = 0) -> tuple[PointSe
         except ValueError:
             continue
         family = [Edge(2 * i, 2 * i + 1) for i in range(n)]
-        ok = all(
-            segments_cross(pts[e.u], pts[e.v], pts[f.u], pts[f.v])
-            for idx, e in enumerate(family)
-            for f in family[idx + 1 :]
-        )
-        if ok:
+        if check_pairwise_crossing(pts, family):
             return pts, family
     raise GenerationError(f"crossing-family generator failed for n={n}, seed={seed}")

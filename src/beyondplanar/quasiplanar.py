@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from . import _native
+from . import _kernels_py, _native
 from .coloring import Coloring
 from .crossings import _crossing_pass, canonical_edges, crossing_masks
-from .geometry import Edge, Point, PointSet, all_edges
+from .geometry import Edge, Point, PointSet, all_edges, check_pairwise_crossing
 
 DEFAULT_BUDGET = 10**8
 
@@ -79,24 +78,7 @@ class CrossingFamily:
         return {v for e in self.edges for v in e}
 
 
-def check_pairwise_crossing(points: PointSet, edges: Sequence[Edge]) -> bool:
-    return all(
-        points.edges_cross(edges[i], edges[j]) for i in range(len(edges)) for j in range(i + 1, len(edges))
-    )
-
-
-def _induced(masks: Sequence[int], keep: list[int]) -> list[int]:
-    """Adjacency masks of the subgraph on the ascending vertex list `keep`, relabelled 0..len(keep)-1."""
-    n, width = len(masks), f"0{len(masks)}b"
-    # Character k of a row's n-digit binary string is bit n-1-k, so new bit
-    # j of a row is character n-1-keep[j] of the old one.
-    pick = itemgetter(*(n - 1 - v for v in reversed(keep)))
-    return [int("".join(pick(format(masks[v], width))), 2) for v in keep]
-
-
-def max_crossing_family(
-    graph: CrossingGraph, points: PointSet | None = None, budget: int = DEFAULT_BUDGET
-) -> CrossingFamily:
+def max_crossing_family(graph: CrossingGraph, points: PointSet, budget: int = DEFAULT_BUDGET) -> CrossingFamily:
     """Exact maximum crossing family via branch-and-bound clique search.
 
     Each of t pairwise crossing edges has the other t-1 crossing its line,
@@ -110,8 +92,8 @@ def max_crossing_family(
     on the point set. Nodes of all searches count against `budget`; when
     it runs out, the largest family found so far comes back unproven.
 
-    When `points` is given, the certificate is re-verified with the exact
-    segment predicate instead of being trusted from the graph.
+    The certificate is re-verified on `points` with the exact segment
+    predicate instead of being trusted from the graph.
     """
     best: list[int] = []  # edge indices of the largest family found so far
     nodes = 0
@@ -132,7 +114,7 @@ def max_crossing_family(
     while t > len(best):
         keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
         if len(keep) >= t:  # fewer edges than t hold no family of t
-            members, proven = search(_induced(graph.masks, keep), t, len(best))
+            members, proven = search(_kernels_py.induced(graph.masks, keep), t, len(best))
             if members:
                 best = [keep[i] for i in members]
             if not proven:
@@ -146,15 +128,13 @@ def max_crossing_family(
     return _certified(graph, points, best, True, nodes)
 
 
-def _certified(
-    graph: CrossingGraph, points: PointSet | None, members: list[int], proven: bool, nodes: int
-) -> CrossingFamily:
+def _certified(graph: CrossingGraph, points: PointSet, members: list[int], proven: bool, nodes: int) -> CrossingFamily:
     """The family on edge indices `members`, after re-checking that its edges cross pairwise."""
     chosen = sum(1 << i for i in set(members))
     if chosen.bit_count() != len(members) or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
         raise AssertionError("clique certificate is not a crossing family")
     edges = tuple(graph.edge_list[i] for i in sorted(members))
-    if points is not None and not check_pairwise_crossing(points, edges):
+    if not check_pairwise_crossing(points, edges):
         raise AssertionError("crossing family certificate fails exact re-verification")
     return CrossingFamily(edges, proven_maximum=proven, nodes=nodes)
 

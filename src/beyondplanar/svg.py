@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coloring import Coloring
-from .geometry import Edge, PointSet, all_edges
+from .geometry import PointSet, all_edges
 
 PALETTE = (
     "#1f77b4",
@@ -103,10 +103,7 @@ def render_svg(
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     if coloring is not None:
-        by_color: dict[int, list[Edge]] = {}
-        for e, color in coloring.items():
-            by_color.setdefault(color, []).append(e)
-        for color, edges in sorted(by_color.items()):
+        for color, edges in coloring.classes().items():
             stroke = PALETTE[color % len(PALETTE)]
             out.append(f'<g stroke="{stroke}" stroke-width="{_fmt(_STROKE_WIDTH)}" fill="none">')
             for e in edges:

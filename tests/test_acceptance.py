@@ -60,7 +60,7 @@ def test_criterion_01_slope_pipeline_one_planar():
     for n in range(5, 31):
         coloring = slope_partition(n, 3)
         assert coloring.num_colors == -(-n // 3)
-        for edges in coloring.classes():
+        for edges in coloring.classes().values():
             assert verify_k_planar(n, edges, 1).ok
         assert one_planar_lower_bound(n) == -(-n // 3)
     _done(1, "slope partition s=3 is 1-planar in exactly ceil(n/3) classes", started, 1.0)
@@ -72,7 +72,7 @@ def test_criterion_02_slope_blocks_with_position_refinement():
         for s in range(3, n + 1):
             coloring = slope_partition(n, s)
             k = (s - 1) * (s - 2) // 2
-            for edges in coloring.classes():
+            for edges in coloring.classes().values():
                 assert verify_k_planar(n, edges, k).ok
                 for e, mask in zip(edges, crossing_masks(n, edges)):
                     j = slope_position(n, s, e)
@@ -119,7 +119,7 @@ def test_criterion_05_kplane_classes_double_counting():
     for n in range(5, 21):
         for s in range(3, n + 1):
             k = (s - 1) * (s - 2) // 2
-            for edges in slope_partition(n, s).classes():
+            for edges in slope_partition(n, s).classes().values():
                 assert verify_k_planar(n, edges, k).ok
                 cr = count_convex_crossings(n, edges)
                 assert 2 * cr <= k * len(edges)
@@ -163,8 +163,8 @@ def test_criterion_07_halving_partition_color_optimal():
             c = -(-n // (k - 1))
             assert coloring.num_colors == c
             classes = coloring.classes()
-            assert all(classes), "every color class must be nonempty"
-            for edges in classes:
+            assert len(classes) == coloring.num_colors, "every color class must be nonempty"
+            for edges in classes.values():
                 assert is_k_quasi_planar(points, edges, k).ok
             assert verify_partition(points, coloring)
             found = max_crossing_family(build_crossing_graph(points), points=points)
@@ -184,7 +184,7 @@ def test_criterion_08_family_partition_color_formula():
         lower, upper = quasi_color_bounds(n, m, k)
         assert lower <= coloring.num_colors <= upper
         assert coloring.num_colors >= -(-m // (k - 1))
-        for edges in coloring.classes():
+        for edges in coloring.classes().values():
             assert is_k_quasi_planar(points, edges, k).ok
         assert verify_partition(points, coloring)
     _done(8, "family-guided partition meets the two-term color formula", started, 60.0)

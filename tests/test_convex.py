@@ -99,26 +99,26 @@ class TestSlopePartition:
     def test_n12_s4_three_colors_each_3planar(self):
         col = slope_partition(12, 4)
         assert col.num_colors == 3
-        for edges in col.classes():
+        for edges in col.classes().values():
             assert verify_k_planar(12, edges, 3)
 
     def test_single_interval_is_whole_graph(self):
         col = slope_partition(5, 5)
         assert col.num_colors == 1
-        assert len(col.class_edges(0)) == 10
+        assert len(col.classes()[0]) == 10
 
     def test_color_count_formula(self):
         for n in range(3, 16):
             for s in range(1, n + 1):
                 col = slope_partition(n, s)
                 assert col.num_colors == -(-n // s)
-                assert all(len(c) > 0 for c in col.classes())
+                assert len(col.classes()) == col.num_colors
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_all_widths_meet_planarity_guarantee(self, n):
         for s in range(3, n + 1):
             k = (s - 1) * (s - 2) // 2
-            for edges in slope_partition(n, s).classes():
+            for edges in slope_partition(n, s).classes().values():
                 res = verify_k_planar(n, edges, k)
                 assert res, (n, s, res.witness, res.crossings)
 
@@ -126,7 +126,7 @@ class TestSlopePartition:
     def test_position_refinement_bound(self, n):
         for s in range(3, n + 1):
             col = slope_partition(n, s)
-            for edges in col.classes():
+            for edges in col.classes().values():
                 for e, mask in zip(edges, crossing_masks(n, edges)):
                     cap = position_crossing_cap(s, slope_position(n, s, e))
                     assert mask.bit_count() <= cap, (n, s, e)
@@ -169,7 +169,7 @@ class TestVerifyKPlanar:
 
 def max_crossings_in_class(n, coloring, color):
     """Most same-class crossings over the class's edges, with the first edge reaching it."""
-    edges = coloring.class_edges(color)
+    edges = coloring.classes()[color]
     counts = [mask.bit_count() for mask in crossing_masks(n, edges)]
     best = max(counts)
     return best, edges[counts.index(best)]

@@ -1,6 +1,11 @@
 """Instance and coloring file formats: round trips and line-numbered errors."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import beyondplanar
 
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import slope_partition
@@ -86,20 +91,20 @@ class TestFamilySection:
 
     def test_family_not_pairwise_crossing(self):
         points = gen_convex_polygon(6, seed=1)
-        text = write_instance(points) + "family 2\n0 1\n2 3\n"
+        text = write_instance(Instance(points)) + "family 2\n0 1\n2 3\n"
         with pytest.raises(ParseError, match="pairwise"):
             parse_instance(text)
 
     def test_family_edge_out_of_range(self):
         points = gen_convex_polygon(4, seed=1)
-        text = write_instance(points) + "family 1\n0 9\n"
+        text = write_instance(Instance(points)) + "family 1\n0 9\n"
         with pytest.raises(ParseError, match="invalid edge"):
             parse_instance(text)
 
     def test_family_repeated_edge(self):
         points, family = gen_perfect_crossing_family_pointset(2, seed=0)
         e = sorted(family)[0]
-        text = write_instance(points) + f"family 2\n{e.u} {e.v}\n{e.u} {e.v}\n"
+        text = write_instance(Instance(points)) + f"family 2\n{e.u} {e.v}\n{e.u} {e.v}\n"
         with pytest.raises(ParseError, match="repeats"):
             parse_instance(text)
 
@@ -108,13 +113,13 @@ class TestInstanceRoundTrip:
     @pytest.mark.parametrize("n", [3, 5, 9, 14])
     def test_random_instances(self, n):
         points = gen_random_pointset(n, seed=n)
-        text = write_instance(points)
+        text = write_instance(Instance(points))
         assert parse_instance(text).points == points
         assert write_instance(parse_instance(text)) == text
 
     def test_writer_is_canonical(self):
         points = gen_convex_polygon(5, seed=3)
-        text = write_instance(points)
+        text = write_instance(Instance(points))
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert text == write_instance(parse_instance(text))
 
@@ -166,3 +171,26 @@ class TestColoringFormat:
     def test_single_color_round_trip(self):
         coloring = Coloring(5, 1, {e: 0 for e in all_edges(5)})
         assert parse_coloring(write_coloring(coloring)) == coloring
+
+    def test_classes_list_only_the_colors_in_use(self):
+        # One entry per color in use, not per declared color.
+        coloring = parse_coloring("3 1000000\n0 1 0\n0 2 0\n1 2 0\n")
+        assert coloring.classes() == {0: [(0, 1), (0, 2), (1, 2)]}
+
+    def test_classes_come_in_color_order(self):
+        coloring = Coloring(4, 5, {e: (4 if e == (0, 1) else 1) for e in all_edges(4)})
+        assert list(coloring.classes()) == [1, 4]
+        assert coloring.classes()[1] == all_edges(4)[1:]
+
+
+def test_geometry_and_fileio_import_no_higher_layer():
+    # The I/O layer reads and certifies instances with geometry alone.
+    package = Path(beyondplanar.__file__).parent
+    for name in ("geometry.py", "fileio.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(node.module.split(".") if node.module else (a.name for a in node.names))
+            elif isinstance(node, ast.Import):
+                imported.update(part for a in node.names for part in a.name.split("."))
+        assert not imported & {"quasiplanar", "convex", "bounds"}, name

@@ -109,11 +109,43 @@ class TestMaxClique:
             kernel.max_clique([2, 1 | 4])
 
 
+def reference_induced(adj, keep):
+    """The subgraph on `keep` with keep[j] relabelled j, one bit at a time."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return [sum(1 << pos[w] for w in range(len(adj)) if adj[v] >> w & 1 and w in pos) for v in keep]
+
+
 def reference_relabel(adj):
     """Descending-degree relabelling, one bit at a time."""
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    return order, [sum(1 << pos[w] for w in range(len(adj)) if adj[v] >> w & 1) for v in order]
+    return order, reference_induced(adj, order)
+
+
+def keep_list(form, v, rng):
+    if form == "ascending":
+        return sorted(rng.sample(range(v), v // 2))
+    if form == "shuffled":
+        return rng.sample(range(v), v - v // 3)
+    if form == "single":
+        return [rng.randrange(v)] if v else []
+    return []
+
+
+class TestInduced:
+    @pytest.mark.parametrize("v", [0, 1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("form", ["ascending", "shuffled", "single", "empty"])
+    def test_matches_the_bitwise_relabel_on_random_graphs(self, v, form):
+        adj = random_graph(v, 0.4, v)
+        keep = keep_list(form, v, random.Random(v))
+        assert _kernels_py.induced(adj, keep) == reference_induced(adj, keep)
+
+    def test_matches_the_bitwise_relabel_on_a_crossing_graph(self):
+        n = 40
+        adj = crossing_masks(gen_random_pointset(n, seed=n), all_edges(n))
+        rng = random.Random(n)
+        for form in ("ascending", "shuffled", "single"):
+            keep = keep_list(form, len(adj), rng)
+            assert _kernels_py.induced(adj, keep) == reference_induced(adj, keep)
 
 
 class TestDegreeOrder:

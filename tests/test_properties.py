@@ -1,14 +1,28 @@
 """Cross-module properties: round trips, monotonicity, certificate soundness."""
 
+import io
+import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import naive_crossing_masks, naive_edge_depths
 
+from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import slope_partition, verify_k_planar
 from beyondplanar.crossings import crossing_masks
-from beyondplanar.fileio import parse_coloring, parse_instance, write_coloring, write_instance
-from beyondplanar.geometry import Edge, PointSet, all_edges, gen_random_pointset
+from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
+from beyondplanar.geometry import (
+    Edge,
+    PointSet,
+    all_edges,
+    gen_convex_polygon,
+    gen_perfect_crossing_family_pointset,
+    gen_random_pointset,
+)
 from beyondplanar.quasiplanar import (
     build_crossing_graph,
     check_pairwise_crossing,
@@ -43,7 +57,7 @@ class TestFileRoundTrips:
     @given(point_sets())
     @settings(max_examples=60)
     def test_instance_round_trip(self, points):
-        text = write_instance(points)
+        text = write_instance(Instance(points))
         back = parse_instance(text)
         assert back.points == points
         assert write_instance(back) == text
@@ -100,7 +114,7 @@ class TestMaxCrossingFamily:
     def test_every_family_edge_is_deep_enough(self, points):
         # Each of m pairwise crossing edges has the other m-1 crossing its
         # line, so at least m-1 points lie on either side of it.
-        family = max_crossing_family(build_crossing_graph(points))
+        family = max_crossing_family(build_crossing_graph(points), points=points)
         depth = dict(zip(all_edges(points.n), naive_edge_depths(points)))
         assert all(depth[e] >= family.size - 1 for e in family.edges)
 
@@ -110,8 +124,9 @@ class TestMaxCrossingFamily:
         points = gen_random_pointset(n, seed=seed)
         graph = build_crossing_graph(points)
         family = max_crossing_family(graph, points=points)
-        reversed_graph = build_crossing_graph(PointSet(list(points)[::-1]))
-        assert max_crossing_family(reversed_graph).size == family.size
+        reversed_points = PointSet(list(points)[::-1])
+        reversed_graph = build_crossing_graph(reversed_points)
+        assert max_crossing_family(reversed_graph, points=reversed_points).size == family.size
 
 
 class TestSlopePartition:
@@ -122,12 +137,109 @@ class TestSlopePartition:
         coloring = slope_partition(n, s)
         assert coloring.num_colors == -(-n // s)
         k = (s - 1) * (s - 2) // 2
-        for edges in coloring.classes():
+        for edges in coloring.classes().values():
             assert verify_k_planar(n, edges, k).ok
 
     @given(st.integers(min_value=5, max_value=40))
     @settings(max_examples=36)
     def test_classes_partition_all_edges(self, n):
         coloring = slope_partition(n, 3)
-        union = [e for cls in coloring.classes() for e in cls]
+        union = [e for cls in coloring.classes().values() for e in cls]
         assert sorted(union) == list(all_edges(n))
+
+
+def _mutated(draw, text):
+    """The text as is, or with one or two lines dropped, duplicated, or given an out-of-range or non-integer token."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=2)) if draw(st.booleans()) else 0):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "out-of-range", "non-integer"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            parts = lines[i].split() or [""]
+            j = draw(st.integers(min_value=0, max_value=len(parts) - 1))
+            bad = [-1, 99, 2**31] if op == "out-of-range" else ["x", "1.5", ""]
+            parts[j] = str(draw(st.sampled_from(bad)))
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_files(draw):
+    """(instance text, coloring text) over n <= 8 points, each possibly mutated."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["convex", "random", "family"]))
+    seed = draw(st.integers(min_value=0, max_value=3))
+    if kind == "convex" and n >= 3:
+        instance = Instance(gen_convex_polygon(n, seed))
+    elif kind == "family" and n % 2 == 0:
+        points, family = gen_perfect_crossing_family_pointset(n // 2, seed)
+        instance = Instance(points, tuple(family))
+    else:
+        instance = Instance(gen_random_pointset(n, seed))
+    c = draw(st.integers(min_value=1, max_value=4))
+    coloring = Coloring(n, c, {e: draw(st.integers(min_value=0, max_value=c - 1)) for e in all_edges(n)})
+    return _mutated(draw, write_instance(instance)), _mutated(draw, write_coloring(coloring))
+
+
+FAIL_KPLANAR = re.compile(r"FAIL kplanar class=(\d+) edge=(\d+)-(\d+) crossings=(\d+) limit=(-?\d+)")
+FAIL_QUASIPLANAR = re.compile(r"FAIL quasiplanar class=(\d+) k=(\d+) witness=(\S+)")
+
+
+class TestCliBoundary:
+    @given(cli_files(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_every_command_exits_cleanly_with_checkable_witnesses(self, files, data):
+        inst_text, col_text = files
+        planar_k = data.draw(st.integers(min_value=0, max_value=3), label="planar_k")
+        k = data.draw(st.integers(min_value=2, max_value=4), label="k")
+        s = data.draw(st.integers(min_value=1, max_value=4), label="s")
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, col, svg = (os.path.join(tmp, name) for name in ("inst.txt", "col.txt", "fig.svg"))
+            with open(inst, "w") as fh:
+                fh.write(inst_text)
+            with open(col, "w") as fh:
+                fh.write(col_text)
+            commands = [
+                ["verify", mode, "--in", col, "--k", str(mode_k)] + extra
+                for mode, mode_k in (("kplanar", planar_k), ("quasiplanar", k))
+                for extra in ([], ["--instance", inst])
+            ]
+            commands += [
+                ["render", "--in", inst, "--coloring", col, "--out", svg],
+                ["partition", "family", "--in", inst, "--k", str(k)],
+                ["partition", "doublestar", "--in", inst],
+                ["partition", "slope", "--in", inst, "--s", str(s)],
+            ]
+            for argv in commands:
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    rc = cli_dispatch(argv)
+                assert rc in (0, 1, 2), argv
+                if rc == 1 and argv[0] == "verify":
+                    self._recheck(out.getvalue(), inst_text, col_text, "--instance" in argv)
+
+    @staticmethod
+    def _recheck(line, inst_text, col_text, with_instance):
+        # Without an instance the points are convex in index order, which
+        # gen_convex_polygon realizes.
+        coloring = parse_coloring(col_text)
+        classes = coloring.classes()
+        points = parse_instance(inst_text).points if with_instance else gen_convex_polygon(coloring.n, 0)
+        if match := FAIL_KPLANAR.fullmatch(line.strip()):
+            color, u, v, crossings, limit = map(int, match.groups())
+            edge = Edge(u, v)
+            recount = sum(points.edges_cross(edge, f) for f in classes[color])
+            assert edge in classes[color] and recount == crossings > limit
+        else:
+            match = FAIL_QUASIPLANAR.fullmatch(line.strip())
+            assert match, line
+            color, k = int(match[1]), int(match[2])
+            witness = [Edge(*map(int, pair.split("-"))) for pair in match[3].split(",")]
+            assert len(witness) == k and set(witness) <= set(classes[color])
+            assert check_pairwise_crossing(points, witness)

@@ -111,13 +111,15 @@ class TestMaxCrossingFamily:
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("seed", range(4))
     def test_size_matches_brute_force(self, n, seed):
-        g = build_crossing_graph(gen_random_pointset(n, seed))
-        fam = max_crossing_family(g)
+        ps = gen_random_pointset(n, seed)
+        g = build_crossing_graph(ps)
+        fam = max_crossing_family(g, points=ps)
         assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(g)
 
     def test_works_without_points_and_on_tiny_sets(self):
         for n in range(1, 4):
-            fam = max_crossing_family(build_crossing_graph(gen_random_pointset(n, 0)))
+            ps = gen_random_pointset(n, 0)
+            fam = max_crossing_family(build_crossing_graph(ps), points=ps)
             assert fam.size == (n >= 2) and fam.proven_maximum
 
     def test_budget_stop_in_the_last_search_keeps_the_size_unproven(self):
@@ -139,7 +141,7 @@ class TestMaxCrossingFamily:
         fam = max_crossing_family(g, points=ps, budget=budget)
         assert not fam.proven_maximum and fam.nodes <= budget
         assert check_pairwise_crossing(ps, fam.edges)
-        assert fam.size <= max_crossing_family(g).size
+        assert fam.size <= max_crossing_family(g, points=ps).size
 
     def test_certificate_is_a_matching(self):
         ps = gen_random_pointset(10, 4)
@@ -272,13 +274,13 @@ class TestHalvingLinePartition:
         ps, fam = gen_perfect_crossing_family_pointset(3, 0)
         col = halving_line_partition(ps, fam, 4)
         assert col.num_colors == 1
-        assert is_k_quasi_planar(ps, col.class_edges(0), 4).ok
+        assert is_k_quasi_planar(ps, col.classes()[0], 4).ok
 
     def test_n6_k4_two_verified_colors(self):
         ps, fam = gen_perfect_crossing_family_pointset(6, 0)
         col = halving_line_partition(ps, fam, 4)
         assert col.num_colors == 2
-        for edges in col.classes():
+        for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, 4).ok
         assert verify_partition(ps, col)
 
@@ -325,7 +327,7 @@ class TestCrossingFamilyPartition:
         lower = -(-rep.m // 2)
         upper = lower + -(-(12 - 2 * rep.m) // 2)
         assert lower <= col.num_colors <= upper
-        for edges in col.classes():
+        for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, 3).ok
         assert verify_partition(ps, col)
 
@@ -341,10 +343,10 @@ class TestCrossingFamilyPartition:
             lower = -(-rep.m // (k - 1))
             upper = lower + -(-(npts - 2 * rep.m) // (k - 1))
             assert lower <= col.num_colors <= upper
-        for edges in col.classes():
+        for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, k).ok
         assert verify_partition(ps, col)
-        assert all(len(c) > 0 for c in col.classes())
+        assert len(col.classes()) == col.num_colors
 
     def test_budget_error_says_what_was_spent(self):
         ps = gen_random_pointset(20, seed=1)
@@ -359,7 +361,7 @@ class TestCrossingFamilyPartition:
         if rep.m >= 3:
             c1 = -(-rep.m // 2)
             for g, grp in enumerate(rep.leftover_groups):
-                for e in col.class_edges(c1 + g):
+                for e in col.classes()[c1 + g]:
                     assert e.u in grp or e.v in grp
 
 
