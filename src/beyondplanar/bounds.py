@@ -55,13 +55,16 @@ def edge_bound_general(n: int, k: int) -> float:
 def count_crossings(instance: PointSet | int, edges: Iterable[Edge] | None = None) -> int:
     """Crossing pairs among the edges; all of K_n when edges is None.
 
-    An integer instance means n points in convex position: C(n, 4) in
-    closed form for all of K_n, the interleaving test for a subset. A
-    PointSet uses the exact segment predicate.
+    An integer instance means n points in convex position, where all of
+    K_n has C(n, 4) crossings in closed form. Every other count sums the
+    rows of the crossing layer's masks.
     """
-    if not isinstance(instance, PointSet):
-        return count_convex_crossings(instance, edges)
-    es = all_edges(instance.n) if edges is None else canonical_edges(instance, edges)
+    if edges is None:
+        if not isinstance(instance, PointSet):
+            return count_convex_crossings(instance)
+        es = all_edges(instance.n)
+    else:
+        es = canonical_edges(instance, edges)
     return sum(mask.bit_count() for mask in crossing_masks(instance, es)) // 2
 
 
@@ -175,18 +178,8 @@ def kplanar_color_bounds(n: int, k: int) -> tuple[int, int]:
     return t, upper
 
 
-@dataclass(frozen=True)
-class QuasiColorBounds:
-    lower: int
-    upper: int
-    note: str | None = None
-
-    def __iter__(self):
-        return iter((self.lower, self.upper))
-
-
-def quasi_color_bounds(n: int, m: int, k: int) -> QuasiColorBounds:
-    """Color bounds for k-quasi-planar partitions given max family size m.
+def quasi_color_bounds(n: int, m: int, k: int) -> tuple[int, int]:
+    """(lower, upper) on colors for k-quasi-planar partitions given max family size m.
 
     For 3 <= k <= m: (ceil(m/(k-1)), ceil(m/(k-1)) + ceil((n-2m)/(k-1))).
     For k > m a single color suffices outright.
@@ -196,9 +189,9 @@ def quasi_color_bounds(n: int, m: int, k: int) -> QuasiColorBounds:
     if 2 * m > n:
         raise ValueError(f"a crossing family of size {m} is impossible on {n} points")
     if k > m:
-        return QuasiColorBounds(1, 1, note=f"m={m} < k={k}: one color suffices")
+        return 1, 1
     lower = -(-m // (k - 1))
-    return QuasiColorBounds(lower, lower + -(-(n - 2 * m) // (k - 1)))
+    return lower, lower + -(-(n - 2 * m) // (k - 1))
 
 
 @dataclass(frozen=True)

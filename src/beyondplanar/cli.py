@@ -90,10 +90,9 @@ def _cmd_partition(args) -> int:
     if args.mode == "slope":
         if args.s is None:
             raise CommandError("partition slope requires --s")
-        report = validate_pointset(points)
-        if not report.convex_position:
+        order = validate_pointset(points)
+        if order is None:
             raise CommandError("slope partition requires points in convex position")
-        order = report.convex_cyclic_order
         pos = {orig: p for p, orig in enumerate(order)}
         base = slope_partition(points.n, args.s)
         coloring = Coloring(
@@ -104,12 +103,7 @@ def _cmd_partition(args) -> int:
     elif args.mode == "doublestar":
         if points.n % 2 != 0:
             raise CommandError(f"double-star partition requires an even point count, got {points.n}")
-        decomposition = double_star_partition(points)
-        coloring = Coloring(
-            points.n,
-            decomposition.n,
-            {e: i for i, tree in enumerate(decomposition.trees) for e in tree},
-        )
+        coloring = double_star_partition(points)
     elif args.mode == "halving":
         if args.k is None:
             raise CommandError("partition halving requires --k")
@@ -222,7 +216,7 @@ def _cmd_render(args) -> int:
     if coloring is not None and coloring.n != points.n:
         raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
     # Fewer than 3 points have no convex order and are drawn to scale.
-    order = validate_pointset(points).convex_cyclic_order if points.n >= 3 else None
+    order = validate_pointset(points) if points.n >= 3 else None
     svg = render_svg(points, coloring, order=order)
     classes = coloring.num_colors if coloring is not None else 1
     _emit(svg, args.out, f"svg n={points.n} classes={classes}")

@@ -15,20 +15,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import Coloring
-from .crossings import canonical_edges, crossing_masks
+from .crossings import canonical_edge, canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges
-
-
-def _check_edge(n: int, e: Edge) -> Edge:
-    e = Edge.of(e[0], e[1])
-    if not 0 <= e.u < e.v < n:
-        raise ValueError(f"edge {tuple(e)} out of range for n={n}")
-    return e
 
 
 def slope_class(n: int, e: Edge) -> int:
     """Slope label of chord e on the regular n-gon: (i + j) mod n."""
-    e = _check_edge(n, e)
+    e = canonical_edge(n, e)
     return (e.u + e.v) % n
 
 
@@ -39,8 +32,8 @@ def convex_edges_cross(n: int, e: Edge, f: Edge) -> bool:
     interleave in cyclic order: precisely one endpoint of f lies in the
     open arc (e.u, e.v).
     """
-    e = _check_edge(n, e)
-    f = _check_edge(n, f)
+    e = canonical_edge(n, e)
+    f = canonical_edge(n, f)
     if e.u in f or e.v in f:
         return False
     return (e.u < f.u < e.v) != (e.u < f.v < e.v)
@@ -120,12 +113,9 @@ def choose_block_size(k: int) -> int:
     return s
 
 
-def count_convex_crossings(n: int, edges: Iterable[Edge] | None = None) -> int:
-    """Number of properly crossing chord pairs; all of K_n when edges is None.
+def count_convex_crossings(n: int) -> int:
+    """Number of properly crossing chord pairs of convex K_n: C(n, 4).
 
-    Any four points of a convex polygon span exactly one crossing pair, so
-    K_n has C(n, 4) of them.
+    Any four points of a convex polygon span exactly one crossing pair.
     """
-    if edges is None:
-        return math.comb(n, 4)
-    return sum(mask.bit_count() for mask in crossing_masks(n, canonical_edges(n, edges))) // 2
+    return math.comb(n, 4)

@@ -27,16 +27,18 @@ from typing import Iterable, Sequence
 from .geometry import Edge, PointSet
 
 
+def canonical_edge(n: int, e) -> Edge:
+    """The edge in `Edge.of` form, checked to join two of the n vertices."""
+    e = Edge.of(e[0], e[1])
+    if e.u < 0 or e.v >= n:
+        raise ValueError(f"edge {tuple(e)} out of range for n={n}")
+    return e
+
+
 def canonical_edges(instance: PointSet | int, edges: Iterable) -> list[Edge]:
     """The edges in `Edge.of` form, range-checked, without duplicates, sorted."""
     n = instance.n if isinstance(instance, PointSet) else instance
-    out = set()
-    for e in edges:
-        e = Edge.of(e[0], e[1])
-        if e.u < 0 or e.v >= n:
-            raise ValueError(f"edge {tuple(e)} out of range for n={n}")
-        out.add(e)
-    return sorted(out)
+    return sorted({canonical_edge(n, e) for e in edges})
 
 
 def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]:

@@ -92,7 +92,7 @@ def _as_points(points: Iterable) -> tuple[Point, ...]:
             out.append(p)
         else:
             x, y = p
-            out.append(Point(int(x), int(y)))
+            out.append(Point(x, y))
     return tuple(out)
 
 
@@ -187,12 +187,6 @@ class PointSet(Sequence[Point]):
         return segments_cross(p[e.u], p[e.v], p[f.u], p[f.v])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    convex_position: bool
-    convex_cyclic_order: tuple[int, ...] | None
-
-
 def convex_hull_indices(points: Sequence[Point]) -> list[int]:
     """Hull vertex indices in counter-clockwise order (monotone chain).
 
@@ -216,22 +210,21 @@ def convex_hull_indices(points: Sequence[Point]) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def validate_pointset(points: PointSet) -> ValidationReport:
-    """Check convex position of a point set.
+def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
+    """The clockwise cyclic order of a point set in convex position, else None.
 
-    Returns the clockwise cyclic order of hull indices (rotated to start at
-    the smallest index) when the set is in convex position. General
-    position needs no check: the PointSet constructor already rejected
-    duplicates and collinear triples.
+    The order lists hull indices, rotated to start at the smallest index.
+    General position needs no check: the PointSet constructor already
+    rejected duplicates and collinear triples.
     """
     if points.n < 3:
         raise ValueError(f"validation needs at least 3 points, got {points.n}")
     hull = convex_hull_indices(points.points)
     if len(hull) != points.n:
-        return ValidationReport(False, None)
+        return None
     cw = list(reversed(hull))
     start = cw.index(min(cw))
-    return ValidationReport(True, tuple(cw[start:] + cw[:start]))
+    return tuple(cw[start:] + cw[:start])
 
 
 def _attempt_points(raw: list[tuple[float, float]], rng: random.Random) -> list[Point]:

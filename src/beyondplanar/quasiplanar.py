@@ -174,17 +174,8 @@ def is_k_quasi_planar(
     return QuasiPlanarResult(True)
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Edge-disjoint spanning trees covering all of K(P), |P| = 2n."""
-
-    n: int  # number of trees; |P| = 2n
-    trees: tuple[tuple[Edge, ...], ...]
-    lex_order: tuple[int, ...]  # original indices sorted by (x, y)
-
-
-def double_star_partition(points: PointSet) -> TreeDecomposition:
-    """Decompose K(P), |P| = 2n, into n spanning double stars.
+def double_star_partition(points: PointSet) -> Coloring:
+    """Decompose K(P), |P| = 2n, into n spanning double stars; color i is tree i.
 
     Points are ranked lexicographically by (x, y) as r = 0..2n-1. Tree i
     (0-based) has adjacent centers at ranks 2i and 2i+1: the lower center
@@ -196,21 +187,19 @@ def double_star_partition(points: PointSet) -> TreeDecomposition:
         raise ValueError(f"an even number of points >= 2 is required, got {points.n}")
     n = points.n // 2
     order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
-    trees = []
+    assignment: dict[Edge, int] = {}
     for i in range(1, n + 1):  # 1-based tree index; ranks below are 1-based
         a, b = order[2 * i - 2], order[2 * i - 1]  # ranks 2i-1 and 2i
-        tree = []
         for j in range(1, n + 1):
             if j < i:
-                tree.append(Edge.of(a, order[2 * j - 1]))  # a -- rank 2j
+                assignment[Edge.of(a, order[2 * j - 1])] = i - 1  # a -- rank 2j
             elif j > i:
-                tree.append(Edge.of(a, order[2 * j - 2]))  # a -- rank 2j-1
+                assignment[Edge.of(a, order[2 * j - 2])] = i - 1  # a -- rank 2j-1
             if j <= i:
-                tree.append(Edge.of(b, order[2 * j - 2]))  # b -- rank 2j-1
+                assignment[Edge.of(b, order[2 * j - 2])] = i - 1  # b -- rank 2j-1
             else:
-                tree.append(Edge.of(b, order[2 * j - 1]))  # b -- rank 2j
-        trees.append(tuple(sorted(tree)))
-    return TreeDecomposition(n, tuple(trees), tuple(order))
+                assignment[Edge.of(b, order[2 * j - 1])] = i - 1  # b -- rank 2j
+    return Coloring(points.n, n, assignment)
 
 
 def verify_spanning_tree(points: PointSet, edges: Iterable[Edge]) -> bool:
@@ -238,15 +227,6 @@ def verify_spanning_tree(points: PointSet, edges: Iterable[Edge]) -> bool:
     return comps == 1
 
 
-def verify_partition(points: PointSet, coloring: Coloring) -> bool:
-    """True iff the coloring assigns exactly one in-range color per edge of K(P).
-
-    `Coloring` already guarantees one in-range color for every edge of K_n
-    on its own copy of the map, so only the vertex count is left to check.
-    """
-    return coloring.n == points.n
-
-
 def _cross2(o: tuple[int, int], a: Point, b: Point) -> int:
     return o[0] * (b.y - a.y) - o[1] * (b.x - a.x)
 
@@ -271,7 +251,6 @@ class HalvingLine:
 
 @dataclass(frozen=True)
 class HalvingLineSystem:
-    points: PointSet
     lines: tuple[HalvingLine, ...]  # sorted by ascending direction angle
 
     @property
@@ -324,7 +303,7 @@ def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
         return -1 if cross > 0 else 1
 
     ordered = sorted(lines, key=cmp_to_key(angle_cmp))
-    return HalvingLineSystem(points, tuple(ordered))
+    return HalvingLineSystem(tuple(ordered))
 
 
 def halving_line_partition(points: PointSet, family, k: int) -> Coloring:

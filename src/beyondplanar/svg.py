@@ -65,7 +65,6 @@ def render_svg(
     instance: PointSet | int,
     coloring: Coloring | None = None,
     *,
-    labels: bool = False,
     order: tuple[int, ...] | None = None,
 ) -> str:
     """Render the point set and its edge partition as an SVG document.
@@ -114,10 +113,5 @@ def render_svg(
     for x, y in pos:
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(_POINT_RADIUS)}"/>')
     out.append("</g>")
-    if labels:
-        out.append('<g font-family="monospace" font-size="12" fill="black">')
-        for i, (x, y) in enumerate(pos):
-            out.append(f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}">{i}</text>')
-        out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

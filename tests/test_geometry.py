@@ -131,6 +131,12 @@ class TestPointSet:
         assert ps.n == 3
         assert ps[1] == P(4, 0)
 
+    @pytest.mark.parametrize("pairs", [[(0.7, 0), (10, 5.9), (3, 2)], [("3", "4"), (0, 0), (1, 5)]])
+    def test_rejects_non_integer_pairs(self, pairs):
+        # Pairs are held to the same rule as Point: no truncation, no parsing.
+        with pytest.raises(TypeError):
+            PointSet(pairs)
+
     def test_edges_cross(self):
         ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4)])
         assert ps.edges_cross(Edge(0, 2), Edge(1, 3))
@@ -139,14 +145,11 @@ class TestPointSet:
 
 class TestValidatePointset:
     def test_square(self):
-        rep = validate_pointset(PointSet([P(0, 0), P(2, 0), P(2, 2), P(0, 2)]))
-        assert rep.convex_position
-        assert rep.convex_cyclic_order in cyclic_variants((0, 1, 2, 3))
+        order = validate_pointset(PointSet([P(0, 0), P(2, 0), P(2, 2), P(0, 2)]))
+        assert order in cyclic_variants((0, 1, 2, 3))
 
     def test_point_inside_hull(self):
-        rep = validate_pointset(PointSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)]))
-        assert not rep.convex_position
-        assert rep.convex_cyclic_order is None
+        assert validate_pointset(PointSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)])) is None
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -154,8 +157,7 @@ class TestValidatePointset:
 
     def test_order_is_clockwise(self):
         # Clockwise square in index order must come back as the identity.
-        rep = validate_pointset(PointSet([P(0, 2), P(2, 2), P(2, 0), P(0, 0)]))
-        assert rep.convex_cyclic_order == (0, 1, 2, 3)
+        assert validate_pointset(PointSet([P(0, 2), P(2, 2), P(2, 0), P(0, 0)])) == (0, 1, 2, 3)
 
 
 class TestConvexHull:
@@ -172,20 +174,17 @@ class TestConvexHull:
 
 class TestGenConvexPolygon:
     def test_n4_is_convex(self):
-        rep = validate_pointset(gen_convex_polygon(4, 0))
-        assert rep.convex_position
+        assert validate_pointset(gen_convex_polygon(4, 0)) is not None
 
     def test_n12_seed1(self):
-        rep = validate_pointset(gen_convex_polygon(12, 1))
-        assert rep.convex_position
+        assert validate_pointset(gen_convex_polygon(12, 1)) is not None
 
     def test_n3_triangle(self):
         assert gen_convex_polygon(3, 0).n == 3
 
     def test_index_order_is_clockwise(self):
         for n in (5, 8, 13):
-            rep = validate_pointset(gen_convex_polygon(n, 2))
-            assert rep.convex_cyclic_order == tuple(range(n))
+            assert validate_pointset(gen_convex_polygon(n, 2)) == tuple(range(n))
 
     def test_deterministic(self):
         assert gen_convex_polygon(9, 5) == gen_convex_polygon(9, 5)

