@@ -101,8 +101,6 @@ def _cmd_partition(args) -> int:
             {e: base.get(pos[e.u], pos[e.v]) for e in all_edges(points.n)},
         )
     elif args.mode == "doublestar":
-        if points.n % 2 != 0:
-            raise CommandError(f"double-star partition requires an even point count, got {points.n}")
         coloring = double_star_partition(points)
     elif args.mode == "halving":
         if args.k is None:
@@ -113,10 +111,11 @@ def _cmd_partition(args) -> int:
     else:  # family
         if args.k is None:
             raise CommandError("partition family requires --k")
-        coloring, report = crossing_family_partition(points, args.k, budget=args.budget)
-        extra = f" m={report.m}"
-        if report.note:
-            extra += f" note={report.note!r}"
+        coloring, family = crossing_family_partition(points, args.k, budget=args.budget)
+        extra = f" m={family.size}"
+        if family.size < args.k:
+            note = f"m={family.size} < k={args.k}: one color suffices"
+            extra += f" note={note!r}"
 
     summary = f"coloring mode={args.mode} n={points.n} colors={coloring.num_colors}{extra}"
     _emit(write_coloring(coloring), args.out, summary)

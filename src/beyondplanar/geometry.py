@@ -34,7 +34,7 @@ class Point:
     y: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in (self.x, self.y)):
             raise TypeError(f"integer coordinates required: ({self.x!r}, {self.y!r})")
         if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
             raise ValueError(f"coordinate exceeds +/-{COORD_LIMIT}: ({self.x}, {self.y})")
@@ -232,11 +232,6 @@ def _attempt_points(raw: list[tuple[float, float]], rng: random.Random) -> list[
     return [Point(round(x) + rng.randrange(-1, 2), round(y) + rng.randrange(-1, 2)) for x, y in raw]
 
 
-def _is_clockwise_convex(points: Sequence[Point]) -> bool:
-    n = len(points)
-    return all(orientation(points[i], points[(i + 1) % n], points[(i + 2) % n]) == -1 for i in range(n))
-
-
 def gen_convex_polygon(n: int, seed: int = 0) -> PointSet:
     """n integer points in convex general position, clockwise in index order.
 
@@ -255,7 +250,7 @@ def gen_convex_polygon(n: int, seed: int = 0) -> PointSet:
             points = PointSet(_attempt_points(raw, rng))
         except ValueError:
             continue
-        if _is_clockwise_convex(points):
+        if validate_pointset(points) == tuple(range(n)):
             return points
     raise GenerationError(f"convex generator failed for n={n}, seed={seed} after {_GEN_ATTEMPTS} attempts")
 

@@ -18,14 +18,14 @@ properties with the exact segment predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
 from .crossings import _crossing_pass, canonical_edges, crossing_masks
-from .geometry import Edge, Point, PointSet, all_edges, check_pairwise_crossing
+from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
 
@@ -38,7 +38,6 @@ class SearchBudgetError(RuntimeError):
 class CrossingGraph:
     """Graph whose vertices are the edges of K(P), adjacent iff they cross."""
 
-    n: int
     edge_list: tuple[Edge, ...]
     masks: tuple[int, ...]  # masks[i] = bitmask of edge indices crossing edge i
     depths: tuple[int, ...]  # depths[i] = fewer points on either side of edge i's line
@@ -59,7 +58,7 @@ def build_crossing_graph(points: PointSet) -> CrossingGraph:
     edges = all_edges(points.n)
     depths: list[int] = []
     masks = _crossing_pass(points, edges, depths)
-    return CrossingGraph(points.n, tuple(edges), tuple(masks), tuple(depths))
+    return CrossingGraph(tuple(edges), tuple(masks), tuple(depths))
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class CrossingFamily:
         return {v for e in self.edges for v in e}
 
 
-def max_crossing_family(graph: CrossingGraph, points: PointSet, budget: int = DEFAULT_BUDGET) -> CrossingFamily:
-    """Exact maximum crossing family via branch-and-bound clique search.
+def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> CrossingFamily:
+    """Exact maximum crossing family via clique search on the crossing graph.
 
     Each of t pairwise crossing edges has the other t-1 crossing its line,
     one endpoint on each side, so it has depth at least t-1. The optimum m
@@ -95,6 +94,7 @@ def max_crossing_family(graph: CrossingGraph, points: PointSet, budget: int = DE
     The certificate is re-verified on `points` with the exact segment
     predicate instead of being trusted from the graph.
     """
+    graph = build_crossing_graph(points)
     best: list[int] = []  # edge indices of the largest family found so far
     nodes = 0
 
@@ -110,7 +110,7 @@ def max_crossing_family(graph: CrossingGraph, points: PointSet, budget: int = DE
             raise AssertionError("clique kernel returned inconsistent certificate")
         return members, proven
 
-    t = graph.n // 2
+    t = points.n // 2
     while t > len(best):
         keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
         if len(keep) >= t:  # fewer edges than t hold no family of t
@@ -183,8 +183,8 @@ def double_star_partition(points: PointSet) -> Coloring:
     upper center the rest. Consecutive trees tilt the split so the n trees
     are edge-disjoint and exhaustive.
     """
-    if points.n % 2 != 0 or points.n < 2:
-        raise ValueError(f"an even number of points >= 2 is required, got {points.n}")
+    if points.n % 2 != 0:
+        raise ValueError(f"double-star partition requires an even point count, got {points.n}")
     n = points.n // 2
     order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
     assignment: dict[Edge, int] = {}
@@ -227,38 +227,23 @@ def verify_spanning_tree(points: PointSet, edges: Iterable[Edge]) -> bool:
     return comps == 1
 
 
-def _cross2(o: tuple[int, int], a: Point, b: Point) -> int:
-    return o[0] * (b.y - a.y) - o[1] * (b.x - a.x)
-
-
 @dataclass(frozen=True)
 class HalvingLine:
     """A family edge's supporting line with the point set split around it.
 
     The direction is normalized to the upper half plane (angle in [0, pi)).
-    The forward endpoint p (larger projection on the direction) counts as
-    left of the line, the rear endpoint q as right; all other points lie
-    strictly on one side. Both sides then have exactly n of the 2n points.
+    The forward endpoint (larger projection on the direction) counts as
+    left of the line, the rear endpoint as right; all other points lie
+    strictly on one side. Both sides then have exactly n of the 2n points,
+    and the right side is the complement of `left`.
     """
 
     edge: Edge
-    p: int
-    q: int
     direction: tuple[int, int]
     left: frozenset[int]
-    right: frozenset[int]
 
 
-@dataclass(frozen=True)
-class HalvingLineSystem:
-    lines: tuple[HalvingLine, ...]  # sorted by ascending direction angle
-
-    @property
-    def size(self) -> int:
-        return len(self.lines)
-
-
-def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
+def halving_line_system(points: PointSet, family) -> tuple[HalvingLine, ...]:
     """Halving lines of a perfect crossing family, sorted by direction angle.
 
     The family must cover every point exactly once and cross pairwise;
@@ -282,19 +267,14 @@ def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
         if d[1] < 0 or (d[1] == 0 and d[0] < 0):
             d = (-d[0], -d[1])
             fwd, rear = e.u, e.v
-        base = points[e.u]
         left = {fwd}
-        right = {rear}
         for w in range(points.n):
-            if w in e:
-                continue
-            if _cross2(d, base, points[w]) > 0:  # never 0: a PointSet has no collinear triple
+            # Never 0 off the edge: a PointSet has no collinear triple.
+            if w not in e and orientation(points[rear], points[fwd], points[w]) > 0:
                 left.add(w)
-            else:
-                right.add(w)
-        if len(left) != n or len(right) != n:
+        if len(left) != n:
             raise AssertionError(f"line of {tuple(e)} does not halve the point set")
-        lines.append(HalvingLine(e, fwd, rear, d, frozenset(left), frozenset(right)))
+        lines.append(HalvingLine(e, d, frozenset(left)))
 
     # Two crossing segments are never parallel, so cross products give a
     # strict angular order on [0, pi).
@@ -302,8 +282,7 @@ def halving_line_system(points: PointSet, family) -> HalvingLineSystem:
         cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
         return -1 if cross > 0 else 1
 
-    ordered = sorted(lines, key=cmp_to_key(angle_cmp))
-    return HalvingLineSystem(tuple(ordered))
+    return tuple(sorted(lines, key=cmp_to_key(angle_cmp)))
 
 
 def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
@@ -324,10 +303,10 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
-    system = halving_line_system(points, family)
-    c = -(-system.size // (k - 1))
-    group_of = {v: i // (k - 1) for i, ln in enumerate(system.lines) for v in ln.edge}
-    left = [system.lines[l * (k - 1)].left for l in range(c)]  # each group's first line
+    lines = halving_line_system(points, family)
+    c = -(-len(lines) // (k - 1))
+    group_of = {v: i // (k - 1) for i, ln in enumerate(lines) for v in ln.edge}
+    left = [lines[l * (k - 1)].left for l in range(c)]  # each group's first line
 
     assignment: dict[Edge, int] = {}
     for e in all_edges(points.n):
@@ -341,17 +320,9 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     return Coloring(points.n, c, assignment)
 
 
-@dataclass(frozen=True)
-class FamilyPartitionReport:
-    m: int
-    family: CrossingFamily
-    note: str | None = None
-    leftover_groups: tuple[tuple[int, ...], ...] = field(default=())
-
-
 def crossing_family_partition(
     points: PointSet, k: int, budget: int = DEFAULT_BUDGET
-) -> tuple[Coloring, FamilyPartitionReport]:
+) -> tuple[Coloring, CrossingFamily]:
     """Partition K(P) into k-quasi-planar classes guided by a maximum family.
 
     With m the exact maximum crossing family size: if m < k one color
@@ -360,23 +331,19 @@ def crossing_family_partition(
     groups of at most k-1; each remaining edge is colored by the first
     group that contains one of its endpoints (a union of at most k-1 stars
     has no k pairwise crossing edges). Total colors:
-    ceil(m/(k-1)) + ceil((|P|-2m)/(k-1)).
+    ceil(m/(k-1)) + ceil((|P|-2m)/(k-1)). The proven family comes back
+    with the coloring.
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
-    graph = build_crossing_graph(points)
-    family = max_crossing_family(graph, points=points, budget=budget)
+    family = max_crossing_family(points, budget=budget)
     if not family.proven_maximum:
         raise SearchBudgetError(
             f"maximum crossing family not proven within budget {budget} after {family.nodes} nodes"
             f" (largest found: {family.size} edges); color guarantee would be unsound"
         )
-    m = family.size
-
-    if m < k:
-        coloring = Coloring(points.n, 1, {e: 0 for e in all_edges(points.n)})
-        report = FamilyPartitionReport(m, family, note=f"m={m} < k={k}: one color suffices")
-        return coloring, report
+    if family.size < k:
+        return Coloring(points.n, 1, {e: 0 for e in all_edges(points.n)}), family
 
     prime = sorted(family.vertices())
     sub_index = {orig: i for i, orig in enumerate(prime)}
@@ -386,9 +353,7 @@ def crossing_family_partition(
     c1 = sub_coloring.num_colors
 
     rest = [i for i in range(points.n) if i not in sub_index]
-    width = k - 1
-    groups = [tuple(rest[a : a + width]) for a in range(0, len(rest), width)]
-    group_of = {v: g for g, grp in enumerate(groups) for v in grp}
+    group_of = {v: i // (k - 1) for i, v in enumerate(rest)}  # k-1 leftover points per group
 
     assignment: dict[Edge, int] = {}
     for e in all_edges(points.n):
@@ -401,6 +366,4 @@ def crossing_family_partition(
             assignment[e] = c1 + gu
         else:
             assignment[e] = c1 + min(gu, gv)
-    coloring = Coloring(points.n, c1 + len(groups), assignment)
-    report = FamilyPartitionReport(m, family, leftover_groups=tuple(groups))
-    return coloring, report
+    return Coloring(points.n, c1 + -(-len(rest) // (k - 1)), assignment), family

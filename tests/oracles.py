@@ -166,7 +166,7 @@ def naive_halving_cover(points, family, k):
     from beyondplanar.geometry import all_edges
     from beyondplanar.quasiplanar import halving_line_system
 
-    lines = halving_line_system(points, family).lines
+    lines = halving_line_system(points, family)
     groups = [lines[a : a + k - 1] for a in range(0, len(lines), k - 1)]
     cover = {e: [] for e in all_edges(points.n)}
     for l, group in enumerate(groups):
@@ -174,7 +174,7 @@ def naive_halving_cover(points, family, k):
         first = group[0]
         for e, covering in cover.items():
             inside = (e.u in members) + (e.v in members)
-            same_side = {e.u, e.v} <= first.left or {e.u, e.v} <= first.right
+            same_side = (e.u in first.left) == (e.v in first.left)
             if inside == 2 or (inside == 1 and same_side):
                 covering.append(l)
     return cover

@@ -165,7 +165,7 @@ def test_criterion_07_halving_partition_color_optimal():
             for edges in classes.values():
                 assert is_k_quasi_planar(points, edges, k).ok
             assert coloring.n == points.n
-            found = max_crossing_family(build_crossing_graph(points), points=points)
+            found = max_crossing_family(points)
             assert found.proven_maximum and found.size == n
     _done(7, "halving partition meets ceil(m/(k-1)) colors with m certified", started, 30.0)
 
@@ -176,9 +176,9 @@ def test_criterion_08_family_partition_color_formula():
         n = 8 + (i % 7)
         k = 3 + (i % 2)
         points = gen_random_pointset(n, seed=500 + i)
-        coloring, report = crossing_family_partition(points, k)
-        m = report.m
-        assert report.family.proven_maximum
+        coloring, family = crossing_family_partition(points, k)
+        m = family.size
+        assert family.proven_maximum
         lower, upper = quasi_color_bounds(n, m, k)
         assert lower <= coloring.num_colors <= upper
         assert coloring.num_colors >= -(-m // (k - 1))
@@ -193,7 +193,7 @@ def test_criterion_09_family_oracle_cross_check():
     for n in range(4, 9):
         points = gen_convex_polygon(n, seed=0)
         graph = build_crossing_graph(points)
-        found = max_crossing_family(graph, points=points)
+        found = max_crossing_family(points)
         naive = naive_max_clique_enum(graph.adjacent, graph.num_vertices)
         assert found.proven_maximum
         assert found.size == naive == n // 2

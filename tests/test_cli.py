@@ -236,6 +236,28 @@ class TestDeterminism:
                 h.update(capsys.readouterr().out.encode())
         assert h.hexdigest() == "271b6c75bb2c83be0e1452fca3290fd6a3121871316a01b67813b2bd5cc5e1df"
 
+    def test_family_and_halving_partitions_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # Digest of exit codes, summaries (22 of them carry the m < k note)
+        # and colorings as the CLI wrote them when the family partition
+        # returned its own report type.
+        monkeypatch.chdir(tmp_path)  # relative paths keep the out= summaries fixed
+        h = hashlib.sha256()
+        for n in range(2, 25):
+            for seed in (0, 1):
+                assert run("gen", "random", "--n", str(n), "--seed", str(seed), "--out", "inst.txt") == 0
+                capsys.readouterr()
+                for k in (3, 4):
+                    rc = run("partition", "family", "--k", str(k), "--in", "inst.txt", "--out", "col.txt")
+                    h.update(f"{rc}\n{capsys.readouterr().out}".encode())
+                    h.update((tmp_path / "col.txt").read_bytes())
+        for n in range(1, 13):
+            assert run("gen", "crossing-family", "--n", str(n), "--out", "inst.txt") == 0
+            capsys.readouterr()
+            for k in (3, 4):
+                rc = run("partition", "halving", "--k", str(k), "--in", "inst.txt")
+                h.update(f"{rc}\n{capsys.readouterr().out}".encode())
+        assert h.hexdigest() == "f16311ed181c158080f6ad225cc2393e124b7b9cdb7910fac2571adf03325468"
+
 
 class TestRenderSvg:
     def test_three_points_single_class(self):

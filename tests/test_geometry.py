@@ -131,9 +131,13 @@ class TestPointSet:
         assert ps.n == 3
         assert ps[1] == P(4, 0)
 
-    @pytest.mark.parametrize("pairs", [[(0.7, 0), (10, 5.9), (3, 2)], [("3", "4"), (0, 0), (1, 5)]])
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0.7, 0), (10, 5.9), (3, 2)], [("3", "4"), (0, 0), (1, 5)], [(True, False), (0, 5), (7, 2)]],
+    )
     def test_rejects_non_integer_pairs(self, pairs):
-        # Pairs are held to the same rule as Point: no truncation, no parsing.
+        # Pairs are held to the same rule as Point: no truncation, no
+        # parsing, and no bool, which the instance format cannot write.
         with pytest.raises(TypeError):
             PointSet(pairs)
 

@@ -24,7 +24,6 @@ from beyondplanar.geometry import (
     gen_random_pointset,
 )
 from beyondplanar.quasiplanar import (
-    build_crossing_graph,
     check_pairwise_crossing,
     is_k_quasi_planar,
     max_crossing_family,
@@ -102,7 +101,7 @@ class TestMaxCrossingFamily:
     @given(point_sets(min_n=4, max_n=9))
     @settings(max_examples=40, deadline=None)
     def test_certificate_is_a_proven_matching(self, points):
-        family = max_crossing_family(build_crossing_graph(points), points=points)
+        family = max_crossing_family(points)
         assert family.proven_maximum
         assert 2 * family.size <= points.n
         seen = [v for e in family.edges for v in e]
@@ -114,7 +113,7 @@ class TestMaxCrossingFamily:
     def test_every_family_edge_is_deep_enough(self, points):
         # Each of m pairwise crossing edges has the other m-1 crossing its
         # line, so at least m-1 points lie on either side of it.
-        family = max_crossing_family(build_crossing_graph(points), points=points)
+        family = max_crossing_family(points)
         depth = dict(zip(all_edges(points.n), naive_edge_depths(points)))
         assert all(depth[e] >= family.size - 1 for e in family.edges)
 
@@ -122,11 +121,8 @@ class TestMaxCrossingFamily:
     @settings(max_examples=30, deadline=None)
     def test_size_is_seed_independent_of_edge_order(self, n, seed):
         points = gen_random_pointset(n, seed=seed)
-        graph = build_crossing_graph(points)
-        family = max_crossing_family(graph, points=points)
-        reversed_points = PointSet(list(points)[::-1])
-        reversed_graph = build_crossing_graph(reversed_points)
-        assert max_crossing_family(reversed_graph, points=reversed_points).size == family.size
+        family = max_crossing_family(points)
+        assert max_crossing_family(PointSet(list(points)[::-1])).size == family.size
 
 
 class TestSlopePartition:

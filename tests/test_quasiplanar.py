@@ -73,24 +73,24 @@ class TestBuildCrossingGraph:
 class TestMaxCrossingFamily:
     def test_convex_k6_is_3(self):
         ps = gen_convex_polygon(6, 0)
-        fam = max_crossing_family(build_crossing_graph(ps), points=ps)
+        fam = max_crossing_family(ps)
         assert fam.size == 3 and fam.proven_maximum
 
     def test_convex_k5_is_2(self):
         ps = gen_convex_polygon(5, 0)
-        fam = max_crossing_family(build_crossing_graph(ps), points=ps)
+        fam = max_crossing_family(ps)
         assert fam.size == 2 and fam.proven_maximum
 
     def test_generator_instance_attains_n(self):
         ps, _ = gen_perfect_crossing_family_pointset(4, 0)
-        fam = max_crossing_family(build_crossing_graph(ps), points=ps)
+        fam = max_crossing_family(ps)
         assert fam.size == 4 and fam.proven_maximum
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_matches_naive_enumeration_on_convex(self, n):
         ps = gen_convex_polygon(n, 2)
         g = build_crossing_graph(ps)
-        fam = max_crossing_family(g, points=ps)
+        fam = max_crossing_family(ps)
         assert fam.size == naive_max_crossing_family_size(g) == n // 2
 
     @pytest.mark.parametrize("n", [6, 9, 12, 17, 24, 31, 40])
@@ -102,7 +102,7 @@ class TestMaxCrossingFamily:
         ps = gen_random_pointset(n, seed)
         g = build_crossing_graph(ps)
         _, members, proven, _ = _native.max_clique(list(g.masks), target=n // 2)
-        fam = max_crossing_family(g, points=ps)
+        fam = max_crossing_family(ps)
         assert proven and fam.proven_maximum
         assert fam.edges == tuple(g.edge_list[i] for i in members)
 
@@ -110,23 +110,22 @@ class TestMaxCrossingFamily:
     @pytest.mark.parametrize("seed", range(4))
     def test_size_matches_brute_force(self, n, seed):
         ps = gen_random_pointset(n, seed)
-        g = build_crossing_graph(ps)
-        fam = max_crossing_family(g, points=ps)
-        assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(g)
+        fam = max_crossing_family(ps)
+        assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(build_crossing_graph(ps))
 
     def test_works_without_points_and_on_tiny_sets(self):
         for n in range(1, 4):
             ps = gen_random_pointset(n, 0)
-            fam = max_crossing_family(build_crossing_graph(ps), points=ps)
+            fam = max_crossing_family(ps)
             assert fam.size == (n >= 2) and fam.proven_maximum
 
     def test_budget_stop_in_the_last_search_keeps_the_size_unproven(self):
         ps = gen_random_pointset(40, seed=0)
         g = build_crossing_graph(ps)
-        full = max_crossing_family(g, points=ps)
+        full = max_crossing_family(ps)
         replay = _native.max_clique(list(g.masks), target=full.size, floor_size=full.size - 1)[3]
         budget = full.nodes - replay // 2  # the depth searches finish, the last one does not
-        fam = max_crossing_family(g, points=ps, budget=budget)
+        fam = max_crossing_family(ps, budget=budget)
         assert not fam.proven_maximum and fam.nodes <= budget
         assert fam.size == full.size and check_pairwise_crossing(ps, fam.edges)
         with pytest.raises(SearchBudgetError, match=f"budget {budget} after {fam.nodes} nodes"):
@@ -135,15 +134,14 @@ class TestMaxCrossingFamily:
     @pytest.mark.parametrize("budget", [1, 2, 10, 20, 40])
     def test_budget_stop_in_the_depth_searches(self, budget):
         ps = gen_random_pointset(40, seed=3)
-        g = build_crossing_graph(ps)
-        fam = max_crossing_family(g, points=ps, budget=budget)
+        fam = max_crossing_family(ps, budget=budget)
         assert not fam.proven_maximum and fam.nodes <= budget
         assert check_pairwise_crossing(ps, fam.edges)
-        assert fam.size <= max_crossing_family(g, points=ps).size
+        assert fam.size <= max_crossing_family(ps).size
 
     def test_certificate_is_a_matching(self):
         ps = gen_random_pointset(10, 4)
-        fam = max_crossing_family(build_crossing_graph(ps), points=ps)
+        fam = max_crossing_family(ps)
         vs = [v for e in fam.edges for v in e]
         assert len(vs) == len(set(vs))
         assert check_pairwise_crossing(ps, fam.edges)
@@ -194,7 +192,7 @@ class TestDoubleStarPartition:
         assert double_star_partition(ps).classes() == {0: [Edge(0, 1)]}
 
     def test_rejects_odd_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="double-star partition requires an even point count, got 7"):
             double_star_partition(gen_random_pointset(7, 0))
 
     @pytest.mark.parametrize("n2", [4, 6, 10, 16, 20])
@@ -224,30 +222,28 @@ class TestDoubleStarPartition:
 class TestHalvingLineSystem:
     def test_single_line(self):
         ps, fam = gen_perfect_crossing_family_pointset(1, 0)
-        sys = halving_line_system(ps, fam)
-        assert sys.size == 1
-        (line,) = sys.lines
-        assert len(line.left) == 1 and len(line.right) == 1
-        assert line.p in line.left and line.q in line.right
+        (line,) = halving_line_system(ps, fam)
+        # The forward endpoint, the larger projection on the direction, is left.
+        dx, dy = line.direction
+        fwd = max(line.edge, key=lambda v: ps[v].x * dx + ps[v].y * dy)
+        assert line.left == {fwd}
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_sides_halve_the_points(self, n):
         ps, fam = gen_perfect_crossing_family_pointset(n, 1)
-        sys = halving_line_system(ps, fam)
-        for line in sys.lines:
-            assert len(line.left) == n and len(line.right) == n
-            assert line.left | line.right == set(range(2 * n))
-            assert not line.left & line.right
+        for line in halving_line_system(ps, fam):
+            assert len(line.left) == n and line.left <= set(range(2 * n))
+            assert len(line.left & set(line.edge)) == 1
 
     def test_lines_sorted_by_angle(self):
         ps, fam = gen_perfect_crossing_family_pointset(6, 2)
-        dirs = [ln.direction for ln in halving_line_system(ps, fam).lines]
+        dirs = [ln.direction for ln in halving_line_system(ps, fam)]
         for (ax, ay), (bx, by) in zip(dirs, dirs[1:]):
             assert ax * by - ay * bx > 0  # strictly increasing angle
 
     def test_directions_point_into_upper_half_plane(self):
         ps, fam = gen_perfect_crossing_family_pointset(5, 3)
-        for ln in halving_line_system(ps, fam).lines:
+        for ln in halving_line_system(ps, fam):
             dx, dy = ln.direction
             assert dy > 0 or (dy == 0 and dx > 0)
 
@@ -313,16 +309,15 @@ class TestHalvingLinePartition:
 class TestCrossingFamilyPartition:
     def test_small_m_single_color(self):
         ps = gen_convex_polygon(5, 0)  # m = 2
-        col, rep = crossing_family_partition(ps, 3)
-        assert rep.m == 2 and col.num_colors == 1
-        assert rep.note and "one color" in rep.note
+        col, family = crossing_family_partition(ps, 3)
+        assert family.size == 2 and col.num_colors == 1
 
     def test_convex_k12_k3(self):
         ps = gen_convex_polygon(12, 0)  # m = 6
-        col, rep = crossing_family_partition(ps, 3)
-        assert rep.m == 6
-        lower = -(-rep.m // 2)
-        upper = lower + -(-(12 - 2 * rep.m) // 2)
+        col, family = crossing_family_partition(ps, 3)
+        assert family.size == 6
+        lower = -(-family.size // 2)
+        upper = lower + -(-(12 - 2 * family.size) // 2)
         assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, 3).ok
@@ -333,12 +328,13 @@ class TestCrossingFamilyPartition:
     def test_random_instances_meet_color_formula(self, seed, k):
         npts = 8 + 2 * (seed % 3)
         ps = gen_random_pointset(npts, seed=31 + seed)
-        col, rep = crossing_family_partition(ps, k)
-        if rep.m < k:
+        col, family = crossing_family_partition(ps, k)
+        m = family.size
+        if m < k:
             assert col.num_colors == 1
         else:
-            lower = -(-rep.m // (k - 1))
-            upper = lower + -(-(npts - 2 * rep.m) // (k - 1))
+            lower = -(-m // (k - 1))
+            upper = lower + -(-(npts - 2 * m) // (k - 1))
             assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
             assert is_k_quasi_planar(ps, edges, k).ok
@@ -347,17 +343,19 @@ class TestCrossingFamilyPartition:
 
     def test_budget_error_says_what_was_spent(self):
         ps = gen_random_pointset(20, seed=1)
-        family = max_crossing_family(build_crossing_graph(ps), points=ps, budget=3)
+        family = max_crossing_family(ps, budget=3)
         assert not family.proven_maximum and family.nodes == 3 and family.size == 2
         with pytest.raises(SearchBudgetError, match=r"budget 3 after 3 nodes \(largest found: 2 edges\)"):
             crossing_family_partition(ps, 3, budget=3)
 
     def test_leftover_classes_are_star_unions(self):
         ps = gen_random_pointset(11, 9)
-        col, rep = crossing_family_partition(ps, 3)
-        if rep.m >= 3:
-            c1 = -(-rep.m // 2)
-            for g, grp in enumerate(rep.leftover_groups):
+        col, family = crossing_family_partition(ps, 3)
+        if family.size >= 3:
+            c1 = -(-family.size // 2)
+            rest = [i for i in range(ps.n) if i not in family.vertices()]
+            groups = [rest[a : a + 2] for a in range(0, len(rest), 2)]
+            for g, grp in enumerate(groups):
                 for e in col.classes()[c1 + g]:
                     assert e.u in grp or e.v in grp
 
