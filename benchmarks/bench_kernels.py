@@ -58,7 +58,7 @@ def diagonal_conflicts(n: int) -> list[int]:
 
 def clique_workloads(heavy: bool):
     crossing = build_crossing_graph(gen_random_pointset(22, seed=1))
-    yield f"clique crossing-graph n=22 V={crossing.num_vertices}", "max_clique", (list(crossing.masks),), {}
+    yield f"clique crossing-graph n=22 V={len(crossing.masks)}", "max_clique", (list(crossing.masks),), {}
     yield "clique random V=120 p=0.8", "max_clique", (random_graph(120, 0.8, seed=7),), {}
     yield "clique random V=150 p=0.7", "max_clique", (random_graph(150, 0.7, seed=7),), {}
     if heavy:

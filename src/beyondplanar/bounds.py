@@ -193,15 +193,3 @@ def quasi_color_bounds(n: int, m: int, k: int) -> tuple[int, int]:
     lower = -(-m // (k - 1))
     return lower, lower + -(-(n - 2 * m) // (k - 1))
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    instance: str
-    formula_value: str
-    observed_value: str
-    satisfied: bool | None
-
-    def line(self) -> str:
-        status = "-" if self.satisfied is None else ("ok" if self.satisfied else "VIOLATED")
-        return f"{self.name:<24} {self.instance:<22} {self.formula_value:>14} {self.observed_value:>14} {status}"

@@ -129,41 +129,38 @@ def _convex_realization(n: int) -> PointSet:
 
 def _cmd_verify(args) -> int:
     coloring = parse_coloring(_read_text(getattr(args, "in")))
-    if args.instance is not None:
-        points = parse_instance(_read_text(args.instance)).points
-        if points.n != coloring.n:
-            raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
+    if args.instance is None:
+        instance = coloring.n  # points in convex position, index order clockwise
     else:
-        points = None  # points in convex position, index order clockwise
+        instance = parse_instance(_read_text(args.instance)).points
+        if instance.n != coloring.n:
+            raise CommandError(f"instance has n={instance.n}, coloring has n={coloring.n}")
     # Only the colors that occur: an empty class is trivially k-planar and
     # k-quasi-planar, and the header may declare far more colors than K_n
     # has edges.
     classes = coloring.classes()
 
-    if args.mode == "kplanar":
-        instance = coloring.n if points is None else points
-        for color, edges in classes.items():
+    if args.mode == "quasiplanar":
+        if args.k < 2:
+            raise CommandError(f"quasiplanar verification requires k >= 2, got {args.k}")
+        if args.instance is None and coloring.n < 3:
+            classes = {}  # one edge at most, so nothing crosses
+        elif args.instance is None:
+            instance = _convex_realization(coloring.n)
+    for color, edges in classes.items():
+        if args.mode == "kplanar":
             result = verify_k_planar(instance, edges, args.k)
             if not result.ok:
                 edge = _fmt_edge(result.witness)
                 print(f"FAIL kplanar class={color} edge={edge} crossings={result.crossings} limit={args.k}")
                 return 1
-        print(f"verified kplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
-        return 0
-
-    if args.k < 2:
-        raise CommandError(f"quasiplanar verification requires k >= 2, got {args.k}")
-    if points is None and coloring.n < 3:
-        print(f"verified quasiplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
-        return 0
-    realized = points if points is not None else _convex_realization(coloring.n)
-    for color, edges in classes.items():
-        result = is_k_quasi_planar(realized, edges, args.k, budget=args.budget)
-        if not result.ok:
-            witness = ",".join(_fmt_edge(e) for e in result.witness)
-            print(f"FAIL quasiplanar class={color} k={args.k} witness={witness}")
-            return 1
-    print(f"verified quasiplanar k={args.k} n={coloring.n} classes={coloring.num_colors}")
+        else:
+            result = is_k_quasi_planar(instance, edges, args.k, budget=args.budget)
+            if not result.ok:
+                witness = ",".join(_fmt_edge(e) for e in result.witness)
+                print(f"FAIL quasiplanar class={color} k={args.k} witness={witness}")
+                return 1
+    print(f"verified {args.mode} k={args.k} n={coloring.n} classes={coloring.num_colors}")
     return 0
 
 
@@ -182,31 +179,26 @@ def _cmd_bounds(args) -> int:
     e = n * (n - 1) // 2
     observed = bounds_mod.count_crossings(n)
     edge_bound = bounds_mod.edge_bound_small_k if k <= 4 else bounds_mod.edge_bound_general
-    rows = [bounds_mod.BoundReport("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(edge_bound(n, k)), "-", None)]
+    # (bound, instance, formula, observed, holds); holds is None when nothing is checked.
+    rows = [("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(edge_bound(n, k)), "-", None)]
     if 2 * e >= 9 * n:
         lemma = bounds_mod.crossing_lemma_bound(n, e)
-        rows.append(
-            bounds_mod.BoundReport(
-                "crossing-lemma", f"n={n} e={e}", _fraction_str(lemma), str(observed), observed >= lemma
-            )
-        )
+        rows.append(("crossing-lemma", f"n={n} e={e}", _fraction_str(lemma), str(observed), observed >= lemma))
     peel = bounds_mod.peeling_bound(n, e)
-    rows.append(bounds_mod.BoundReport("edge-peeling", f"n={n} e={e}", str(peel), str(observed), observed >= peel))
+    rows.append(("edge-peeling", f"n={n} e={e}", str(peel), str(observed), observed >= peel))
     if k >= 1:
         lower, upper = bounds_mod.kplanar_color_bounds(n, k)
-        rows.append(
-            bounds_mod.BoundReport("kplanar-colors", f"n={n} k={k}", f"[{lower}, {upper}]", "-", lower <= upper)
-        )
+        rows.append(("kplanar-colors", f"n={n} k={k}", f"[{lower}, {upper}]", "-", lower <= upper))
     if n >= 5:
         lo = bounds_mod.one_planar_lower_bound(n)
         hi = -(-n // 3)
-        rows.append(bounds_mod.BoundReport("one-planar-colors", f"n={n}", f"[{lo}, {hi}]", "-", lo <= hi))
+        rows.append(("one-planar-colors", f"n={n}", f"[{lo}, {hi}]", "-", lo <= hi))
 
-    header = f"{'bound':<24} {'instance':<22} {'formula':>14} {'observed':>14} status"
-    print(header)
-    for row in rows:
-        print(row.line())
-    return 0 if all(row.satisfied is not False for row in rows) else 1
+    line = "{:<24} {:<22} {:>14} {:>14} {}".format
+    print(line("bound", "instance", "formula", "observed", "status"))
+    for *cells, holds in rows:
+        print(line(*cells, "-" if holds is None else "ok" if holds else "VIOLATED"))
+    return 0 if all(holds is not False for *_, holds in rows) else 1
 
 
 def _cmd_render(args) -> int:
@@ -278,7 +270,7 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CommandError, ParseError, ValueError, GenerationError, SearchBudgetError) as exc:
+    except (CommandError, ParseError, ValueError, OverflowError, GenerationError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

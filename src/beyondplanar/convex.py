@@ -55,11 +55,6 @@ def slope_partition(n: int, s: int) -> Coloring:
     return Coloring(n, num_colors, assignment)
 
 
-def slope_position(n: int, s: int, e: Edge) -> int:
-    """1-based position of e's slope inside its width-s interval."""
-    return slope_class(n, e) % s + 1
-
-
 def position_crossing_cap(s: int, j: int) -> int:
     """Most same-class crossings for an edge at slope position j of s.
 
@@ -102,15 +97,13 @@ def choose_block_size(k: int) -> int:
     """Largest slope-interval width s >= 3 whose classes stay k-planar.
 
     Classes of width s are (s-1)(s-2)/2-planar, so s is the largest integer
-    with (s-1)(s-2)/2 <= k; for k in {0, 1} that still permits the minimum
-    legal width 3. Satisfies s >= sqrt(2k) for k >= 1.
+    with (s-1)(s-2)/2 <= k, that is s <= (3 + sqrt(8k + 1)) / 2; for k in
+    {0, 1} that still permits the minimum legal width 3. Satisfies
+    s >= sqrt(2k) for k >= 1.
     """
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
-    s = 3
-    while s * (s - 1) // 2 <= k:  # (s'-1)(s'-2)/2 for s' = s+1
-        s += 1
-    return s
+    return max(3, (3 + math.isqrt(8 * k + 1)) // 2)
 
 
 def count_convex_crossings(n: int) -> int:

@@ -42,17 +42,6 @@ class CrossingGraph:
     masks: tuple[int, ...]  # masks[i] = bitmask of edge indices crossing edge i
     depths: tuple[int, ...]  # depths[i] = fewer points on either side of edge i's line
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.masks[i] >> j & 1)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.edge_list)
-
-    @property
-    def num_adjacencies(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
-
 
 def build_crossing_graph(points: PointSet) -> CrossingGraph:
     edges = all_edges(points.n)
@@ -200,31 +189,6 @@ def double_star_partition(points: PointSet) -> Coloring:
             else:
                 assignment[Edge.of(b, order[2 * j - 1])] = i - 1  # b -- rank 2j
     return Coloring(points.n, n, assignment)
-
-
-def verify_spanning_tree(points: PointSet, edges: Iterable[Edge]) -> bool:
-    """True iff the edges form a spanning tree of all points."""
-    es = {Edge.of(e[0], e[1]) for e in edges}
-    if len(es) != points.n - 1:
-        return False
-    parent = list(range(points.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = points.n
-    for u, v in es:
-        if not 0 <= u < v < points.n:
-            return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False  # cycle
-        parent[ru] = rv
-        comps -= 1
-    return comps == 1
 
 
 @dataclass(frozen=True)

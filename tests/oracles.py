@@ -187,3 +187,38 @@ def naive_halving_partition(points, family, k):
     num_groups = -(-(points.n // 2) // (k - 1))
     cover = naive_halving_cover(points, family, k)
     return Coloring(points.n, num_groups, {e: covering[0] for e, covering in cover.items()})
+
+
+def verify_spanning_tree(points, edges):
+    """True iff the edges form a spanning tree of all points."""
+    from beyondplanar.geometry import Edge
+
+    es = {Edge.of(e[0], e[1]) for e in edges}
+    if len(es) != points.n - 1:
+        return False
+    parent = list(range(points.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = points.n
+    for u, v in es:
+        if not 0 <= u < v < points.n:
+            return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False  # cycle
+        parent[ru] = rv
+        comps -= 1
+    return comps == 1
+
+
+def naive_block_size(k):
+    """Largest slope-interval width s >= 3 with (s-1)(s-2)/2 <= k, counted up one at a time."""
+    s = 3
+    while s * (s - 1) // 2 <= k:  # (s'-1)(s'-2)/2 for s' = s+1
+        s += 1
+    return s

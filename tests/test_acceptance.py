@@ -23,8 +23,8 @@ from beyondplanar.bounds import (
 )
 from beyondplanar.convex import (
     position_crossing_cap,
+    slope_class,
     slope_partition,
-    slope_position,
     verify_k_planar,
 )
 from beyondplanar.crossings import crossing_masks
@@ -41,9 +41,8 @@ from beyondplanar.quasiplanar import (
     halving_line_partition,
     is_k_quasi_planar,
     max_crossing_family,
-    verify_spanning_tree,
 )
-from oracles import naive_convex_crossings, naive_max_clique_enum
+from oracles import naive_convex_crossings, naive_max_clique_enum, verify_spanning_tree
 
 
 def _done(num: int, label: str, started: float, budget: float) -> None:
@@ -72,7 +71,7 @@ def test_criterion_02_slope_blocks_with_position_refinement():
             for edges in coloring.classes().values():
                 assert verify_k_planar(n, edges, k).ok
                 for e, mask in zip(edges, crossing_masks(n, edges)):
-                    j = slope_position(n, s, e)
+                    j = slope_class(n, e) % s + 1
                     assert mask.bit_count() <= position_crossing_cap(s, j) <= k
     _done(2, "every slope class meets (s-1)(s-2)/2 and the per-position cap", started, 10.0)
 
@@ -194,7 +193,7 @@ def test_criterion_09_family_oracle_cross_check():
         points = gen_convex_polygon(n, seed=0)
         graph = build_crossing_graph(points)
         found = max_crossing_family(points)
-        naive = naive_max_clique_enum(graph.adjacent, graph.num_vertices)
+        naive = naive_max_clique_enum(lambda i, j: bool(graph.masks[i] >> j & 1), len(graph.masks))
         assert found.proven_maximum
         assert found.size == naive == n // 2
     _done(9, "clique search equals naive enumeration: floor(n/2) on convex sets", started, 30.0)

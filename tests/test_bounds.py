@@ -7,7 +7,6 @@ import pytest
 from oracles import naive_convex_crossings, naive_max_k_plane_convex
 
 from beyondplanar.bounds import (
-    BoundReport,
     count_crossings,
     crossing_lemma_bound,
     edge_bound_general,
@@ -236,9 +235,3 @@ class TestQuasiColorBounds:
             quasi_color_bounds(5, 3, 3)  # 2m > n
         with pytest.raises(ValueError):
             quasi_color_bounds(10, 3, 2)  # k < 3
-
-
-def test_bound_report_line():
-    rep = BoundReport("edges(k=2)", "convex n=5", "10", "10", True)
-    line = rep.line()
-    assert "edges(k=2)" in line and line.rstrip().endswith("ok")

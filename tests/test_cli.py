@@ -158,6 +158,33 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "crossing-lemma" not in out and "kplanar-edge-bound" in out
 
+    def test_bounds_table_layout(self, capsys):
+        assert run("bounds", "--n", "12", "--k", "6") == 0
+        assert capsys.readouterr().out == (
+            "bound                    instance                      formula       observed status\n"
+            "kplanar-edge-bound       n=12 k=6                        72.45              - -\n"
+            "crossing-lemma           n=12 e=66                      164.32            495 ok\n"
+            "edge-peeling             n=12 e=66                         175            495 ok\n"
+            "kplanar-colors           n=12 k=6                       [1, 3]              - ok\n"
+            "one-planar-colors        n=12                           [4, 4]              - ok\n"
+        )
+
+    def test_bounds_huge_k_answers(self, capsys):
+        assert run("bounds", "--n", "10", "--k", str(10**300)) == 0
+        assert "kplanar-colors" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(10, 10**400), (10**400, 5), (10**78 + 1, 1)],
+        ids=["edge-bound", "huge-n", "lemma-fraction"],
+    )
+    def test_bounds_float_overflow_is_2(self, n, k):
+        argv = [sys.executable, "-m", "beyondplanar.cli", "bounds", "--n", str(n), "--k", str(k)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 class TestVerifyDeclaredColors:
     # Empty classes are trivially k-planar and k-quasi-planar, so verify
@@ -257,6 +284,39 @@ class TestDeterminism:
                 rc = run("partition", "halving", "--k", str(k), "--in", "inst.txt")
                 h.update(f"{rc}\n{capsys.readouterr().out}".encode())
         assert h.hexdigest() == "f16311ed181c158080f6ad225cc2393e124b7b9cdb7910fac2571adf03325468"
+
+    def test_bounds_and_verify_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # Digest of exit codes, stdout and stderr as the CLI wrote them when
+        # the bounds rows formatted themselves and verify printed its
+        # summary from three places.
+        monkeypatch.chdir(tmp_path)  # relative paths keep messages fixed
+        h = hashlib.sha256()
+
+        def record(*argv):
+            rc = run(*argv)
+            captured = capsys.readouterr()
+            h.update(f"{rc}\n{captured.out}\n{captured.err}\n".encode())
+
+        for n in range(-1, 41):
+            for k in range(-1, 8):
+                record("bounds", "--n", str(n), "--k", str(k))
+        for n in range(1, 14):
+            # Fewer than 3 points have no convex polygon; any 1 or 2 points
+            # are in convex position.
+            assert run("gen", "convex" if n >= 3 else "random", "--n", str(n), "--out", "inst.txt") == 0
+            capsys.readouterr()
+            one = "".join(f"{e.u} {e.v} 0\n" for e in all_edges(n))
+            (tmp_path / "one.txt").write_text(f"{n} 1\n{one}")
+            colorings = ["one.txt"]
+            for s in range(1, 5):
+                record("partition", "slope", "--s", str(s), "--in", "inst.txt", "--out", f"s{s}.txt")
+                colorings.append(f"s{s}.txt")
+            for col in colorings:
+                for mode in ("kplanar", "quasiplanar"):
+                    for k in range(-1, 5):
+                        record("verify", mode, "--k", str(k), "--in", col)
+                        record("verify", mode, "--k", str(k), "--in", col, "--instance", "inst.txt")
+        assert h.hexdigest() == "7262c0f478f63ee17a00cb687fe8afe90d1a0047dfcdcf7697e2261e90b2f42d"
 
 
 class TestRenderSvg:

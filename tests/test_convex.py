@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from oracles import naive_convex_crossings
+from oracles import naive_block_size, naive_convex_crossings
 
 from beyondplanar.bounds import count_crossings
 from beyondplanar.convex import (
@@ -21,7 +21,6 @@ from beyondplanar.convex import (
     position_crossing_cap,
     slope_class,
     slope_partition,
-    slope_position,
     verify_k_planar,
 )
 from beyondplanar.crossings import crossing_masks
@@ -129,7 +128,7 @@ class TestSlopePartition:
             col = slope_partition(n, s)
             for edges in col.classes().values():
                 for e, mask in zip(edges, crossing_masks(n, edges)):
-                    cap = position_crossing_cap(s, slope_position(n, s, e))
+                    cap = position_crossing_cap(s, slope_class(n, e) % s + 1)
                     assert mask.bit_count() <= cap, (n, s, e)
 
 
@@ -225,6 +224,15 @@ class TestChooseBlockSize:
             assert s * (s - 1) // 2 > k
             assert s * s >= 2 * k
             prev = s
+
+    def test_closed_form_matches_the_counting_loop(self):
+        for k in range(10**4 + 1):
+            assert choose_block_size(k) == naive_block_size(k), k
+
+    def test_huge_k(self):
+        k = 10**300
+        s = choose_block_size(k)
+        assert (s - 1) * (s - 2) // 2 <= k < s * (s - 1) // 2
 
 
 class TestCountConvexCrossings:

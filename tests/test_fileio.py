@@ -1,6 +1,8 @@
 """Instance and coloring file formats: round trips and line-numbered errors."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,3 +214,17 @@ def test_no_unused_top_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_surface_scan_counts_the_package():
+    # Smoke test of benchmarks/surface.py: three counts, the first of them
+    # the package's line count without __init__.py.
+    script = Path(__file__).parent.parent / "benchmarks" / "surface.py"
+    package = Path(beyondplanar.__file__).parent
+    argv = [sys.executable, str(script), str(package)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    counts = {key: int(value) for key, value in (line.split(": ") for line in out.splitlines())}
+    assert list(counts) == ["lines", "parameters", "names"]
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert counts["lines"] == sum(len(p.read_text().splitlines()) for p in paths)
+    assert 0 < counts["names"] < counts["parameters"]
