@@ -104,8 +104,9 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     Hull edges are always included. Diagonal subsets are searched by
     branch and bound with crossing-count propagation, capped by the closed
     formula when k <= 4, one rotation-symmetry case per smallest forced
-    skip, each floored at the best size of the cases before it. The
-    witness is re-verified independently before returning.
+    skip, each floored at the best size of the cases before it. The cases
+    share `budget`; once it is spent no case starts and the result is
+    unproven. The witness is re-verified independently before returning.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got {n}")
@@ -120,13 +121,21 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     proven = True
     total_nodes = 0
     for smallest in range(2, n // 2 + 1):
+        if total_nodes >= budget:
+            proven = False
+            break
         allowed = [e for e in diagonals if _skip(n, e) >= smallest]
         canonical = Edge(0, smallest)
         forced_mask = 1 << allowed.index(canonical)
         conflicts = crossing_masks(n, allowed)
         cap = None if cap_total is None else cap_total - len(hull)
         size, members, case_proven, nodes = _native.max_conflict_bounded_set(
-            conflicts, k, cap=cap, budget=budget, forced_mask=forced_mask, floor_size=best_size - len(hull)
+            conflicts,
+            k,
+            cap=cap,
+            budget=budget - total_nodes,
+            forced_mask=forced_mask,
+            floor_size=best_size - len(hull),
         )
         total_nodes += nodes
         proven = proven and case_proven
@@ -169,11 +178,7 @@ def kplanar_color_bounds(n: int, k: int) -> tuple[int, int]:
     if k < 1:
         raise ValueError(f"k >= 1 required, got {k}")
     rhs = 10 * (n - 1) ** 2
-    t = max(1, math.isqrt(rhs // (243 * k)))
-    while 243 * k * t * t < rhs:
-        t += 1
-    while t > 1 and 243 * k * (t - 1) * (t - 1) >= rhs:
-        t -= 1
+    t = max(1, math.isqrt(-(-rhs // (243 * k)) - 1) + 1)  # ceil(sqrt(ceil(rhs / 243k)))
     upper = -(-n // choose_block_size(k))
     return t, upper
 

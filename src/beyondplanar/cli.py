@@ -13,13 +13,11 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .coloring import Coloring
 from .convex import slope_partition, verify_k_planar
 from .fileio import Instance, ParseError, parse_coloring, parse_instance, write_coloring, write_instance
 from .geometry import (
     GenerationError,
     PointSet,
-    all_edges,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
@@ -90,16 +88,7 @@ def _cmd_partition(args) -> int:
     if args.mode == "slope":
         if args.s is None:
             raise CommandError("partition slope requires --s")
-        order = validate_pointset(points)
-        if order is None:
-            raise CommandError("slope partition requires points in convex position")
-        pos = {orig: p for p, orig in enumerate(order)}
-        base = slope_partition(points.n, args.s)
-        coloring = Coloring(
-            points.n,
-            base.num_colors,
-            {e: base.get(pos[e.u], pos[e.v]) for e in all_edges(points.n)},
-        )
+        coloring = slope_partition(points, args.s)
     elif args.mode == "doublestar":
         coloring = double_star_partition(points)
     elif args.mode == "halving":
@@ -107,6 +96,9 @@ def _cmd_partition(args) -> int:
             raise CommandError("partition halving requires --k")
         if instance.family is None:
             raise CommandError("partition halving requires an instance with a family section")
+        m = len(instance.family)
+        if args.k >= 3 and 2 * m != points.n:  # the k check in halving_line_partition comes first
+            raise CommandError(f"family of size {m} cannot be perfect on {points.n} points")
         coloring = halving_line_partition(points, instance.family, args.k)
     else:  # family
         if args.k is None:
@@ -165,9 +157,12 @@ def _cmd_verify(args) -> int:
 
 
 def _fraction_str(value: Fraction | float) -> str:
-    if isinstance(value, Fraction):
-        return f"{float(value):.2f}" if value.denominator != 1 else str(value.numerator)
-    return f"{value:.2f}"
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    if value.denominator == 1:
+        return str(value.numerator)
+    cents = round(value * 100)  # exact, half to even; every rational row is positive
+    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def _cmd_bounds(args) -> int:

@@ -1,9 +1,10 @@
 """Edge colorings of complete geometric graphs.
 
 A coloring assigns every edge of K_n to exactly one color class. Classes
-are dense integers 0..num_colors-1; partition constructors keep them all
-nonempty, but the container itself only requires assigned colors to be in
-range, so a class may be empty (a parsed file may declare any count).
+are dense integers 0..num_colors-1; partition constructors keep them
+nonempty (`halving_line_partition` names its one exception), but the
+container itself only requires assigned colors to be in range, so a class
+may be empty (a parsed file may declare any count).
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class Coloring:
         self.n = n
         self.num_colors = num_colors
         self._assignment = amap
-
-    def get(self, u: int, v: int) -> int:
-        return self._assignment[Edge.of(u, v)]
 
     def classes(self) -> dict[int, list[Edge]]:
         """Edge lists of the colors in use, in color order, each sorted lexicographically.

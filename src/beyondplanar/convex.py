@@ -5,7 +5,8 @@ crossing structure depends only on the cyclic vertex order, so edges are
 plain index pairs on a virtual regular n-gon and no coordinates appear.
 Two chords {i, j} and {k, l} of the regular n-gon are parallel exactly when
 i + j and k + l agree mod n, which makes (i + j) mod n a slope label.
-`verify_k_planar` also takes a PointSet, so one verifier serves both.
+`slope_partition` and `verify_k_planar` also take a PointSet in convex
+position, so one construction and one verifier serve both.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 
 from .coloring import Coloring
 from .crossings import canonical_edge, canonical_edges, crossing_masks
-from .geometry import Edge, PointSet, all_edges
+from .geometry import Edge, PointSet, all_edges, validate_pointset
 
 
 def slope_class(n: int, e: Edge) -> int:
@@ -39,20 +40,30 @@ def convex_edges_cross(n: int, e: Edge, f: Edge) -> bool:
     return (e.u < f.u < e.v) != (e.u < f.v < e.v)
 
 
-def slope_partition(n: int, s: int) -> Coloring:
+def slope_partition(instance: PointSet | int, s: int) -> Coloring:
     """Color every edge of convex K_n by its slope interval of width s.
 
-    Slopes 0..n-1 are grouped into ceil(n/s) consecutive intervals starting
-    at 0 (the last may be short); edge color = slope // s. Every class is
-    (s-1)(s-2)/2-planar.
+    The instance is a PointSet in convex position, or an int n for convex
+    position in index order. Slopes are taken on the clockwise order:
+    with p(v) the position of vertex v in it, edge uv has slope
+    (p(u) + p(v)) mod n. Slopes 0..n-1 are grouped into ceil(n/s)
+    consecutive intervals starting at 0 (the last may be short); edge
+    color = slope // s. Every class is (s-1)(s-2)/2-planar.
     """
-    if n < 3:
-        raise ValueError(f"n >= 3 required, got {n}")
+    if isinstance(instance, PointSet):
+        order = validate_pointset(instance)
+        if order is None:
+            raise ValueError("slope partition requires points in convex position")
+    elif instance < 3:
+        raise ValueError(f"n >= 3 required, got {instance}")
+    else:
+        order = range(instance)
     if s < 1:
         raise ValueError(f"s >= 1 required, got {s}")
-    num_colors = -(-n // s)
-    assignment = {e: ((e.u + e.v) % n) // s for e in all_edges(n)}
-    return Coloring(n, num_colors, assignment)
+    n = len(order)
+    pos = {v: p for p, v in enumerate(order)}
+    assignment = {e: ((pos[e.u] + pos[e.v]) % n) // s for e in all_edges(n)}
+    return Coloring(n, -(-n // s), assignment)
 
 
 def position_crossing_cap(s: int, j: int) -> int:

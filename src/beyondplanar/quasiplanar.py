@@ -1,16 +1,14 @@
 """Crossing graphs, crossing families, and k-quasi-planar partitions.
 
-Three constructions on point sets in general position:
+Two constructions on point sets in general position:
 
 * a decomposition of K(P), |P| = 2n, into n spanning double stars, each of
   which is 3-quasi-planar (two edges of a star share an endpoint, so any
   pairwise-crossing set picks at most one edge per star center);
-* a partition of K(P) into ceil(n/(k-1)) k-quasi-planar classes when P
-  carries a perfect crossing family of n pairwise crossing edges, built
-  from the family's halving lines;
-* a partition of an arbitrary K(P) guided by an exact maximum crossing
-  family of size m, using ceil(m/(k-1)) halving classes on the family's
-  endpoints plus one class per group of at most k-1 leftover points.
+* a partition of K(P) around any crossing family of m pairwise crossing
+  edges into ceil(m/(k-1)) halving classes on the family's endpoints
+  plus one class per group of at most k-1 other points, k-quasi-planar
+  each; with an exact maximum family it is the family partition.
 
 All verifiers are independent of the constructions: they recheck crossing
 properties with the exact segment predicate.
@@ -24,7 +22,7 @@ from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import _crossing_pass, canonical_edges, crossing_masks
+from .crossings import _crossing_pass, canonical_edge, canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -61,9 +59,6 @@ class CrossingFamily:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
 
 
 def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> CrossingFamily:
@@ -193,13 +188,14 @@ def double_star_partition(points: PointSet) -> Coloring:
 
 @dataclass(frozen=True)
 class HalvingLine:
-    """A family edge's supporting line with the point set split around it.
+    """A family edge's supporting line with the family's endpoints split around it.
 
     The direction is normalized to the upper half plane (angle in [0, pi)).
     The forward endpoint (larger projection on the direction) counts as
-    left of the line, the rear endpoint as right; all other points lie
-    strictly on one side. Both sides then have exactly n of the 2n points,
-    and the right side is the complement of `left`.
+    left of the line, the rear endpoint as right; every other endpoint
+    lies strictly on one side. Both sides then hold exactly m of the 2m
+    endpoints of an m-edge family, and the right side is the endpoints
+    outside `left`.
     """
 
     edge: Edge
@@ -208,21 +204,17 @@ class HalvingLine:
 
 
 def halving_line_system(points: PointSet, family) -> tuple[HalvingLine, ...]:
-    """Halving lines of a perfect crossing family, sorted by direction angle.
+    """Halving lines of a crossing family, sorted by direction angle.
 
-    The family must cover every point exactly once and cross pairwise;
-    each supporting line then has exactly n-1 other family edges with one
-    endpoint per side, so the sides split the 2n points evenly.
+    The family's edges must cross pairwise, which also makes them a
+    matching. Each supporting line then has the other m-1 family edges
+    crossing it, one endpoint per side, so it halves the 2m endpoints.
+    Points outside the family are not counted on either side.
     """
-    edges = tuple(Edge.of(e[0], e[1]) for e in family)
-    n = len(edges)
-    if points.n != 2 * n:
-        raise ValueError(f"family of size {n} cannot be perfect on {points.n} points")
-    covered = sorted(v for e in edges for v in e)
-    if covered != list(range(points.n)):
-        raise ValueError("family does not cover every point exactly once")
+    edges = tuple(canonical_edge(points.n, e) for e in family)
     if not check_pairwise_crossing(points, edges):
         raise ValueError("family edges do not pairwise cross")
+    ends = {v for e in edges for v in e}
 
     lines = []
     for e in edges:
@@ -232,12 +224,12 @@ def halving_line_system(points: PointSet, family) -> tuple[HalvingLine, ...]:
             d = (-d[0], -d[1])
             fwd, rear = e.u, e.v
         left = {fwd}
-        for w in range(points.n):
+        for w in ends:
             # Never 0 off the edge: a PointSet has no collinear triple.
             if w not in e and orientation(points[rear], points[fwd], points[w]) > 0:
                 left.add(w)
-        if len(left) != n:
-            raise AssertionError(f"line of {tuple(e)} does not halve the point set")
+        if len(left) != len(edges):
+            raise AssertionError(f"line of {tuple(e)} does not halve the family's endpoints")
         lines.append(HalvingLine(e, d, frozenset(left)))
 
     # Two crossing segments are never parallel, so cross products give a
@@ -250,38 +242,50 @@ def halving_line_system(points: PointSet, family) -> tuple[HalvingLine, ...]:
 
 
 def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
-    """Partition K(P) into ceil(n/(k-1)) k-quasi-planar classes.
+    """Partition K(P) into ceil(m/(k-1)) + ceil((n-2m)/(k-1)) k-quasi-planar classes.
 
+    The family has m pairwise crossing edges; X is its 2m endpoints.
     Consecutive halving lines are grouped k-1 at a time. Group l covers
     the complete graph on its 2(k-1) endpoints X_l plus the two complete
-    bipartite graphs joining X_l to the rest of P on each side of the
-    group's first line. Every edge is covered by some group; assigning
-    each edge to its first covering group turns coverage into a partition,
-    and subsets of k-quasi-planar edge sets stay k-quasi-planar.
+    bipartite graphs joining X_l to the rest of X on each side of the
+    group's first line. Every edge of K(X) is covered by some group;
+    assigning each edge to its first covering group turns coverage into a
+    partition, and subsets of k-quasi-planar edge sets stay
+    k-quasi-planar.
 
     Every edge a group covers has an endpoint in X_l, and the X_l
-    partition P, so only the groups a <= b of an edge's two endpoints can
+    partition X, so only the groups a <= b of an edge's two endpoints can
     cover it. The first covering group is therefore a when a == b or both
     endpoints lie on one side of group a's first line, and otherwise b,
     which then needs both endpoints on one side of its own first line.
+
+    The points outside X follow in index order, k-1 to a star group, each
+    group with the next color. An edge with an endpoint there takes the
+    first star group of its endpoints: a union of at most k-1 stars has
+    no k pairwise crossing edges. Every class is nonempty, except the
+    last when m = 0 and its group is a single point.
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
     lines = halving_line_system(points, family)
     c = -(-len(lines) // (k - 1))
     group_of = {v: i // (k - 1) for i, ln in enumerate(lines) for v in ln.edge}
-    left = [lines[l * (k - 1)].left for l in range(c)]  # each group's first line
+    rest = [v for v in range(points.n) if v not in group_of]
+    group_of.update({v: c + i // (k - 1) for i, v in enumerate(rest)})
+    left = [lines[l * (k - 1)].left for l in range(c)]  # each halving group's first line
 
     assignment: dict[Edge, int] = {}
     for e in all_edges(points.n):
         a, b = sorted((group_of[e.u], group_of[e.v]))
-        if a == b or (e.u in left[a]) == (e.v in left[a]):
+        if b >= c:  # a star group: the first one among the endpoints
+            assignment[e] = a if a >= c else b
+        elif a == b or (e.u in left[a]) == (e.v in left[a]):
             assignment[e] = a
         elif (e.u in left[b]) == (e.v in left[b]):
             assignment[e] = b
         else:
             raise AssertionError(f"halving groups leave edge {tuple(e)} uncovered")
-    return Coloring(points.n, c, assignment)
+    return Coloring(points.n, c + -(-len(rest) // (k - 1)), assignment)
 
 
 def crossing_family_partition(
@@ -290,13 +294,9 @@ def crossing_family_partition(
     """Partition K(P) into k-quasi-planar classes guided by a maximum family.
 
     With m the exact maximum crossing family size: if m < k one color
-    suffices outright. Otherwise the family's 2m endpoints P' get
-    ceil(m/(k-1)) halving classes, and the remaining points are split into
-    groups of at most k-1; each remaining edge is colored by the first
-    group that contains one of its endpoints (a union of at most k-1 stars
-    has no k pairwise crossing edges). Total colors:
-    ceil(m/(k-1)) + ceil((|P|-2m)/(k-1)). The proven family comes back
-    with the coloring.
+    suffices outright. Otherwise `halving_line_partition` on the family
+    gives ceil(m/(k-1)) + ceil((|P|-2m)/(k-1)) colors. The proven family
+    comes back with the coloring.
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
@@ -308,26 +308,4 @@ def crossing_family_partition(
         )
     if family.size < k:
         return Coloring(points.n, 1, {e: 0 for e in all_edges(points.n)}), family
-
-    prime = sorted(family.vertices())
-    sub_index = {orig: i for i, orig in enumerate(prime)}
-    sub_points = PointSet([points[i] for i in prime])
-    sub_family = [Edge.of(sub_index[e.u], sub_index[e.v]) for e in family.edges]
-    sub_coloring = halving_line_partition(sub_points, sub_family, k)
-    c1 = sub_coloring.num_colors
-
-    rest = [i for i in range(points.n) if i not in sub_index]
-    group_of = {v: i // (k - 1) for i, v in enumerate(rest)}  # k-1 leftover points per group
-
-    assignment: dict[Edge, int] = {}
-    for e in all_edges(points.n):
-        gu, gv = group_of.get(e.u), group_of.get(e.v)
-        if gu is None and gv is None:
-            assignment[e] = sub_coloring.get(sub_index[e.u], sub_index[e.v])
-        elif gu is None:
-            assignment[e] = c1 + gv
-        elif gv is None:
-            assignment[e] = c1 + gu
-        else:
-            assignment[e] = c1 + min(gu, gv)
-    return Coloring(points.n, c1 + -(-len(rest) // (k - 1)), assignment), family
+    return halving_line_partition(points, family.edges, k), family

@@ -155,28 +155,40 @@ def naive_edge_depths(points):
 
 
 def naive_halving_cover(points, family, k):
-    """For every edge of K(P), the halving groups that cover it, in order.
+    """For every edge of K(P), the groups that cover it, in order.
 
-    Consecutive halving lines form groups of k-1. Group l covers an edge
-    with both endpoints among its lines' endpoints X_l, or with one there
-    and both on one side of the group's first line. Every group is
-    checked against every edge. Only the halving lines themselves come
-    from the package.
+    Consecutive halving lines form groups of k-1. Halving group l covers
+    an edge of the family's endpoints X with both endpoints among its
+    lines' endpoints X_l, or with one there and both on one side of the
+    group's first line. The points outside X follow, in index order, in
+    star groups of k-1; each covers the edges with an endpoint in it.
+    Every group is checked against every edge. Only the halving lines
+    themselves come from the package.
     """
     from beyondplanar.geometry import all_edges
     from beyondplanar.quasiplanar import halving_line_system
 
     lines = halving_line_system(points, family)
-    groups = [lines[a : a + k - 1] for a in range(0, len(lines), k - 1)]
+    ends = {v for ln in lines for v in ln.edge}
+    rest = [v for v in range(points.n) if v not in ends]
     cover = {e: [] for e in all_edges(points.n)}
-    for l, group in enumerate(groups):
+    for l, a in enumerate(range(0, len(lines), k - 1)):
+        group = lines[a : a + k - 1]
         members = {v for ln in group for v in ln.edge}
         first = group[0]
         for e, covering in cover.items():
+            if e.u not in ends or e.v not in ends:
+                continue
             inside = (e.u in members) + (e.v in members)
             same_side = (e.u in first.left) == (e.v in first.left)
             if inside == 2 or (inside == 1 and same_side):
                 covering.append(l)
+    halving_groups = -(-len(lines) // (k - 1))
+    for g, a in enumerate(range(0, len(rest), k - 1)):
+        star = set(rest[a : a + k - 1])
+        for e, covering in cover.items():
+            if e.u in star or e.v in star:
+                covering.append(halving_groups + g)
     return cover
 
 
@@ -184,7 +196,8 @@ def naive_halving_partition(points, family, k):
     """Halving-line partition: each edge goes to the first group that covers it."""
     from beyondplanar.coloring import Coloring
 
-    num_groups = -(-(points.n // 2) // (k - 1))
+    m = len(family)
+    num_groups = -(-m // (k - 1)) + -(-(points.n - 2 * m) // (k - 1))
     cover = naive_halving_cover(points, family, k)
     return Coloring(points.n, num_groups, {e: covering[0] for e, covering in cover.items()})
 
@@ -222,3 +235,16 @@ def naive_block_size(k):
     while s * (s - 1) // 2 <= k:  # (s'-1)(s'-2)/2 for s' = s+1
         s += 1
     return s
+
+
+def naive_color_lower(n, k):
+    """Least t >= 1 with 243 k t^2 >= 10 (n-1)^2, stepped to from isqrt one at a time."""
+    import math
+
+    rhs = 10 * (n - 1) ** 2
+    t = max(1, math.isqrt(rhs // (243 * k)))
+    while 243 * k * t * t < rhs:
+        t += 1
+    while t > 1 and 243 * k * (t - 1) * (t - 1) >= rhs:
+        t -= 1
+    return t

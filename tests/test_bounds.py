@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import naive_convex_crossings, naive_max_k_plane_convex
+from oracles import naive_color_lower, naive_convex_crossings, naive_max_k_plane_convex
 
 from beyondplanar.bounds import (
     count_crossings,
@@ -171,6 +171,15 @@ class TestMaxKPlaneSubgraph:
         r = max_k_plane_subgraph(11, 2)
         assert r.proven and r.size == 28 and r.nodes <= 11_810
 
+    @pytest.mark.parametrize("n, k", [(10, 2), (12, 1)])
+    def test_cases_share_the_budget(self, n, k):
+        full = max_k_plane_subgraph(n, k)
+        for budget in [0, 1, 2, 3, 5, 10, 50, 100, 500, 1000, full.nodes, full.nodes + 1]:
+            r = max_k_plane_subgraph(n, k, budget=budget)
+            assert r.nodes <= budget, budget
+            assert r.proven == (budget > full.nodes), budget
+            assert verify_k_planar(n, r.edges, k) and r.size <= full.size
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             max_k_plane_subgraph(2, 0)
@@ -208,6 +217,11 @@ class TestKPlanarColorBounds:
                 rhs = 10 * (n - 1) ** 2
                 assert 243 * k * lower**2 >= rhs
                 assert lower == 1 or 243 * k * (lower - 1) ** 2 < rhs
+
+    def test_closed_form_matches_the_stepping_loop(self):
+        for n in range(3, 400):
+            for k in range(1, 60):
+                assert kplanar_color_bounds(n, k)[0] == naive_color_lower(n, k), (n, k)
 
     def test_lower_at_most_upper(self):
         for n in range(3, 60):

@@ -8,7 +8,7 @@ import pytest
 
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
-from beyondplanar.fileio import parse_coloring, parse_instance, write_coloring
+from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon
 from beyondplanar.svg import PALETTE, render_svg
 
@@ -173,17 +173,32 @@ class TestExitCodes:
         assert run("bounds", "--n", "10", "--k", str(10**300)) == 0
         assert "kplanar-colors" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "n, k",
-        [(10, 10**400), (10**400, 5), (10**78 + 1, 1)],
-        ids=["edge-bound", "huge-n", "lemma-fraction"],
-    )
+    @pytest.mark.parametrize("n, k", [(10, 10**400), (10**400, 5)], ids=["edge-bound", "huge-n"])
     def test_bounds_float_overflow_is_2(self, n, k):
         argv = [sys.executable, "-m", "beyondplanar.cli", "bounds", "--n", str(n), "--k", str(k)]
         proc = subprocess.run(argv, capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_bounds_rational_rows_are_exact(self, capsys):
+        # 773094264309.4650... is the exact crossing-lemma value; through
+        # a float it printed .46, and past n of about 10^77 it overflowed.
+        assert run("bounds", "--n", "2945", "--k", "1") == 0
+        assert "crossing-lemma           n=2945 e=4335040       773094264309.47" in capsys.readouterr().out
+        assert run("bounds", "--n", str(10**78 + 1), "--k", "1") == 0
+        assert "crossing-lemma" in capsys.readouterr().out
+
+    def test_halving_needs_a_perfect_family(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        assert run("gen", "crossing-family", "--n", "4", "--out", str(inst)) == 0
+        capsys.readouterr()
+        full = parse_instance(inst.read_text())
+        inst.write_text(write_instance(Instance(full.points, full.family[:3])))
+        assert run("partition", "halving", "--k", "3", "--in", str(inst)) == 2
+        assert capsys.readouterr().err == "error: family of size 3 cannot be perfect on 8 points\n"
+        assert run("partition", "halving", "--k", "2", "--in", str(inst)) == 2
+        assert capsys.readouterr().err == "error: k >= 3 required, got 2\n"
 
 
 class TestVerifyDeclaredColors:

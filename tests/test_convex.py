@@ -7,6 +7,7 @@ affine-regular hexagon (affine maps preserve parallelism, and n = 6 admits
 an exact integer affine-regular realization).
 """
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -24,7 +25,15 @@ from beyondplanar.convex import (
     verify_k_planar,
 )
 from beyondplanar.crossings import crossing_masks
-from beyondplanar.geometry import Edge, Point, all_edges, gen_convex_polygon, segments_cross
+from beyondplanar.geometry import (
+    Edge,
+    Point,
+    PointSet,
+    all_edges,
+    gen_convex_polygon,
+    gen_random_pointset,
+    segments_cross,
+)
 
 AFFINE_REGULAR_HEXAGON = [Point(2, 0), Point(1, 1), Point(-1, 1), Point(-2, 0), Point(-1, -1), Point(1, -1)]
 
@@ -121,6 +130,23 @@ class TestSlopePartition:
             for edges in slope_partition(n, s).classes().values():
                 res = verify_k_planar(n, edges, k)
                 assert res, (n, s, res.witness, res.crossings)
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_point_set_in_any_index_order(self, n):
+        # The index-order partition moved onto the clockwise order, which
+        # starts at point 0; a point set off convex position is refused.
+        polygon = gen_convex_polygon(n, seed=n)
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        points = PointSet([polygon[i] for i in perm])  # point j is polygon vertex perm[j]
+        pos = [(perm[j] - perm[0]) % n for j in range(n)]  # clockwise position of point j
+        base = dict(slope_partition(n, 3).items())
+        col = slope_partition(points, 3)
+        assert col.num_colors == -(-n // 3)
+        assert dict(col.items()) == {e: base[Edge.of(pos[e.u], pos[e.v])] for e in all_edges(n)}
+        assert all(verify_k_planar(points, edges, 1) for edges in col.classes().values())
+        with pytest.raises(ValueError, match="convex position"):
+            slope_partition(gen_random_pointset(12, 1), 3)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_position_refinement_bound(self, n):

@@ -196,7 +196,8 @@ class TestCliBoundary:
         k = data.draw(st.integers(min_value=2, max_value=4), label="k")
         s = data.draw(st.integers(min_value=1, max_value=4), label="s")
         with tempfile.TemporaryDirectory() as tmp:
-            inst, col, svg = (os.path.join(tmp, name) for name in ("inst.txt", "col.txt", "fig.svg"))
+            names = ("inst.txt", "col.txt", "fig.svg", "part.txt")
+            inst, col, svg, part = (os.path.join(tmp, name) for name in names)
             with open(inst, "w") as fh:
                 fh.write(inst_text)
             with open(col, "w") as fh:
@@ -209,6 +210,7 @@ class TestCliBoundary:
             commands += [
                 ["render", "--in", inst, "--coloring", col, "--out", svg],
                 ["partition", "family", "--in", inst, "--k", str(k)],
+                ["partition", "halving", "--in", inst, "--k", str(k)],
                 ["partition", "doublestar", "--in", inst],
                 ["partition", "slope", "--in", inst, "--s", str(s)],
             ]
@@ -219,6 +221,19 @@ class TestCliBoundary:
                 assert rc in (0, 1, 2), argv
                 if rc == 1 and argv[0] == "verify":
                     self._recheck(out.getvalue(), inst_text, col_text, "--instance" in argv)
+            # A partition that succeeds meets the k its construction guarantees.
+            guarantees = [
+                (["family", "--k", str(k)], "quasiplanar", k),
+                (["halving", "--k", str(k)], "quasiplanar", k),
+                (["doublestar"], "quasiplanar", 3),
+                (["slope", "--s", str(s)], "kplanar", (s - 1) * (s - 2) // 2),
+            ]
+            for flags, mode, guaranteed_k in guarantees:
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    if cli_dispatch(["partition", *flags, "--in", inst, "--out", part]) == 0:
+                        argv = ["verify", mode, "--in", part, "--k", str(guaranteed_k), "--instance", inst]
+                        assert cli_dispatch(argv) == 0, (flags, out.getvalue())
 
     @staticmethod
     def _recheck(line, inst_text, col_text, with_instance):

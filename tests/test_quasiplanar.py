@@ -256,10 +256,15 @@ class TestHalvingLineSystem:
             dx, dy = ln.direction
             assert dy > 0 or (dy == 0 and dx > 0)
 
-    def test_rejects_imperfect_family(self):
-        ps, fam = gen_perfect_crossing_family_pointset(3, 0)
-        with pytest.raises(ValueError):
-            halving_line_system(ps, fam[:2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partial_family_halves_its_own_endpoints(self, seed):
+        ps = gen_random_pointset(14, seed)
+        fam = max_crossing_family(ps).edges
+        for part in (fam[:1], fam[:3], fam[1:]):
+            ends = {v for e in part for v in e}
+            for line in halving_line_system(ps, part):
+                assert len(line.left) == len(part) and line.left <= ends
+                assert len(line.left & set(line.edge)) == 1
 
     def test_rejects_non_crossing_family(self):
         ps = gen_convex_polygon(4, 0)
@@ -301,6 +306,27 @@ class TestHalvingLinePartition:
                 cover = naive_halving_cover(ps, fam, k)
                 assert all(len(covering) == 1 for covering in cover.values()), (seed, k)
                 assert halving_line_partition(ps, fam, k) == naive_halving_partition(ps, fam, k), (seed, k)
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_partial_families_match_star_group_oracle(self, n):
+        # Every prefix and suffix of a maximum family of a random set: the
+        # formula's color count, the first covering group of the oracle,
+        # and classes with no k pairwise crossing edges.
+        for seed in range(2):
+            ps = gen_random_pointset(n, seed)
+            fam = max_crossing_family(ps).edges
+            m0 = len(fam)
+            for part in {fam[:j] for j in range(m0 + 1)} | {fam[j:] for j in range(m0)}:
+                m = len(part)
+                for k in range(3, max(m, 2) + 2):
+                    col = halving_line_partition(ps, part, k)
+                    assert col.num_colors == -(-m // (k - 1)) + -(-(n - 2 * m) // (k - 1)), (seed, part, k)
+                    assert col == naive_halving_partition(ps, part, k), (seed, part, k)
+                    # With no family edge, a last star group of one point
+                    # sends every edge to an earlier group.
+                    assert len(col.classes()) == col.num_colors or m == 0 == (n - 1) % (k - 1)
+                    for edges in col.classes().values():
+                        assert is_k_quasi_planar(ps, edges, k).ok, (seed, part, k)
 
     def test_fewer_colors_on_family_edges_force_k_crossing(self):
         # Pigeonhole floor: crammed into fewer classes, some class holds at
@@ -362,7 +388,8 @@ class TestCrossingFamilyPartition:
         col, family = crossing_family_partition(ps, 3)
         if family.size >= 3:
             c1 = -(-family.size // 2)
-            rest = [i for i in range(ps.n) if i not in family.vertices()]
+            ends = {v for e in family.edges for v in e}
+            rest = [i for i in range(ps.n) if i not in ends]
             groups = [rest[a : a + 2] for a in range(0, len(rest), 2)]
             for g, grp in enumerate(groups):
                 for e in col.classes()[c1 + g]:
@@ -389,5 +416,5 @@ class TestVerifiers:
 
 def test_crossing_family_dataclass():
     fam = CrossingFamily((Edge(0, 2), Edge(1, 3)))
-    assert fam.size == 2 and fam.vertices() == {0, 1, 2, 3}
+    assert fam.size == 2
     assert not fam.proven_maximum
