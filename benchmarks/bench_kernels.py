@@ -8,9 +8,11 @@ node counts; the table reports wall times and speedups. The compiled
 kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
 A second table times the crossing layer, `crossing_masks` on the complete
-graph of random n = 24, 32 and 40 points (the benchmark's sizes). It has
-no compiled twin. Each row checks its crossing count against a count made
-pair by pair with `segments_cross` outside the timing.
+graph of random n = 24, 32 and 40 points (the benchmark's sizes) and of
+n = 24, 32 and 40 points in convex index order. It has no compiled twin.
+Each random row checks its crossing count against a count made pair by
+pair with `segments_cross` outside the timing, each convex row against
+C(n, 4).
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the search nodes summed over its
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _skip, max_k_plane_subgraph
@@ -130,6 +133,13 @@ def main() -> None:
         if got != want:
             raise SystemExit(f"crossing_masks counts {got} crossings on random n={n}, segments_cross {want}")
         print(f"{f'crossing masks random n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+    for n in (24, 32, 40):
+        edges = all_edges(n)
+        masks, t = run_one(crossing_masks, (n, edges), {}, args.repeat)
+        got = sum(m.bit_count() for m in masks) // 2
+        if got != comb(n, 4):
+            raise SystemExit(f"crossing_masks counts {got} crossings on convex n={n}, C(n, 4) = {comb(n, 4)}")
+        print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
 
     print()
     header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"

@@ -38,7 +38,12 @@ def check_conflicts(conflicts: list[int]) -> None:
 
 
 def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
-    """Adjacency masks of the subgraph on the vertices `keep`, vertex keep[j] relabelled j."""
+    """Adjacency masks of the subgraph on the vertices `keep`, vertex keep[j] relabelled j.
+
+    When `keep` is every vertex in order, the rows come back as given.
+    """
+    if keep == list(range(len(masks))):
+        return list(masks)
     if not keep:
         return []
     n, width = len(masks), f"0{len(masks)}b"
@@ -53,7 +58,7 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
 
     Returns (order, radj): vertex order[i] of the input is vertex i of the
     relabelled graph radj. Greedy coloring is tighter when dense vertices
-    are colored first.
+    are colored first. Rows already in that order come back as given.
     """
     _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
     order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))

@@ -9,6 +9,7 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -173,14 +174,18 @@ def _cmd_bounds(args) -> int:
         raise CommandError(f"--k must be nonnegative, got {k}")
     e = n * (n - 1) // 2
     observed = bounds_mod.count_crossings(n)
+    try:
+        shown = str(observed)  # C(n, 4), the largest number a row prints
+    except ValueError:  # more digits than the interpreter converts to text
+        raise CommandError("--n is too large to print its rows") from None
     edge_bound = bounds_mod.edge_bound_small_k if k <= 4 else bounds_mod.edge_bound_general
     # (bound, instance, formula, observed, holds); holds is None when nothing is checked.
     rows = [("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(edge_bound(n, k)), "-", None)]
     if 2 * e >= 9 * n:
         lemma = bounds_mod.crossing_lemma_bound(n, e)
-        rows.append(("crossing-lemma", f"n={n} e={e}", _fraction_str(lemma), str(observed), observed >= lemma))
+        rows.append(("crossing-lemma", f"n={n} e={e}", _fraction_str(lemma), shown, observed >= lemma))
     peel = bounds_mod.peeling_bound(n, e)
-    rows.append(("edge-peeling", f"n={n} e={e}", str(peel), str(observed), observed >= peel))
+    rows.append(("edge-peeling", f"n={n} e={e}", str(peel), shown, observed >= peel))
     if k >= 1:
         lower, upper = bounds_mod.kplanar_color_bounds(n, k)
         rows.append(("kplanar-colors", f"n={n} k={k}", f"[{lower}, {upper}]", "-", lower <= upper))
@@ -209,6 +214,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondplanar",

@@ -4,17 +4,22 @@ An instance is a PointSet or an int n for n points in convex position in
 index order. Every crossing graph, and every crossing count that is not
 the closed form C(n, 4) of convex K_n, comes from `crossing_masks`.
 
-It never tests a pair of edges. It uses side masks, the order-type view
-of Goodman and Pollack: for each edge ab and each point w that the edge
-list touches, one exact integer sign, det(b - a, w - a) on a PointSet and
-(w - a)(b - w) in convex position (positive iff w lies strictly between a
-and b). Whole rows of bitmasks then give the edges whose ends ab
-separates and the edges each point lies left of. Two edges properly cross
-iff each one's line separates the other's ends; an edge that shares an
-endpoint with ab has that end on its line and drops out. General position
-makes every other sign nonzero. The same signs give each edge's depth,
-the fewer points on either side of its line; only `build_crossing_graph`
-asks for depths, so no other caller pays for counting them.
+It never tests a pair of edges. It uses side strings, the order-type
+view of Goodman and Pollack: for each edge ab, one bit per point w that
+the edge list touches, set iff w lies strictly left of ab. The bit is the
+sign of the exact integer det(b - a, w - a) on a PointSet, and a < w < b
+in convex position. With inc[w] the mask of the edges ending at w, the
+XOR of inc[w] over the points left of ab keeps exactly the edges with one
+end on each side of ab's line, once the edges at a and b are masked out:
+an edge with both ends on the left cancels. On a PointSet that XOR is one
+table lookup per byte of the side string; in convex position the left
+side is a range of the index order, so it is one difference of prefix
+XORs. The side strings, transposed, give the edges each point lies left
+of. Two edges properly cross iff each one's line separates the other's
+ends; an edge that shares an endpoint with ab has that end on its line
+and drops out. General position makes every other sign nonzero. Each
+side string's popcount gives its edge's depth, the fewer points on
+either side of its line.
 `segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
 `check_pairwise_crossing` decide one pair at a time and stay independent
 of this layer, so they can re-check it.
@@ -22,6 +27,7 @@ of this layer, so they can re-check it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .geometry import Edge, PointSet
@@ -63,27 +69,79 @@ def _crossing_pass(
         for w in e:
             inc[w] = inc.get(w, 0) | 1 << i
     used = sorted(inc)
+    # split[i]: mask of the edges whose ends lie on both sides of edge i;
+    # left_of[w]: mask of the edges point w lies left of; on_left[i]: how
+    # many used points lie left of edge i.
     if isinstance(instance, PointSet):
-        xy = [(p.x, p.y) for p in instance.points]
-        used_xy = [xy[w] for w in used]
-    left_of = dict.fromkeys(used, 0)  # point -> mask of the edges it lies left of
-    split = []  # split[i] = mask of the edges whose ends lie on both sides of edge i
-    for i, (a, b) in enumerate(edges):
-        if isinstance(instance, PointSet):
-            (ax, ay), (bx, by) = xy[a], xy[b]
-            dx, dy = bx - ax, by - ay
-            sides = [dx * (y - ay) - dy * (x - ax) for x, y in used_xy]
-        else:
-            sides = [(w - a) * (b - w) for w in used]
-        bit, left, right = 1 << i, 0, 0
-        for w, s in zip(used, sides):
-            if s > 0:
-                left |= inc[w]
-                left_of[w] |= bit
-            elif s < 0:
-                right |= inc[w]
-        split.append(left & right)
-        if depths is not None:
-            on_left = len([s for s in sides if s > 0])
-            depths.append(min(on_left, len(used) - 2 - on_left))
+        split, left_of, on_left = _point_set_sides(instance, edges, used, inc)
+    else:
+        split, left_of, on_left = _convex_sides(edges, used, inc)
+    if depths is not None:
+        depths.extend(min(c, len(used) - 2 - c) for c in on_left)
     return [row & (left_of[a] ^ left_of[b]) for row, (a, b) in zip(split, edges)]
+
+
+def _point_set_sides(
+    points: PointSet, edges: Sequence[Edge], used: list[int], inc: dict[int, int]
+) -> tuple[list[int], dict[int, int], list[int]]:
+    """(split, left_of, on_left) from one side string per edge.
+
+    Character j of edge i's string is "1" iff used[-1 - j] lies strictly
+    left of it, so bit j of the string read as an int is used[j]. XOR
+    tables over 8 used points at a time turn that int into the XOR of
+    `inc` over the points on the left, one lookup per byte. The columns
+    of the strings, read over the edges in reverse, are `left_of`.
+    """
+    xy = [(p.x, p.y) for p in points.points]
+    rev_xy = [xy[w] for w in reversed(used)]
+    strings = []
+    for a, b in edges:
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        dx, dy = bx - ax, by - ay
+        c = dx * ay - dy * ax  # w is left of ab iff dx * wy - dy * wx > c
+        strings.append("".join(["1" if dx * y - dy * x > c else "0" for x, y in rev_xy]))
+    tables = []
+    for lo in range(0, len(used), 8):
+        table = [0]  # table[m] = XOR of inc over the points of used[lo:lo + 8] at the bits of m
+        for w in used[lo : lo + 8]:
+            table += [x ^ inc[w] for x in table]
+        tables.append(table)
+    split = []
+    for s, (a, b) in zip(strings, edges):
+        x = 0
+        for table, byte in zip(tables, int(s, 2).to_bytes(len(tables), "little")):
+            x ^= table[byte]
+        split.append(x & ~(inc[a] | inc[b]))
+    rows = strings[::-1]
+    last = len(used) - 1
+    left_of = {w: int("".join(map(itemgetter(last - j), rows)), 2) for j, w in enumerate(used)}
+    return split, left_of, [s.count("1") for s in strings]
+
+
+def _convex_sides(
+    edges: Sequence[Edge], used: list[int], inc: dict[int, int]
+) -> tuple[list[int], dict[int, int], list[int]]:
+    """(split, left_of, on_left) in convex index order, O(1) big-int steps per edge.
+
+    The left of edge (a, b), a < b, is the used points strictly between a
+    and b: a range of the used order. A prefix XOR of `inc` gives the XOR
+    over that range, and XORing each edge's bit at both ends of its range
+    into a difference list gives `left_of` in one running XOR.
+    """
+    at = {w: j for j, w in enumerate(used)}
+    prefix = [0]  # prefix[j] = XOR of inc over used[:j]
+    for w in used:
+        prefix.append(prefix[-1] ^ inc[w])
+    diff = [0] * (len(used) + 1)
+    split, on_left = [], []
+    for i, (a, b) in enumerate(edges):
+        ja, jb = at[a], at[b]
+        split.append((prefix[jb] ^ prefix[ja + 1]) & ~(inc[a] | inc[b]))
+        diff[ja + 1] ^= 1 << i
+        diff[jb] ^= 1 << i
+        on_left.append(jb - ja - 1)
+    left_of, acc = {}, 0
+    for j, w in enumerate(used):
+        acc ^= diff[j]
+        left_of[w] = acc
+    return split, left_of, on_left

@@ -94,10 +94,14 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
             raise AssertionError("clique kernel returned inconsistent certificate")
         return members, proven
 
+    # Every search gets its rows already in the kernel's degree order, so
+    # the kernel searches the same relabelled graph without relabelling it.
     t = points.n // 2
     while t > len(best):
         keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
         if len(keep) >= t:  # fewer edges than t hold no family of t
+            kept = sum(1 << i for i in keep)
+            keep.sort(key=lambda i: (-(graph.masks[i] & kept).bit_count(), i))
             members, proven = search(_kernels_py.induced(graph.masks, keep), t, len(best))
             if members:
                 best = [keep[i] for i in members]
@@ -105,10 +109,13 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
                 return _certified(graph, points, best, False, nodes)
         t -= 1
     if best:
-        members, proven = search(list(graph.masks), len(best), len(best) - 1)
+        # The whole graph, rebuilt in degree order: cheaper than relabelling its rows.
+        order = sorted(range(len(graph.masks)), key=lambda i: (-graph.masks[i].bit_count(), i))
+        rows = crossing_masks(points, [graph.edge_list[i] for i in order])
+        members, proven = search(rows, len(best), len(best) - 1)
         if not proven:
             return _certified(graph, points, best, False, nodes)
-        best = members
+        best = [order[i] for i in members]
     return _certified(graph, points, best, True, nodes)
 
 

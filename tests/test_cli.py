@@ -189,6 +189,12 @@ class TestExitCodes:
         assert run("bounds", "--n", str(10**78 + 1), "--k", "1") == 0
         assert "crossing-lemma" in capsys.readouterr().out
 
+    def test_bounds_huge_n_names_the_flag(self, capsys):
+        # C(n, 4) past the interpreter's int-to-str digit limit: the error
+        # names the input, not the interpreter setting.
+        assert run("bounds", "--n", str(10**1100 + 1), "--k", "1") == 2
+        assert capsys.readouterr() == ("", "error: --n is too large to print its rows\n")
+
     def test_halving_needs_a_perfect_family(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         assert run("gen", "crossing-family", "--n", "4", "--out", str(inst)) == 0
@@ -332,6 +338,28 @@ class TestDeterminism:
                         record("verify", mode, "--k", str(k), "--in", col)
                         record("verify", mode, "--k", str(k), "--in", col, "--instance", "inst.txt")
         assert h.hexdigest() == "7262c0f478f63ee17a00cb687fe8afe90d1a0047dfcdcf7697e2261e90b2f42d"
+
+    @pytest.mark.parametrize(
+        "argv, rc, text",
+        [
+            (("verify", "kplanar", "--k", "1", "--in", "col.txt"), 0, "verified kplanar k=1 n=9 classes=3"),
+            (("verify", "kplanar", "--in", "col.txt"), 2, "the following arguments are required: --k"),
+            (("bounds", "--help"), 0, "usage: beyondplanar bounds"),
+        ],
+        ids=["verify", "usage-error", "bounds-help"],
+    )
+    def test_dispatch_twice_in_one_process(self, argv, rc, text, tmp_path, monkeypatch, capsys):
+        # The parser is built once per process; a second dispatch of the
+        # same argv must not see anything the first one left in it.
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "convex", "--n", "9", "--out", "inst.txt") == 0
+        assert run("partition", "slope", "--s", "3", "--in", "inst.txt", "--out", "col.txt") == 0
+        capsys.readouterr()
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((run(*argv), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == rc and text in outcomes[0][1] + outcomes[0][2]
 
 
 class TestRenderSvg:

@@ -6,14 +6,16 @@ convex point sets and on convex index order: complete graphs up to the
 benchmark's n = 40, random edge subsets, the (skip, edge) order of the
 extremal oracle's diagonal lists, reversed and shuffled caller orders,
 subsets that leave most points unused, and coordinates at the limit.
+Masks and depths are also checked where the side strings' XOR tables
+change byte: 7, 8, 9, 16, 17 and 25 used points.
 """
 
 import random
 
 import pytest
-from oracles import naive_crossing_masks
+from oracles import naive_crossing_masks, naive_edge_depths
 
-from beyondplanar.crossings import canonical_edges, crossing_masks
+from beyondplanar.crossings import _crossing_pass, canonical_edges, crossing_masks
 from beyondplanar.geometry import COORD_LIMIT, Edge, PointSet, all_edges, gen_convex_polygon, gen_random_pointset
 
 
@@ -98,6 +100,42 @@ class TestCrossingMasks:
         polygon = gen_convex_polygon(n, seed=n)
         for edges in (all_edges(n), random_subset(n, 2), skip_order(n)):
             assert crossing_masks(n, edges) == crossing_masks(polygon, edges)
+
+
+class TestSideStringTables:
+    """Side strings are XORed through tables over 8 used points at a time."""
+
+    @pytest.mark.parametrize("used", [7, 8, 9, 16, 17, 25])
+    def test_masks_and_depths_at_table_boundaries(self, used):
+        n = 40
+        rng = random.Random(f"tables:{used}")
+        points = gen_random_pointset(n, seed=used)
+        chosen = sorted(rng.sample(range(n), used))
+        among = [Edge(a, b) for a in chosen for b in chosen if a < b]
+        path = [Edge.of(a, b) for a, b in zip(chosen, chosen[1:])]  # touches every chosen point
+        sparse = sorted(set(path) | set(rng.sample(among, len(among) // 4)))
+        rng.shuffle(sparse)
+        # The chosen points keep their order, so depths among them are those
+        # of the sub-instance: the sub-PointSet, or a convex polygon.
+        subs = ((points, PointSet([points[w] for w in chosen])), (n, gen_convex_polygon(used, seed=used)))
+        for instance, sub in subs:
+            depths = []
+            assert _crossing_pass(instance, among, depths) == naive_crossing_masks(instance, among)
+            assert depths == naive_edge_depths(sub)
+            assert crossing_masks(instance, sparse) == naive_crossing_masks(instance, sparse)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_edge_at_the_first_eight_points(self, seed):
+        # Tables are indexed by used point, not by point index: edges that
+        # avoid points 0..7 still fill the first table.
+        n = 40
+        rng = random.Random(f"first-byte:{seed}")
+        points = gen_random_pointset(n, seed=seed)
+        nine = [Edge(a, b) for a in range(8, 17) for b in range(a + 1, 17)]
+        late = rng.sample([e for e in all_edges(n) if e.u >= 8], 60)
+        for edges in (nine, late, late[::-1]):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
 
 
 class TestCanonicalEdges:

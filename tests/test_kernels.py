@@ -54,6 +54,21 @@ class TestMaxClique:
             for b in range(a + 1, len(members)):
                 assert adj[members[a]] >> members[b] & 1
 
+    @pytest.mark.parametrize("seed", [2, 40])
+    def test_rows_in_degree_order_search_the_same_tree(self, kernel, seed):
+        # The family search hands the kernel crossing rows rebuilt in its
+        # degree order; the kernel must then search exactly what it
+        # searched on the lexicographic rows.
+        n = 40
+        points, edges = gen_random_pointset(n, seed=seed), all_edges(n)
+        lex = crossing_masks(points, edges)
+        order = sorted(range(len(lex)), key=lambda i: (-lex[i].bit_count(), i))
+        rows = crossing_masks(points, [edges[i] for i in order])
+        size, members, proven, nodes = kernel.max_clique(lex)
+        got_size, got_members, got_proven, got_nodes = kernel.max_clique(rows)
+        assert (got_size, got_proven, got_nodes) == (size, proven, nodes)
+        assert sorted(edges[order[j]] for j in got_members) == [edges[i] for i in members]
+
     @pytest.mark.parametrize("v", [63, 64, 65, 100, 140])
     def test_implementations_agree_beyond_64_vertices(self, compiled_kernels, v):
         # Masks wider than one machine word exercise the compiled kernel's
@@ -147,6 +162,11 @@ class TestInduced:
             keep = keep_list(form, len(adj), rng)
             assert _kernels_py.induced(adj, keep) == reference_induced(adj, keep)
 
+    @pytest.mark.parametrize("v", [0, 1, 65])
+    def test_every_vertex_in_order_returns_the_rows(self, v):
+        adj = random_graph(v, 0.4, v)
+        assert _kernels_py.induced(adj, list(range(v))) == adj == reference_induced(adj, list(range(v)))
+
 
 class TestDegreeOrder:
     @pytest.mark.parametrize("v", [0, 1, 2, 63, 64, 65, 130])
@@ -159,6 +179,16 @@ class TestDegreeOrder:
         n = 40
         adj = crossing_masks(gen_random_pointset(n, seed=n), all_edges(n))
         assert _kernels_py.degree_order(adj) == reference_relabel(adj)
+
+    @pytest.mark.parametrize("v", [0, 1, 65, 130])
+    def test_rows_already_in_degree_order_come_back_as_given(self, v):
+        _, rows = _kernels_py.degree_order(random_graph(v, 0.3, v))
+        assert _kernels_py.degree_order(rows) == (list(range(v)), rows)
+
+    def test_crossing_rows_already_in_degree_order(self):
+        n = 40
+        _, rows = _kernels_py.degree_order(crossing_masks(gen_random_pointset(n, seed=n), all_edges(n)))
+        assert _kernels_py.degree_order(rows) == (list(range(len(rows))), rows)
 
 
 class TestMaxConflictBoundedSet:
