@@ -20,12 +20,6 @@ from .crossings import canonical_edge, canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges, validate_pointset
 
 
-def slope_class(n: int, e: Edge) -> int:
-    """Slope label of chord e on the regular n-gon: (i + j) mod n."""
-    e = canonical_edge(n, e)
-    return (e.u + e.v) % n
-
-
 def convex_edges_cross(n: int, e: Edge, f: Edge) -> bool:
     """True iff chords e and f of a convex n-gon properly cross.
 
@@ -64,18 +58,6 @@ def slope_partition(instance: PointSet | int, s: int) -> Coloring:
     pos = {v: p for p, v in enumerate(order)}
     assignment = {e: ((pos[e.u] + pos[e.v]) % n) // s for e in all_edges(n)}
     return Coloring(n, -(-n // s), assignment)
-
-
-def position_crossing_cap(s: int, j: int) -> int:
-    """Most same-class crossings for an edge at slope position j of s.
-
-    Within one interval, an edge can meet at most d-1 edges per in-interval
-    slope at distance d, summed over both directions:
-    (j-1)(j-2)/2 + (s-j)(s-j-1)/2 = (s-1)(s-2)/2 - (s-j)(j-1).
-    """
-    if not 1 <= j <= s:
-        raise ValueError(f"position {j} outside 1..{s}")
-    return (s - 1) * (s - 2) // 2 - (s - j) * (j - 1)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ report 1-based line numbers on every error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .coloring import Coloring
 from .geometry import Edge, Point, PointSet, check_pairwise_crossing
+
+
+_QUOTE_CHARS = 60  # most characters of an offending line quoted in an error
 
 
 class ParseError(ValueError):
@@ -34,13 +38,26 @@ def _tokens(text: str):
             yield idx, line.split()
 
 
+def _quote(parts: list[str]) -> str:
+    """The line's tokens, quoted; a long line is cut to a short prefix."""
+    text = " ".join(parts)
+    cut = f"... ({len(parts)} tokens, {len(text)} characters)" if len(text) > _QUOTE_CHARS else ""
+    return repr(text[:_QUOTE_CHARS]) + cut
+
+
 def _expect_ints(line_no: int, parts: list[str], count: int, what: str) -> list[int]:
     if len(parts) != count:
-        raise ParseError(line_no, f"expected {what}, got {' '.join(parts)!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(line_no, f"expected {what}, got {' '.join(parts)!r}") from None
+        raise ParseError(line_no, f"expected {what}, got {_quote(parts)}")
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError:
+            # int() refuses a plain digit string only past the digits it converts.
+            too_long = re.fullmatch(r"[+-]?\d+", p)
+            got = f"an integer too long to read ({len(p.lstrip('+-'))} digits)" if too_long else _quote(parts)
+            raise ParseError(line_no, f"expected {what}, got {got}") from None
+    return values
 
 
 def write_instance(instance: Instance) -> str:
@@ -84,7 +101,7 @@ def parse_instance(text: str) -> Instance:
     if rest:
         line_no, parts = rest[0]
         if parts[0] != "family":
-            raise ParseError(line_no, f"expected 'family <count>' or end of file, got {' '.join(parts)!r}")
+            raise ParseError(line_no, f"expected 'family <count>' or end of file, got {_quote(parts)}")
         (fn,) = _expect_ints(line_no, parts[1:], 1, "'family <count>'")
         if len(rest) - 1 != fn:
             raise ParseError(line_no, f"family section declares {fn} edges, found {len(rest) - 1}")

@@ -168,94 +168,34 @@ def is_k_quasi_planar(
 def double_star_partition(points: PointSet) -> Coloring:
     """Decompose K(P), |P| = 2n, into n spanning double stars; color i is tree i.
 
-    Points are ranked lexicographically by (x, y) as r = 0..2n-1. Tree i
-    (0-based) has adjacent centers at ranks 2i and 2i+1: the lower center
-    picks up every even rank before it and every odd rank after it, the
-    upper center the rest. Consecutive trees tilt the split so the n trees
-    are edge-disjoint and exhaustive.
+    Points are ranked by (x, y) as r = 0..2n-1, and tree i has the
+    adjacent centers at ranks 2i and 2i+1. The edge between ranks p < q
+    goes to the tree of q when p + q is odd and to the tree of p when it
+    is even: each center takes the other parity below it and its own
+    parity above it, so the n trees are edge-disjoint and exhaustive.
     """
     if points.n % 2 != 0:
         raise ValueError(f"double-star partition requires an even point count, got {points.n}")
-    n = points.n // 2
-    order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
-    assignment: dict[Edge, int] = {}
-    for i in range(1, n + 1):  # 1-based tree index; ranks below are 1-based
-        a, b = order[2 * i - 2], order[2 * i - 1]  # ranks 2i-1 and 2i
-        for j in range(1, n + 1):
-            if j < i:
-                assignment[Edge.of(a, order[2 * j - 1])] = i - 1  # a -- rank 2j
-            elif j > i:
-                assignment[Edge.of(a, order[2 * j - 2])] = i - 1  # a -- rank 2j-1
-            if j <= i:
-                assignment[Edge.of(b, order[2 * j - 2])] = i - 1  # b -- rank 2j-1
-            else:
-                assignment[Edge.of(b, order[2 * j - 1])] = i - 1  # b -- rank 2j
-    return Coloring(points.n, n, assignment)
-
-
-@dataclass(frozen=True)
-class HalvingLine:
-    """A family edge's supporting line with the family's endpoints split around it.
-
-    The direction is normalized to the upper half plane (angle in [0, pi)).
-    The forward endpoint (larger projection on the direction) counts as
-    left of the line, the rear endpoint as right; every other endpoint
-    lies strictly on one side. Both sides then hold exactly m of the 2m
-    endpoints of an m-edge family, and the right side is the endpoints
-    outside `left`.
-    """
-
-    edge: Edge
-    direction: tuple[int, int]
-    left: frozenset[int]
-
-
-def halving_line_system(points: PointSet, family) -> tuple[HalvingLine, ...]:
-    """Halving lines of a crossing family, sorted by direction angle.
-
-    The family's edges must cross pairwise, which also makes them a
-    matching. Each supporting line then has the other m-1 family edges
-    crossing it, one endpoint per side, so it halves the 2m endpoints.
-    Points outside the family are not counted on either side.
-    """
-    edges = tuple(canonical_edge(points.n, e) for e in family)
-    if not check_pairwise_crossing(points, edges):
-        raise ValueError("family edges do not pairwise cross")
-    ends = {v for e in edges for v in e}
-
-    lines = []
-    for e in edges:
-        d = (points[e.v].x - points[e.u].x, points[e.v].y - points[e.u].y)
-        fwd, rear = e.v, e.u
-        if d[1] < 0 or (d[1] == 0 and d[0] < 0):
-            d = (-d[0], -d[1])
-            fwd, rear = e.u, e.v
-        left = {fwd}
-        for w in ends:
-            # Never 0 off the edge: a PointSet has no collinear triple.
-            if w not in e and orientation(points[rear], points[fwd], points[w]) > 0:
-                left.add(w)
-        if len(left) != len(edges):
-            raise AssertionError(f"line of {tuple(e)} does not halve the family's endpoints")
-        lines.append(HalvingLine(e, d, frozenset(left)))
-
-    # Two crossing segments are never parallel, so cross products give a
-    # strict angular order on [0, pi).
-    def angle_cmp(a: HalvingLine, b: HalvingLine) -> int:
-        cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
-        return -1 if cross > 0 else 1
-
-    return tuple(sorted(lines, key=cmp_to_key(angle_cmp)))
+    rank = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
+    assignment = {Edge.of(rank[p], rank[q]): (q if (p + q) % 2 else p) // 2 for q in range(points.n) for p in range(q)}
+    return Coloring(points.n, points.n // 2, assignment)
 
 
 def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     """Partition K(P) into ceil(m/(k-1)) + ceil((n-2m)/(k-1)) k-quasi-planar classes.
 
-    The family has m pairwise crossing edges; X is its 2m endpoints.
-    Consecutive halving lines are grouped k-1 at a time. Group l covers
-    the complete graph on its 2(k-1) endpoints X_l plus the two complete
-    bipartite graphs joining X_l to the rest of X on each side of the
-    group's first line. Every edge of K(X) is covered by some group;
+    The family has m pairwise crossing edges, which also makes them a
+    matching; X is its 2m endpoints. Each family edge runs from its rear
+    to its forward endpoint, the one with the larger (y, x), so its
+    direction lies in the upper half plane (angle in [0, pi)). The other
+    m-1 family edges cross its line, one endpoint per side, so the line
+    halves X once the forward endpoint counts as left and the rear one as
+    right. Points outside X are not counted on either side.
+
+    Consecutive lines in angle order are grouped k-1 at a time. Group l
+    covers the complete graph on its 2(k-1) endpoints X_l plus the two
+    complete bipartite graphs joining X_l to the rest of X on each side of
+    the group's first line. Every edge of K(X) is covered by some group;
     assigning each edge to its first covering group turns coverage into a
     partition, and subsets of k-quasi-planar edge sets stay
     k-quasi-planar.
@@ -274,12 +214,35 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
-    lines = halving_line_system(points, family)
+    edges = [canonical_edge(points.n, e) for e in family]
+    if not check_pairwise_crossing(points, edges):
+        raise ValueError("family edges do not pairwise cross")
+    ends = {v for e in edges for v in e}
+    lines = [sorted(e, key=lambda v: (points[v].y, points[v].x)) for e in edges]  # [rear, forward]
+
+    def direction(line: list[int]) -> tuple[int, int]:
+        rear, fwd = line
+        return points[fwd].x - points[rear].x, points[fwd].y - points[rear].y
+
+    # Two crossing segments are never parallel, so cross products give a
+    # strict angular order on [0, pi).
+    def angle_cmp(a: list[int], b: list[int]) -> int:
+        (ax, ay), (bx, by) = direction(a), direction(b)
+        return -1 if ax * by - ay * bx > 0 else 1
+
+    lines.sort(key=cmp_to_key(angle_cmp))
     c = -(-len(lines) // (k - 1))
-    group_of = {v: i // (k - 1) for i, ln in enumerate(lines) for v in ln.edge}
+    group_of = {v: i // (k - 1) for i, line in enumerate(lines) for v in line}
     rest = [v for v in range(points.n) if v not in group_of]
     group_of.update({v: c + i // (k - 1) for i, v in enumerate(rest)})
-    left = [lines[l * (k - 1)].left for l in range(c)]  # each halving group's first line
+
+    left = []  # each halving group's first line: its forward endpoint and X strictly left of it
+    for rear, fwd in lines[:: k - 1]:
+        # Only the edge's own endpoints give 0: a PointSet has no collinear triple.
+        side = {fwd} | {w for w in ends if orientation(points[rear], points[fwd], points[w]) > 0}
+        if len(side) != len(lines):
+            raise AssertionError(f"line of {tuple(Edge.of(rear, fwd))} does not halve the family's endpoints")
+        left.append(side)
 
     assignment: dict[Edge, int] = {}
     for e in all_edges(points.n):

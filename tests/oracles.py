@@ -1,8 +1,10 @@
-"""Independent brute-force oracles used to certify the search kernels.
+"""Independent brute-force oracles used to certify the package.
 
 These are deliberately simple: plain enumeration with no bounds beyond
-feasibility, so they share no logic with the branch-and-bound kernels they
-check.
+feasibility, and constructions built the long way, so they share no
+logic with the kernels, the crossing layer or the partitions they check.
+They import nothing from `quasiplanar`, `crossings`, `bounds`,
+`_kernels_py` or `_native` (a test in test_fileio.py pins this).
 """
 
 
@@ -154,6 +156,32 @@ def naive_edge_depths(points):
     return depths
 
 
+def naive_halving_lines(points, family):
+    """Halving lines of a crossing family, in angle order: (edge, direction, left).
+
+    The direction runs from the rear endpoint to the forward one and lies
+    in the upper half plane (angle in [0, pi)); `left` holds the forward
+    endpoint and the family endpoints strictly left of the line, by
+    `orientation`. Lines are sorted by the exact cotangent dx/dy of their
+    angle, falling, as a Fraction (angle 0 first), not by cross products.
+    """
+    from fractions import Fraction
+
+    from beyondplanar.geometry import Edge, orientation
+
+    p = points.points
+    ends = {v for e in family for v in e}
+    lines = []
+    for rear, fwd in family:
+        dx, dy = p[fwd].x - p[rear].x, p[fwd].y - p[rear].y
+        if dy < 0 or (dy == 0 and dx < 0):  # turn the direction into the upper half plane
+            rear, fwd, dx, dy = fwd, rear, -dx, -dy
+        left = {fwd} | {w for w in ends - {rear, fwd} if orientation(p[rear], p[fwd], p[w]) > 0}
+        lines.append((Edge.of(rear, fwd), (dx, dy), frozenset(left)))
+    lines.sort(key=lambda ln: (0, 0) if ln[1][1] == 0 else (1, Fraction(-ln[1][0], ln[1][1])))
+    return lines
+
+
 def naive_halving_cover(points, family, k):
     """For every edge of K(P), the groups that cover it, in order.
 
@@ -162,25 +190,23 @@ def naive_halving_cover(points, family, k):
     lines' endpoints X_l, or with one there and both on one side of the
     group's first line. The points outside X follow, in index order, in
     star groups of k-1; each covers the edges with an endpoint in it.
-    Every group is checked against every edge. Only the halving lines
-    themselves come from the package.
+    Every group is checked against every edge, on `naive_halving_lines`.
     """
     from beyondplanar.geometry import all_edges
-    from beyondplanar.quasiplanar import halving_line_system
 
-    lines = halving_line_system(points, family)
-    ends = {v for ln in lines for v in ln.edge}
+    lines = naive_halving_lines(points, family)
+    ends = {v for edge, _, _ in lines for v in edge}
     rest = [v for v in range(points.n) if v not in ends]
     cover = {e: [] for e in all_edges(points.n)}
     for l, a in enumerate(range(0, len(lines), k - 1)):
         group = lines[a : a + k - 1]
-        members = {v for ln in group for v in ln.edge}
-        first = group[0]
+        members = {v for edge, _, _ in group for v in edge}
+        first_left = group[0][2]
         for e, covering in cover.items():
             if e.u not in ends or e.v not in ends:
                 continue
             inside = (e.u in members) + (e.v in members)
-            same_side = (e.u in first.left) == (e.v in first.left)
+            same_side = (e.u in first_left) == (e.v in first_left)
             if inside == 2 or (inside == 1 and same_side):
                 covering.append(l)
     halving_groups = -(-len(lines) // (k - 1))
@@ -200,6 +226,34 @@ def naive_halving_partition(points, family, k):
     num_groups = -(-m // (k - 1)) + -(-(points.n - 2 * m) // (k - 1))
     cover = naive_halving_cover(points, family, k)
     return Coloring(points.n, num_groups, {e: covering[0] for e, covering in cover.items()})
+
+
+def naive_double_star_partition(points):
+    """n spanning double stars on 2n points, built tree by tree; color i is tree i.
+
+    Points are ranked by (x, y); with 1-based ranks, tree i has the centers
+    a and b at ranks 2i-1 and 2i. For every pair j: a takes rank 2j when
+    j < i and rank 2j-1 when j > i; b takes rank 2j-1 when j <= i and
+    rank 2j when j > i.
+    """
+    from beyondplanar.coloring import Coloring
+    from beyondplanar.geometry import Edge
+
+    n = points.n // 2
+    order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
+    assignment = {}
+    for i in range(1, n + 1):
+        a, b = order[2 * i - 2], order[2 * i - 1]  # ranks 2i-1 and 2i
+        for j in range(1, n + 1):
+            if j < i:
+                assignment[Edge.of(a, order[2 * j - 1])] = i - 1  # a -- rank 2j
+            elif j > i:
+                assignment[Edge.of(a, order[2 * j - 2])] = i - 1  # a -- rank 2j-1
+            if j <= i:
+                assignment[Edge.of(b, order[2 * j - 2])] = i - 1  # b -- rank 2j-1
+            else:
+                assignment[Edge.of(b, order[2 * j - 1])] = i - 1  # b -- rank 2j
+    return Coloring(points.n, n, assignment)
 
 
 def verify_spanning_tree(points, edges):
@@ -248,3 +302,23 @@ def naive_color_lower(n, k):
     while t > 1 and 243 * k * (t - 1) * (t - 1) >= rhs:
         t -= 1
     return t
+
+
+def slope_class(n, e):
+    """Slope label of chord e on the regular n-gon: (i + j) mod n."""
+    u, v = e
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge {(u, v)} out of range for n={n}")
+    return (u + v) % n
+
+
+def position_crossing_cap(s, j):
+    """Most same-class crossings for an edge at slope position j of s.
+
+    Within one interval, an edge can meet at most d-1 edges per in-interval
+    slope at distance d, summed over both directions:
+    (j-1)(j-2)/2 + (s-j)(s-j-1)/2 = (s-1)(s-2)/2 - (s-j)(j-1).
+    """
+    if not 1 <= j <= s:
+        raise ValueError(f"position {j} outside 1..{s}")
+    return (s - 1) * (s - 2) // 2 - (s - j) * (j - 1)

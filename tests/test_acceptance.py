@@ -21,12 +21,7 @@ from beyondplanar.bounds import (
     peeling_bound,
     quasi_color_bounds,
 )
-from beyondplanar.convex import (
-    position_crossing_cap,
-    slope_class,
-    slope_partition,
-    verify_k_planar,
-)
+from beyondplanar.convex import slope_partition, verify_k_planar
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import (
     all_edges,
@@ -42,7 +37,13 @@ from beyondplanar.quasiplanar import (
     is_k_quasi_planar,
     max_crossing_family,
 )
-from oracles import naive_convex_crossings, naive_max_clique_enum, verify_spanning_tree
+from oracles import (
+    naive_convex_crossings,
+    naive_max_clique_enum,
+    position_crossing_cap,
+    slope_class,
+    verify_spanning_tree,
+)
 
 
 def _done(num: int, label: str, started: float, budget: float) -> None:

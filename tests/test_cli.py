@@ -139,6 +139,59 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: maximum crossing family not proven within budget 3 after 3 nodes" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (
+                ["partition", "doublestar"],
+                "3\n" + " ".join(["0"] * 200_000) + "\n4 0\n1 3\n",
+                "line 2: expected a point 'x y', got '" + "0 " * 29 + "0 '... (200000 tokens, 399999 characters)",
+            ),
+            (
+                ["partition", "doublestar"],
+                "3\n0 " + "9" * 5000 + "\n4 0\n1 3\n",
+                "line 2: expected a point 'x y', got an integer too long to read (5000 digits)",
+            ),
+            (
+                ["partition", "doublestar"],
+                "3\n0 0\n4 0\n1 3\n" + "junk " * 1000 + "\n",
+                "line 5: expected 'family <count>' or end of file, got '"
+                + "junk " * 12
+                + "'... (1000 tokens, 4999 characters)",
+            ),
+            (
+                ["verify", "kplanar", "--k", "1"],
+                "-" + "7" * 5000 + " 1\n",
+                "line 1: expected a header 'n num_colors', got an integer too long to read (5000 digits)",
+            ),
+        ],
+        ids=["long-point-line", "long-coordinate", "long-trailing-line", "long-header-integer"],
+    )
+    def test_long_input_lines_give_a_short_error(self, argv, text, message, tmp_path, capsys):
+        # The error quotes a short prefix of the line, or names the
+        # integer too long to read, never the whole line.
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(*argv, "--in", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n0 0\nx 0\n1 3\n", "line 3: expected a point 'x y', got 'x 0'"),
+            ("3\n0 0 0\n", "line 2: expected a point 'x y', got '0 0 0'"),
+            ("3\n0 0\n4 0\n1 3\nextra line\n", "line 5: expected 'family <count>' or end of file, got 'extra line'"),
+            ("3 4\n", "line 1: expected a point count, got '3 4'"),
+        ],
+    )
+    def test_short_line_errors_quote_the_whole_line(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("partition", "doublestar", "--in", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_coloring_header_far_larger_than_file_is_2(self, tmp_path, capsys):
         # Reaching the error costs what the file holds, not the C(n, 2)
         # edges its header declares.

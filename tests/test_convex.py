@@ -12,15 +12,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from oracles import naive_block_size, naive_convex_crossings
+from oracles import naive_block_size, naive_convex_crossings, position_crossing_cap, slope_class
 
 from beyondplanar.bounds import count_crossings
 from beyondplanar.convex import (
     choose_block_size,
     convex_edges_cross,
     count_convex_crossings,
-    position_crossing_cap,
-    slope_class,
     slope_partition,
     verify_k_planar,
 )

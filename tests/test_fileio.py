@@ -184,17 +184,30 @@ class TestColoringFormat:
         assert coloring.classes()[1] == all_edges(4)[1:]
 
 
+def imported_names(path):
+    """Every dotted part of every module a file imports, at any depth."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(node.module.split(".") if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+    return imported
+
+
 def test_geometry_and_fileio_import_no_higher_layer():
     # The I/O layer reads and certifies instances with geometry alone.
     package = Path(beyondplanar.__file__).parent
     for name in ("geometry.py", "fileio.py"):
-        imported = set()
-        for node in ast.walk(ast.parse((package / name).read_text())):
-            if isinstance(node, ast.ImportFrom):
-                imported.update(node.module.split(".") if node.module else (a.name for a in node.names))
-            elif isinstance(node, ast.Import):
-                imported.update(part for a in node.names for part in a.name.split("."))
-        assert not imported & {"quasiplanar", "convex", "bounds"}, name
+        assert not imported_names(package / name) & {"quasiplanar", "convex", "bounds"}, name
+
+
+def test_oracles_import_no_code_they_check():
+    # The brute-force oracles share no code with the searches, the
+    # crossing layer and the constructions they certify.
+    imported = imported_names(Path(__file__).parent / "oracles.py")
+    assert "beyondplanar" in imported
+    assert not imported & {"quasiplanar", "crossings", "bounds", "_kernels_py", "_native"}
 
 
 def test_no_unused_top_level_imports():

@@ -1,11 +1,14 @@
 """Crossing families, double stars, halving-line and family-guided partitions."""
 
+import random
 from math import comb
 
 import pytest
 from oracles import (
+    naive_double_star_partition,
     naive_edge_depths,
     naive_halving_cover,
+    naive_halving_lines,
     naive_halving_partition,
     naive_max_clique_enum,
     verify_spanning_tree,
@@ -29,7 +32,6 @@ from beyondplanar.quasiplanar import (
     crossing_family_partition,
     double_star_partition,
     halving_line_partition,
-    halving_line_system,
     is_k_quasi_planar,
     max_crossing_family,
 )
@@ -227,34 +229,52 @@ class TestDoubleStarPartition:
             assert Edge.of(a, b) in tree
             assert all(a in e or b in e for e in tree)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_tree_by_tree_oracle(self, seed):
+        for n2 in range(2, 61, 2):
+            ps = gen_random_pointset(n2, seed)
+            assert double_star_partition(ps) == naive_double_star_partition(ps), n2
 
-class TestHalvingLineSystem:
+    @pytest.mark.parametrize("n2", [4, 10, 24])
+    def test_shuffled_convex_set_matches_oracle(self, n2):
+        # Convex position with the index order scrambled, so ranks and
+        # indices disagree.
+        pts = list(gen_convex_polygon(n2, n2).points)
+        random.Random(n2).shuffle(pts)
+        ps = PointSet(pts)
+        assert double_star_partition(ps) == naive_double_star_partition(ps)
+
+
+class TestHalvingLines:
+    # Properties of the oracle's halving lines; the partition tests below
+    # compare halving_line_partition with the partition built on them.
     def test_single_line(self):
         ps, fam = gen_perfect_crossing_family_pointset(1, 0)
-        (line,) = halving_line_system(ps, fam)
+        ((edge, (dx, dy), left),) = naive_halving_lines(ps, fam)
         # The forward endpoint, the larger projection on the direction, is left.
-        dx, dy = line.direction
-        fwd = max(line.edge, key=lambda v: ps[v].x * dx + ps[v].y * dy)
-        assert line.left == {fwd}
+        fwd = max(edge, key=lambda v: ps[v].x * dx + ps[v].y * dy)
+        assert left == {fwd}
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_sides_halve_the_points(self, n):
         ps, fam = gen_perfect_crossing_family_pointset(n, 1)
-        for line in halving_line_system(ps, fam):
-            assert len(line.left) == n and line.left <= set(range(2 * n))
-            assert len(line.left & set(line.edge)) == 1
+        for edge, _, left in naive_halving_lines(ps, fam):
+            assert len(left) == n and left <= set(range(2 * n))
+            assert len(left & set(edge)) == 1
 
     def test_lines_sorted_by_angle(self):
         ps, fam = gen_perfect_crossing_family_pointset(6, 2)
-        dirs = [ln.direction for ln in halving_line_system(ps, fam)]
+        dirs = [direction for _, direction, _ in naive_halving_lines(ps, fam)]
         for (ax, ay), (bx, by) in zip(dirs, dirs[1:]):
             assert ax * by - ay * bx > 0  # strictly increasing angle
 
     def test_directions_point_into_upper_half_plane(self):
         ps, fam = gen_perfect_crossing_family_pointset(5, 3)
-        for ln in halving_line_system(ps, fam):
-            dx, dy = ln.direction
+        for edge, (dx, dy), left in naive_halving_lines(ps, fam):
             assert dy > 0 or (dy == 0 and dx > 0)
+            # The forward endpoint, which counts as left, has the larger (y, x).
+            (fwd,) = left & set(edge)
+            assert fwd == max(edge, key=lambda v: (ps[v].y, ps[v].x))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_partial_family_halves_its_own_endpoints(self, seed):
@@ -262,14 +282,9 @@ class TestHalvingLineSystem:
         fam = max_crossing_family(ps).edges
         for part in (fam[:1], fam[:3], fam[1:]):
             ends = {v for e in part for v in e}
-            for line in halving_line_system(ps, part):
-                assert len(line.left) == len(part) and line.left <= ends
-                assert len(line.left & set(line.edge)) == 1
-
-    def test_rejects_non_crossing_family(self):
-        ps = gen_convex_polygon(4, 0)
-        with pytest.raises(ValueError):
-            halving_line_system(ps, [Edge(0, 1), Edge(2, 3)])
+            for edge, _, left in naive_halving_lines(ps, part):
+                assert len(left) == len(part) and left <= ends
+                assert len(left & set(edge)) == 1
 
 
 class TestHalvingLinePartition:
@@ -295,6 +310,18 @@ class TestHalvingLinePartition:
         ps, fam = gen_perfect_crossing_family_pointset(3, 0)
         with pytest.raises(ValueError):
             halving_line_partition(ps, fam, 2)
+
+    def test_rejects_non_crossing_family(self):
+        ps = gen_convex_polygon(4, 0)
+        with pytest.raises(ValueError, match="family edges do not pairwise cross"):
+            halving_line_partition(ps, [Edge(0, 1), Edge(2, 3)], 3)
+
+    def test_rejects_repeated_edge(self):
+        ps, fam = gen_perfect_crossing_family_pointset(4, 0)
+        with pytest.raises(ValueError, match="family edges do not pairwise cross"):
+            halving_line_partition(ps, [*fam, fam[0]], 3)
+        with pytest.raises(ValueError, match="family edges do not pairwise cross"):
+            halving_line_partition(ps, [fam[1], Edge(fam[1].v, fam[1].u)], 3)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_first_covering_group_oracle(self, n):
