@@ -22,7 +22,9 @@ A fourth table times `max_crossing_family` on random n = 40, 48 and 60
 points (seed 2; n = 60 with seed 1 under --heavy): its size, whether it
 proved the optimum, its search nodes and its wall time, which includes
 building the crossing graph. Each row must prove the size that a clique
-search over the whole crossing graph proved for that instance.
+search over the whole crossing graph proved for that instance, and
+return the same edges as the unrestricted search of the whole crossing
+graph for a family of that size, run outside the timing.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
@@ -158,6 +160,10 @@ def main() -> None:
         family, t = run_one(max_crossing_family, (points,), {}, args.repeat)
         if not family.proven_maximum or family.size != want:
             raise SystemExit(f"max_crossing_family on random n={n} seed={seed}: {family}, expected {want} proven")
+        graph = build_crossing_graph(points)
+        members = _native.max_clique(list(graph.masks), target=want, floor_size=want - 1)[1]
+        if family.edges != tuple(sorted(graph.edge_list[i] for i in members)):
+            raise SystemExit(f"max_crossing_family on random n={n} seed={seed} differs from the unrestricted search")
         label = f"max_crossing_family random n={n} s={seed}"
         print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {t * 1000:7.1f}ms")
 

@@ -22,6 +22,15 @@ static int lowest(const u64 *s, int W)
     return -1;
 }
 
+/* Whether s and t share a member. */
+static int meets(const u64 *s, const u64 *t, int W)
+{
+    for (int w = 0; w < W; w++)
+        if (s[w] & t[w])
+            return 1;
+    return 0;
+}
+
 /* Highest member of s below i, or -1. */
 static int highest_below(const u64 *s, int i)
 {
@@ -57,18 +66,20 @@ static int color_classes(int W, const u64 *adj, const u64 *cand, u64 *uncolored,
     return len;
 }
 
-/* adj: n * W words, already relabelled. cand: (n + 1) * W words, one
-   candidate set per depth. seq: n * (n + 1) ints, a stack of the open
-   nodes' untried (vertex, color) pairs, base[t] (n + 1 ints) marking where
-   depth t's pairs start. path and members: n ints. scratch: 2 * W words.
-   *best enters as the floor. Returns the node count. */
-long long bp_max_clique(int n, int W, const u64 *adj, long long budget, long long target, u64 *cand,
-                        u64 *scratch, int *seq, int *base, int *path, int *members, long long *best,
+/* adj: n * W words, already relabelled. allowed: W words, the vertices a
+   clique may use; a node whose candidates all lie outside is a leaf.
+   cand: (n + 1) * W words, one candidate set per depth. seq: n * (n + 1)
+   ints, a stack of the open nodes' untried (vertex, color) pairs, base[t]
+   (n + 1 ints) marking where depth t's pairs start. path and members: n
+   ints. scratch: 2 * W words. *best enters as the floor. Returns the node
+   count. */
+long long bp_max_clique(int n, int W, const u64 *adj, const u64 *allowed, long long budget, long long target,
+                        u64 *cand, u64 *scratch, int *seq, int *base, int *path, int *members, long long *best,
                         int *exhausted)
 {
     long long nodes = 0;
-    int depth = 0, top = 0;
-    for (int v = 0; v < n; v++)
+    int depth = 0, top = 0, v;
+    for (v = 0; v < n; v++)
         cand[v >> 6] |= BIT(v);
     for (;;) {
         u64 *c = cand + (size_t)depth * W;
@@ -81,7 +92,7 @@ long long bp_max_clique(int n, int W, const u64 *adj, long long budget, long lon
             }
             break;
         }
-        if (lowest(c, W) >= 0) {
+        if (meets(c, allowed, W)) {
             top += 2 * color_classes(W, adj, c, scratch, scratch + W, seq + top);
         } else if (depth > *best) {
             *best = depth;
@@ -89,16 +100,19 @@ long long bp_max_clique(int n, int W, const u64 *adj, long long budget, long lon
             if (*best >= target)
                 break;
         }
-        /* Next branch: the last untried vertex of the deepest open node
-           whose color bound can still beat the best clique. */
-        while (depth >= 0 && (top == base[depth] || depth + seq[top - 1] <= *best))
-            top = base[depth--];
-        if (depth < 0)
-            break;
-        top -= 2;
-        int v = seq[top];
-        c = cand + (size_t)depth * W;
-        c[v >> 6] &= ~BIT(v);
+        /* Next branch: the last untried allowed vertex of the deepest open
+           node whose color bound can still beat the best clique. A vertex
+           outside allowed leaves its node's candidates unsearched. */
+        do {
+            while (depth >= 0 && (top == base[depth] || depth + seq[top - 1] <= *best))
+                top = base[depth--];
+            if (depth < 0)
+                return nodes;
+            top -= 2;
+            v = seq[top];
+            c = cand + (size_t)depth * W;
+            c[v >> 6] &= ~BIT(v);
+        } while (!HAS(allowed, v));
         path[depth] = v;
         for (int w = 0; w < W; w++)
             c[W + w] = c[w] & adj[(size_t)v * W + w];

@@ -43,7 +43,9 @@ class CompiledKernels:
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(path)
         self._clique = lib.bp_max_clique
-        self._clique.argtypes = [_int, _int, _u64p, _ll, _ll, _u64p, _u64p, _intp, _intp, _intp, _intp, _llp, _intp]
+        self._clique.argtypes = [
+            _int, _int, _u64p, _u64p, _ll, _ll, _u64p, _u64p, _intp, _intp, _intp, _intp, _llp, _intp
+        ]
         self._clique.restype = _ll
         self._subset = lib.bp_max_conflict_bounded_set
         self._subset.argtypes = [_int, _int, _int, _u64p, _u64p, _ll, _ll, _intp, _u64p, _u64p, _u64p, _llp, _intp]
@@ -55,6 +57,7 @@ class CompiledKernels:
         budget: int = 10**8,
         target: int | None = None,
         floor_size: int = 0,
+        allowed: int | None = None,
     ) -> tuple[int, list[int], bool, int]:
         """Largest clique of the graph given as per-vertex neighbor bitmasks; see _kernels_py."""
         order, radj = _kernels_py.degree_order(adj)
@@ -64,8 +67,8 @@ class CompiledKernels:
         best, exhausted = _ll(floor), _int(0)
         members = _zeros(_int, n)
         nodes = self._clique(
-            n, w, _words(radj, w), _clamp(budget, 0, 2**62),
-            n + 1 if target is None else _clamp(target, -1, n + 1),
+            n, w, _words(radj, w), _words([_kernels_py.relabel_set(allowed, order)], w),
+            _clamp(budget, 0, 2**62), n + 1 if target is None else _clamp(target, -1, n + 1),
             _zeros(_u64, (n + 1) * w), _zeros(_u64, 2 * w),
             _zeros(_int, n * (n + 1)), _zeros(_int, n + 1), _zeros(_int, n), members,
             ctypes.byref(best), ctypes.byref(exhausted),

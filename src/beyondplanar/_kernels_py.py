@@ -65,11 +65,22 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     return order, induced(adj, order)
 
 
+def relabel_set(vertices: int | None, order: list[int]) -> int:
+    """The vertex bitmask under `degree_order`'s relabelling; None is every vertex.
+
+    Bits at len(order) and above are ignored.
+    """
+    if vertices is None:
+        return (1 << len(order)) - 1
+    return sum(1 << i for i, v in enumerate(order) if vertices >> v & 1)
+
+
 def max_clique(
     adj: list[int],
     budget: int = 10**8,
     target: int | None = None,
     floor_size: int = 0,
+    allowed: int | None = None,
 ) -> tuple[int, list[int], bool, int]:
     """Largest clique of the graph given as per-vertex neighbor bitmasks.
 
@@ -79,9 +90,18 @@ def max_clique(
     members), which turns the search into an existence test for cliques
     larger than the floor. When the budget runs out, the clique on the
     current search path counts as found.
+
+    `allowed` is a bitmask of the vertices a clique may use (default: all).
+    A vertex outside it is still colored, but when it comes up as a
+    branch it is dropped from its node's candidates as if its subtree had
+    held no clique, and no node is counted; a node whose candidates all
+    lie outside is a leaf. So while every clique above the floor lies
+    inside `allowed`, the search takes every other branch of the
+    unrestricted search, and finds the same first clique.
     """
     order, radj = degree_order(adj)
     n = len(adj)
+    allow = relabel_set(allowed, order)
     best_size = floor_size
     best_mask = 0
     nodes = 0
@@ -101,7 +121,7 @@ def max_clique(
                 best_size = r_size
                 best_mask = r_mask
             break
-        if cand:
+        if cand & allow:
             seq: list[tuple[int, int]] = []
             uncolored = cand
             color = 0
@@ -120,19 +140,21 @@ def max_clique(
             best_mask = r_mask
             if target is not None and best_size >= target:
                 break
-        # Next branch: the last untried vertex of the deepest open node whose
-        # color bound can still beat the best clique.
+        # Next branch: the last untried allowed vertex of the deepest open
+        # node whose color bound can still beat the best clique.
         while stack:
             frame = stack[-1]
             r_size, r_mask, cand, seq = frame
-            if seq and r_size + seq[-1][1] > best_size:
+            if not seq or r_size + seq[-1][1] <= best_size:
+                stack.pop()
+                continue
+            v = seq.pop()[0]
+            b = 1 << v
+            frame[2] = cand ^ b
+            if allow >> v & 1:
                 break
-            stack.pop()
         else:
             break
-        v = seq.pop()[0]
-        b = 1 << v
-        frame[2] = cand ^ b
         r_size, r_mask, cand = r_size + 1, r_mask | b, cand & radj[v]
 
     members = sorted(order[i] for i in range(n) if best_mask >> i & 1)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .coloring import Coloring
-from .geometry import Edge, Point, PointSet, check_pairwise_crossing
+from .geometry import Edge, Point, PointSet, check_pairwise_crossing, quote_int
 
 
 _QUOTE_CHARS = 60  # most characters of an offending line quoted in an error
@@ -77,14 +77,14 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(1, "empty instance file") from None
     (n,) = _expect_ints(line_no, parts, 1, "a point count")
     if n < 1:
-        raise ParseError(line_no, f"point count must be >= 1, got {n}")
+        raise ParseError(line_no, f"point count must be >= 1, got {quote_int(n)}")
 
     pts = []
     for _ in range(n):
         try:
             line_no, parts = next(stream)
         except StopIteration:
-            raise ParseError(line_no, f"expected {n} points, file ended after {len(pts)}") from None
+            raise ParseError(line_no, f"expected {quote_int(n)} points, file ended after {len(pts)}") from None
         x, y = _expect_ints(line_no, parts, 2, "a point 'x y'")
         try:
             pts.append(Point(x, y))
@@ -104,12 +104,12 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(line_no, f"expected 'family <count>' or end of file, got {_quote(parts)}")
         (fn,) = _expect_ints(line_no, parts[1:], 1, "'family <count>'")
         if len(rest) - 1 != fn:
-            raise ParseError(line_no, f"family section declares {fn} edges, found {len(rest) - 1}")
+            raise ParseError(line_no, f"family section declares {quote_int(fn)} edges, found {len(rest) - 1}")
         edges = []
         for line_no, parts in rest[1:]:
             u, v = _expect_ints(line_no, parts, 2, "a family edge 'u v'")
             if u == v or not 0 <= u < n or not 0 <= v < n:
-                raise ParseError(line_no, f"invalid edge ({u}, {v}) for n={n}")
+                raise ParseError(line_no, f"invalid edge ({quote_int(u)}, {quote_int(v)}) for n={quote_int(n)}")
             edges.append(Edge.of(u, v))
         if len(set(edges)) != len(edges):
             raise ParseError(line_no, "family section repeats an edge")
@@ -133,7 +133,7 @@ def parse_coloring(text: str) -> Coloring:
         raise ParseError(1, "empty coloring file") from None
     n, c = _expect_ints(line_no, parts, 2, "a header 'n num_colors'")
     if n < 2 or c < 1:
-        raise ParseError(line_no, f"invalid header n={n}, num_colors={c}")
+        raise ParseError(line_no, f"invalid header n={quote_int(n)}, num_colors={quote_int(c)}")
 
     assignment: dict[Edge, int] = {}
     last = line_no
@@ -141,16 +141,16 @@ def parse_coloring(text: str) -> Coloring:
         last = line_no
         u, v, color = _expect_ints(line_no, parts, 3, "an edge line 'u v color'")
         if u == v or not 0 <= u < n or not 0 <= v < n:
-            raise ParseError(line_no, f"invalid edge ({u}, {v}) for n={n}")
+            raise ParseError(line_no, f"invalid edge ({quote_int(u)}, {quote_int(v)}) for n={quote_int(n)}")
         e = Edge.of(u, v)
         if e in assignment:
-            raise ParseError(line_no, f"duplicate line for edge ({e.u}, {e.v})")
+            raise ParseError(line_no, f"duplicate line for edge ({quote_int(e.u)}, {quote_int(e.v)})")
         if not 0 <= color < c:
-            raise ParseError(line_no, f"color {color} outside 0..{c - 1}")
+            raise ParseError(line_no, f"color {quote_int(color)} outside 0..{quote_int(c - 1)}")
         assignment[e] = color
     absent = n * (n - 1) // 2 - len(assignment)
     if absent:
         # Lazy: the header's n may be far larger than the file.
         u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in assignment)
-        raise ParseError(last, f"missing edge ({u}, {v}) ({absent} edges absent)")
+        raise ParseError(last, f"missing edge ({u}, {v}) ({quote_int(absent)} edges absent)")
     return Coloring(n, c, assignment)

@@ -28,6 +28,20 @@ class GenerationError(RuntimeError):
     """A randomized generator exhausted its retry budget."""
 
 
+def quote_int(x: int) -> str:
+    """x in decimal for an error message, or only its digit count past 20 digits.
+
+    Integers read from a file can run to 4300 digits, and str() refuses
+    the larger ones that arithmetic on them gives, so both are counted.
+    """
+    size = abs(x)
+    if size < 10**20:
+        return str(x)
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # one short at most
+    digits += size >= 10**digits
+    return f"{'-' if x < 0 else ''}<{digits} digits>"
+
+
 @dataclass(frozen=True, slots=True)
 class Point:
     x: int
@@ -37,7 +51,7 @@ class Point:
         if any(not isinstance(c, int) or isinstance(c, bool) for c in (self.x, self.y)):
             raise TypeError(f"integer coordinates required: ({self.x!r}, {self.y!r})")
         if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
-            raise ValueError(f"coordinate exceeds +/-{COORD_LIMIT}: ({self.x}, {self.y})")
+            raise ValueError(f"coordinate exceeds +/-{COORD_LIMIT}: ({quote_int(self.x)}, {quote_int(self.y)})")
 
 
 class Edge(NamedTuple):

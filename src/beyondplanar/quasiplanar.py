@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import _crossing_pass, canonical_edge, canonical_edges, crossing_masks
+from .crossings import canonical_edge, canonical_edges, crossing_masks, crossings_in_degree_order
 from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -34,7 +34,11 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CrossingGraph:
-    """Graph whose vertices are the edges of K(P), adjacent iff they cross."""
+    """Graph whose vertices are the edges of K(P), adjacent iff they cross.
+
+    The edges are in the clique kernel's degree order: most crossings
+    first, ties in lexicographic order.
+    """
 
     edge_list: tuple[Edge, ...]
     masks: tuple[int, ...]  # masks[i] = bitmask of edge indices crossing edge i
@@ -42,9 +46,7 @@ class CrossingGraph:
 
 
 def build_crossing_graph(points: PointSet) -> CrossingGraph:
-    edges = all_edges(points.n)
-    depths: list[int] = []
-    masks = _crossing_pass(points, edges, depths)
+    edges, masks, depths = crossings_in_degree_order(points, all_edges(points.n))
     return CrossingGraph(tuple(edges), tuple(masks), tuple(depths))
 
 
@@ -72,8 +74,11 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
     then searched to exhaustion. A last search on the whole graph, for m
     edges with every smaller family ignored, returns the first family of m
     edges in the full search's branch order, so the family depends only
-    on the point set. Nodes of all searches count against `budget`; when
-    it runs out, the largest family found so far comes back unproven.
+    on the point set. It branches only on the edges of depth >= m-1,
+    which hold every family of m, so it finds the family that the
+    unrestricted search finds. Nodes of all searches count against
+    `budget`; when it runs out, the largest family found so far comes
+    back unproven.
 
     The certificate is re-verified on `points` with the exact segment
     predicate instead of being trusted from the graph.
@@ -82,12 +87,12 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
     best: list[int] = []  # edge indices of the largest family found so far
     nodes = 0
 
-    def search(masks: list[int], target: int, floor_size: int) -> tuple[list[int], bool]:
+    def search(masks: list[int], target: int, floor_size: int, allowed: int | None = None) -> tuple[list[int], bool]:
         nonlocal nodes
         if nodes >= budget:
             return [], False
         size, members, proven, spent = _native.max_clique(
-            masks, budget=budget - nodes, target=target, floor_size=floor_size
+            masks, budget=budget - nodes, target=target, floor_size=floor_size, allowed=allowed
         )
         nodes += spent
         if len(members) != (size if size > floor_size else 0):
@@ -101,7 +106,7 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
         keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
         if len(keep) >= t:  # fewer edges than t hold no family of t
             kept = sum(1 << i for i in keep)
-            keep.sort(key=lambda i: (-(graph.masks[i] & kept).bit_count(), i))
+            keep.sort(key=lambda i: (-(graph.masks[i] & kept).bit_count(), graph.edge_list[i]))
             members, proven = search(_kernels_py.induced(graph.masks, keep), t, len(best))
             if members:
                 best = [keep[i] for i in members]
@@ -109,13 +114,12 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
                 return _certified(graph, points, best, False, nodes)
         t -= 1
     if best:
-        # The whole graph, rebuilt in degree order: cheaper than relabelling its rows.
-        order = sorted(range(len(graph.masks)), key=lambda i: (-graph.masks[i].bit_count(), i))
-        rows = crossing_masks(points, [graph.edge_list[i] for i in order])
-        members, proven = search(rows, len(best), len(best) - 1)
+        m = len(best)
+        deep = sum(1 << i for i, depth in enumerate(graph.depths) if depth >= m - 1)
+        members, proven = search(list(graph.masks), m, m - 1, allowed=deep)
         if not proven:
             return _certified(graph, points, best, False, nodes)
-        best = [order[i] for i in members]
+        best = members
     return _certified(graph, points, best, True, nodes)
 
 
@@ -124,7 +128,7 @@ def _certified(graph: CrossingGraph, points: PointSet, members: list[int], prove
     chosen = sum(1 << i for i in set(members))
     if chosen.bit_count() != len(members) or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
         raise AssertionError("clique certificate is not a crossing family")
-    edges = tuple(graph.edge_list[i] for i in sorted(members))
+    edges = tuple(sorted(graph.edge_list[i] for i in members))
     if not check_pairwise_crossing(points, edges):
         raise AssertionError("crossing family certificate fails exact re-verification")
     return CrossingFamily(edges, proven_maximum=proven, nodes=nodes)

@@ -164,12 +164,53 @@ class TestExitCodes:
                 "-" + "7" * 5000 + " 1\n",
                 "line 1: expected a header 'n num_colors', got an integer too long to read (5000 digits)",
             ),
+            (
+                ["partition", "doublestar"],
+                "3\n0 " + "9" * 4000 + "\n4 0\n1 3\n",
+                "line 2: coordinate exceeds +/-1073741824: (0, <4000 digits>)",
+            ),
+            (["partition", "doublestar"], "-" + "9" * 4000 + "\n", "line 1: point count must be >= 1, got -<4000 digits>"),
+            (
+                ["partition", "doublestar"],
+                "9" * 4000 + "\n0 0\n",
+                "line 2: expected <4000 digits> points, file ended after 1",
+            ),
+            (
+                ["verify", "kplanar", "--k", "1"],
+                "-1" + "0" * 3999 + " 1\n",
+                "line 1: invalid header n=-<4000 digits>, num_colors=1",
+            ),
+            (
+                ["verify", "kplanar", "--k", "1"],
+                "3 3\n0 " + "9" * 4000 + " 0\n",
+                "line 2: invalid edge (0, <4000 digits>) for n=3",
+            ),
+            (["verify", "kplanar", "--k", "1"], "3 3\n0 1 " + "9" * 4000 + "\n", "line 2: color <4000 digits> outside 0..2"),
+            (
+                # C(n, 2) has 5998 digits, past what str() converts.
+                ["verify", "kplanar", "--k", "1"],
+                "1" + "0" * 2999 + " 1\n",
+                "line 1: missing edge (0, 1) (<5998 digits> edges absent)",
+            ),
         ],
-        ids=["long-point-line", "long-coordinate", "long-trailing-line", "long-header-integer"],
+        ids=[
+            "long-point-line",
+            "long-coordinate",
+            "long-trailing-line",
+            "long-header-integer",
+            "coordinate-of-4000-digits",
+            "point-count-of-4000-digits",
+            "missing-points-of-4000-digits",
+            "header-n-of-4000-digits",
+            "edge-end-of-4000-digits",
+            "color-of-4000-digits",
+            "header-n-of-3000-digits",
+        ],
     )
     def test_long_input_lines_give_a_short_error(self, argv, text, message, tmp_path, capsys):
         # The error quotes a short prefix of the line, or names the
-        # integer too long to read, never the whole line.
+        # integer too long to read, never the whole line; an integer it
+        # reads is quoted by its digit count.
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert run(*argv, "--in", str(bad)) == 2

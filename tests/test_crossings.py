@@ -15,7 +15,7 @@ import random
 import pytest
 from oracles import naive_crossing_masks, naive_edge_depths
 
-from beyondplanar.crossings import _crossing_pass, canonical_edges, crossing_masks
+from beyondplanar.crossings import canonical_edges, crossing_masks, crossings_in_degree_order
 from beyondplanar.geometry import COORD_LIMIT, Edge, PointSet, all_edges, gen_convex_polygon, gen_random_pointset
 
 
@@ -115,14 +115,14 @@ class TestSideStringTables:
         path = [Edge.of(a, b) for a, b in zip(chosen, chosen[1:])]  # touches every chosen point
         sparse = sorted(set(path) | set(rng.sample(among, len(among) // 4)))
         rng.shuffle(sparse)
-        # The chosen points keep their order, so depths among them are those
-        # of the sub-instance: the sub-PointSet, or a convex polygon.
-        subs = ((points, PointSet([points[w] for w in chosen])), (n, gen_convex_polygon(used, seed=used)))
-        for instance, sub in subs:
-            depths = []
-            assert _crossing_pass(instance, among, depths) == naive_crossing_masks(instance, among)
-            assert depths == naive_edge_depths(sub)
+        for instance in (points, n):
+            assert crossing_masks(instance, among) == naive_crossing_masks(instance, among)
             assert crossing_masks(instance, sparse) == naive_crossing_masks(instance, sparse)
+        # The chosen points keep their order, so depths among them are those
+        # of the sub-PointSet.
+        edges, masks, depths = crossings_in_degree_order(points, among)
+        assert masks == naive_crossing_masks(points, edges)
+        assert dict(zip(edges, depths)) == dict(zip(among, naive_edge_depths(PointSet([points[w] for w in chosen]))))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_edge_at_the_first_eight_points(self, seed):

@@ -16,6 +16,7 @@ from beyondplanar.geometry import (
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
     orientation,
+    quote_int,
     segments_cross,
     validate_pointset,
 )
@@ -47,6 +48,20 @@ class TestPoint:
         p = Point(1, 2)
         with pytest.raises(AttributeError):
             p.x = 3
+
+
+class TestQuoteInt:
+    @pytest.mark.parametrize("x", [0, 7, -7, 10**20 - 1, -(10**20) + 1])
+    def test_up_to_20_digits_in_full(self, x):
+        assert quote_int(x) == str(x)
+
+    @pytest.mark.parametrize("digits", [21, 22, 63, 64, 300, 4300, 4301, 6000, 20000])
+    def test_past_20_digits_by_digit_count(self, digits):
+        # Powers of ten and the numbers just below them are where an
+        # estimate from the bit length goes wrong first.
+        for x, want in ((10 ** (digits - 1), digits), (10**digits - 1, digits), (10**digits, digits + 1)):
+            assert quote_int(x) == f"<{want} digits>"
+            assert quote_int(-x) == f"-<{want} digits>"
 
 
 class TestEdge:

@@ -10,6 +10,7 @@ from beyondplanar import _kernels_py
 from beyondplanar.bounds import _skip
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
+from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
 
 
 def random_graph(v, p, seed):
@@ -122,6 +123,76 @@ class TestMaxClique:
     def test_rejects_out_of_range_bits(self, kernel):
         with pytest.raises(ValueError):
             kernel.max_clique([2, 1 | 4])
+
+
+def is_clique(adj, members):
+    return all(adj[a] >> b & 1 for i, a in enumerate(members) for b in members[i + 1 :])
+
+
+def maximum_clique_union(adj):
+    """(size, union of the vertex sets of all maximum cliques), by scanning every subset."""
+    best, union = 0, 0
+    for mask in range(1 << len(adj)):
+        members = [v for v in range(len(adj)) if mask >> v & 1]
+        if len(members) >= best and is_clique(adj, members):
+            best, union = len(members), (union if len(members) == best else 0) | mask
+    return best, union
+
+
+class TestMaxCliqueAllowed:
+    """`allowed` restricts the vertices a clique may use; the rest are still colored."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_size_is_the_naive_maximum_inside_allowed(self, kernel, seed):
+        rng = random.Random(f"allowed:{seed}")
+        v = 6 + seed % 9
+        adj = random_graph(v, 0.3 + 0.05 * seed, seed)
+        allowed = rng.getrandbits(v) if seed else 0
+        keep = [u for u in range(v) if allowed >> u & 1]
+        want, _ = naive_max_clique(reference_induced(adj, keep))
+        size, members, proven, _ = kernel.max_clique(adj, allowed=allowed)
+        assert proven and size == want == len(members)
+        assert set(members) <= set(keep) and is_clique(adj, members)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_clique_when_every_large_clique_is_allowed(self, kernel, seed):
+        # The family search's replay: aimed at the maximum m with floor
+        # m-1, on vertices that hold every clique of m.
+        rng = random.Random(f"allowed-superset:{seed}")
+        adj = random_graph(8 + seed % 7, 0.4 + 0.04 * seed, seed)
+        m, union = maximum_clique_union(adj)
+        for allowed in (union, union | rng.getrandbits(len(adj))):
+            for target in (m, None):
+                full = kernel.max_clique(adj, target=target, floor_size=m - 1)
+                got = kernel.max_clique(adj, target=target, floor_size=m - 1, allowed=allowed)
+                assert got[:3] == full[:3] and got[3] <= full[3]
+
+    @pytest.mark.parametrize("n, seed", [(24, 0), (32, 1), (40, 2)])
+    def test_same_clique_on_deep_crossing_edges(self, kernel, n, seed):
+        points = gen_random_pointset(n, seed=seed)
+        graph = build_crossing_graph(points)
+        m = max_crossing_family(points).size
+        deep = sum(1 << i for i, depth in enumerate(graph.depths) if depth >= m - 1)
+        full = kernel.max_clique(list(graph.masks), target=m, floor_size=m - 1)
+        got = kernel.max_clique(list(graph.masks), target=m, floor_size=m - 1, allowed=deep)
+        assert got[:3] == full[:3] and got[3] < full[3]
+
+    @pytest.mark.parametrize("v", [20, 63, 64, 65, 100, 140])
+    def test_implementations_agree(self, compiled_kernels, v):
+        rng = random.Random(f"allowed-parity:{v}")
+        adj = random_graph(v, 0.5, v)
+        allowed = rng.getrandbits(v) | rng.getrandbits(v)  # about three quarters of the vertices
+        result = _kernels_py.max_clique(adj, allowed=allowed)
+        assert compiled_kernels.max_clique(adj, allowed=allowed) == result
+        assert result[2] and set(result[1]) <= {u for u in range(v) if allowed >> u & 1}
+        for budget in (2, result[3] // 3, result[3] // 2):
+            stopped = _kernels_py.max_clique(adj, budget=budget, allowed=allowed)
+            assert compiled_kernels.max_clique(adj, budget=budget, allowed=allowed) == stopped
+            size, members, proven, nodes = stopped
+            # Under a budget stop the path's clique counts as found: it
+            # holds only allowed vertices.
+            assert not proven and nodes == budget and size == len(members) >= 1
+            assert all(allowed >> u & 1 for u in members) and is_clique(adj, members)
 
 
 def reference_induced(adj, keep):

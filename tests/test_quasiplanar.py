@@ -15,6 +15,7 @@ from oracles import (
 )
 
 from beyondplanar import _native
+from beyondplanar.crossings import crossing_masks
 
 from beyondplanar.geometry import (
     Edge,
@@ -64,15 +65,26 @@ class TestBuildCrossingGraph:
     @pytest.mark.parametrize("seed", range(3))
     def test_depths_match_the_pointwise_oracle(self, n, seed):
         ps = gen_random_pointset(n, seed)
-        assert list(build_crossing_graph(ps).depths) == naive_edge_depths(ps)
+        g = build_crossing_graph(ps)
+        assert dict(zip(g.edge_list, g.depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_convex_depths_are_the_shorter_arc(self, n):
         ps = gen_convex_polygon(n, 0)
         g = build_crossing_graph(ps)
-        assert list(g.depths) == naive_edge_depths(ps)
+        assert dict(zip(g.edge_list, g.depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
         # Index order is the convex order, so v-u-1 points lie on one side.
         assert list(g.depths) == [min(e.v - e.u - 1, n - 1 - e.v + e.u) for e in g.edge_list]
+
+    @pytest.mark.parametrize("n", [2, 5, 13, 31])
+    def test_edges_in_degree_order(self, n):
+        # Most crossings first, ties in lexicographic order: the order the
+        # clique kernel relabels by, so it searches these rows as given.
+        ps = gen_random_pointset(n, seed=n)
+        g = build_crossing_graph(ps)
+        lex = dict(zip(all_edges(n), crossing_masks(ps, all_edges(n))))
+        assert list(g.edge_list) == sorted(lex, key=lambda e: (-lex[e].bit_count(), e))
+        assert list(g.masks) == crossing_masks(ps, list(g.edge_list))
 
     def test_perfect_family_edges_are_halving(self):
         ps, family = gen_perfect_crossing_family_pointset(5, 0)
@@ -104,18 +116,33 @@ class TestMaxCrossingFamily:
         fam = max_crossing_family(ps)
         assert fam.size == naive_max_crossing_family_size(g) == n // 2
 
-    @pytest.mark.parametrize("n", [6, 9, 12, 17, 24, 31, 40])
+    @pytest.mark.parametrize("n", [6, 9, 12, 17, 24, 31, 40, 44, 48])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_family_as_the_unfiltered_search(self, n, seed):
         # The search on the whole graph, aimed at floor(n/2), returns the
-        # first maximum family in its branch order; the depth search must
-        # return that same family.
+        # first maximum family in its branch order; the depth searches and
+        # the replay restricted to deep edges must return that same family.
+        # Its floor of m-1 only skips families smaller than the one found:
+        # a proven size of m still rules out every larger family.
         ps = gen_random_pointset(n, seed)
         g = build_crossing_graph(ps)
-        _, members, proven, _ = _native.max_clique(list(g.masks), target=n // 2)
         fam = max_crossing_family(ps)
-        assert proven and fam.proven_maximum
-        assert fam.edges == tuple(g.edge_list[i] for i in members)
+        size, members, proven, _ = _native.max_clique(list(g.masks), target=n // 2, floor_size=fam.size - 1)
+        assert proven and fam.proven_maximum and size == fam.size
+        assert fam.edges == tuple(sorted(g.edge_list[i] for i in members))
+
+    @pytest.mark.parametrize("n, seed, nodes", [(40, 0, 52), (40, 1, 86), (40, 2, 178), (40, 3, 833), (48, 0, 418)])
+    def test_depth_searches_keep_their_node_counts(self, n, seed, nodes):
+        # Each depth search relabels its subgraph by (-degree within it,
+        # lexicographic edge), whatever order the crossing graph comes in,
+        # so it takes the nodes it took on a graph in lexicographic order.
+        # The other nodes are the replay's.
+        ps = gen_random_pointset(n, seed)
+        g = build_crossing_graph(ps)
+        fam = max_crossing_family(ps)
+        deep = sum(1 << i for i, depth in enumerate(g.depths) if depth >= fam.size - 1)
+        replay = _native.max_clique(list(g.masks), target=fam.size, floor_size=fam.size - 1, allowed=deep)[3]
+        assert fam.nodes - replay == nodes
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("seed", range(4))
@@ -134,7 +161,8 @@ class TestMaxCrossingFamily:
         ps = gen_random_pointset(40, seed=0)
         g = build_crossing_graph(ps)
         full = max_crossing_family(ps)
-        replay = _native.max_clique(list(g.masks), target=full.size, floor_size=full.size - 1)[3]
+        deep = sum(1 << i for i, depth in enumerate(g.depths) if depth >= full.size - 1)
+        replay = _native.max_clique(list(g.masks), target=full.size, floor_size=full.size - 1, allowed=deep)[3]
         budget = full.nodes - replay // 2  # the depth searches finish, the last one does not
         fam = max_crossing_family(ps, budget=budget)
         assert not fam.proven_maximum and fam.nodes <= budget
