@@ -8,11 +8,12 @@ node counts; the table reports wall times and speedups. The compiled
 kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
 A second table times the crossing layer, `crossing_masks` on the complete
-graph of random n = 24, 32 and 40 points (the benchmark's sizes) and of
-n = 24, 32 and 40 points in convex index order. It has no compiled twin.
-Each random row checks its crossing count against a count made pair by
-pair with `segments_cross` outside the timing, each convex row against
-C(n, 4).
+graph of random n = 24, 32, 40 (the benchmark's sizes) and 60 points (and
+100 under --heavy), where the angular sweep's O(n^2 log n) side masks
+part from O(n^3) point-by-point signs, and of n = 24, 32 and 40 points in
+convex index order. It has no compiled twin. Each random row checks its
+crossing count against a count made pair by pair with `segments_cross`
+outside the timing, each convex row against C(n, 4).
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the search nodes summed over its
@@ -124,7 +125,7 @@ def main() -> None:
     header = f"{'crossing layer':<38} {'crossings':>9} {'python':>9}"
     print(header)
     print("-" * len(header))
-    for n in (24, 32, 40):
+    for n in (24, 32, 40, 60) + ((100,) if args.heavy else ()):
         points, edges = gen_random_pointset(n, seed=n), all_edges(n)
         p = points.points
         want = sum(

@@ -143,7 +143,7 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
             best_size = len(hull) + size
             best_edges = tuple(hull) + tuple(allowed[i] for i in members)
 
-    result = verify_k_planar(n, best_edges, k)
+    result = verify_k_planar(n, [best_edges], k)
     if not result:
         raise AssertionError(
             f"witness re-verification failed: edge {tuple(result.witness)} crosses {result.crossings} > {k}"

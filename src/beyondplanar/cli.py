@@ -140,19 +140,19 @@ def _cmd_verify(args) -> int:
             classes = {}  # one edge at most, so nothing crosses
         elif args.instance is None:
             instance = _convex_realization(coloring.n)
-    for color, edges in classes.items():
-        if args.mode == "kplanar":
-            result = verify_k_planar(instance, edges, args.k)
-            if not result.ok:
-                edge = _fmt_edge(result.witness)
-                print(f"FAIL kplanar class={color} edge={edge} crossings={result.crossings} limit={args.k}")
-                return 1
-        else:
-            result = is_k_quasi_planar(instance, edges, args.k, budget=args.budget)
-            if not result.ok:
-                witness = ",".join(_fmt_edge(e) for e in result.witness)
-                print(f"FAIL quasiplanar class={color} k={args.k} witness={witness}")
-                return 1
+    colors = list(classes)
+    if args.mode == "kplanar":
+        result = verify_k_planar(instance, classes.values(), args.k)
+        if not result.ok:
+            edge = _fmt_edge(result.witness)
+            print(f"FAIL kplanar class={colors[result.index]} edge={edge} crossings={result.crossings} limit={args.k}")
+            return 1
+    else:
+        result = is_k_quasi_planar(instance, classes.values(), args.k, budget=args.budget)
+        if not result.ok:
+            witness = ",".join(_fmt_edge(e) for e in result.witness)
+            print(f"FAIL quasiplanar class={colors[result.index]} k={args.k} witness={witness}")
+            return 1
     print(f"verified {args.mode} k={args.k} n={coloring.n} classes={coloring.num_colors}")
     return 0
 

@@ -28,15 +28,17 @@ class Coloring:
         expected = all_edges(n)
         if len(amap) != len(expected):
             raise ValueError(f"coloring covers {len(amap)} edges, K_{n} has {len(expected)}")
+        ordered = {}  # the assignment in `all_edges` order
         for e in expected:
             c = amap.get(e)
             if c is None:
                 raise ValueError(f"edge {tuple(e)} has no color")
             if not 0 <= c < num_colors:
                 raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
+            ordered[e] = c
         self.n = n
         self.num_colors = num_colors
-        self._assignment = amap
+        self._assignment = ordered
 
     def classes(self) -> dict[int, list[Edge]]:
         """Edge lists of the colors in use, in color order, each sorted lexicographically.
@@ -50,8 +52,8 @@ class Coloring:
         return dict(sorted(out.items()))
 
     def items(self) -> Iterator[tuple[Edge, int]]:
-        for e in all_edges(self.n):
-            yield e, self._assignment[e]
+        """(edge, color) for every edge, in `all_edges` order."""
+        return iter(self._assignment.items())
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import Coloring
-from .crossings import canonical_edge, canonical_edges, crossing_masks
+from .crossings import canonical_edge, class_crossing_masks
 from .geometry import Edge, PointSet, all_edges, validate_pointset
 
 
@@ -65,24 +65,30 @@ class KPlanarResult:
     ok: bool
     witness: Edge | None = None
     crossings: int | None = None
+    index: int | None = None  # position of the first failing class
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def verify_k_planar(instance: PointSet | int, edges: Iterable[Edge], k: int) -> KPlanarResult:
-    """Check that every edge in the set crosses at most k others in the set.
+def verify_k_planar(instance: PointSet | int, classes: Iterable[Iterable[Edge]], k: int) -> KPlanarResult:
+    """Check that in each class every edge crosses at most k others of its class.
 
     The instance is a PointSet, or an int n for convex position in index
-    order. On failure the witness is the first offending edge in
-    lexicographic order together with its exact crossing count.
+    order; classes is a sequence of edge lists, such as
+    `coloring.classes().values()`, checked in one crossing pass. Every
+    class is range-checked before any is verified, so an out-of-range
+    edge in any class raises ValueError. On failure, index is the
+    position of the first failing class and the witness its first
+    offending edge in lexicographic order, together with its exact
+    crossing count.
     """
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
-    es = canonical_edges(instance, edges)
-    for e, mask in zip(es, crossing_masks(instance, es)):
-        if mask.bit_count() > k:
-            return KPlanarResult(False, e, mask.bit_count())
+    for index, (edges, masks) in enumerate(class_crossing_masks(instance, classes)):
+        for e, mask in zip(edges, masks):
+            if mask.bit_count() > k:
+                return KPlanarResult(False, e, mask.bit_count(), index)
     return KPlanarResult(True)
 
 

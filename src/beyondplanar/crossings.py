@@ -6,22 +6,36 @@ the closed form C(n, 4) of convex K_n, comes from `crossing_masks`, or
 from `crossings_in_degree_order` when the edges are to be reordered by
 their crossing counts.
 
-It never tests a pair of edges. It uses side strings, the order-type
-view of Goodman and Pollack: for each edge ab, one bit per point w that
-the edge list touches, set iff w lies strictly left of ab. The bit is the
-sign of the exact integer det(b - a, w - a) on a PointSet, and a < w < b
+It never tests a pair of edges. It uses side masks, the order-type view
+of Goodman and Pollack: for each edge ab, one bit per point w that the
+edge list touches, set iff w lies strictly left of ab, that is, iff the
+exact integer det(b - a, w - a) is positive on a PointSet, and a < w < b
 in convex position. With inc[w] the mask of the edges ending at w, the
 XOR of inc[w] over the points left of ab keeps exactly the edges with one
 end on each side of ab's line, once the edges at a and b are masked out:
 an edge with both ends on the left cancels. On a PointSet that XOR is one
-table lookup per byte of the side string; in convex position the left
+table lookup per byte of the side mask; in convex position the left
 side is a range of the index order, so it is one difference of prefix
-XORs. The side strings, transposed, give the edges each point lies left
+XORs. The side masks, transposed, give the edges each point lies left
 of. Two edges properly cross iff each one's line separates the other's
 ends; an edge that shares an endpoint with ab has that end on its line
 and drops out. General position makes every other sign nonzero. Each
-side string's popcount gives its edge's depth, the fewer points on
+side mask's popcount gives its edge's depth, the fewer points on
 either side of its line.
+
+On a PointSet the side masks come from one angular sweep per apex, in
+O(n^2 log n) for K_n instead of O(n^3) signs. Each edge a < b is swept
+from its lower end a, so K_n costs n - 1 sorts. Around an apex the
+other used points are sorted by an exact integer key: the half plane,
+then floor(-dx * 2^64 / dy). Coordinates within COORD_LIMIT = 2^30 bound
+|dx| and |dy| by 2^31, so two distinct slopes differ by at least 2^-62
+and their keys by at least 3; one exact cross product per adjacent pair
+certifies the order anyway. The points strictly left of a -> b are the
+run that follows b in the cyclic order up to the first point at an
+angle of pi or more. A two-pointer advance on exact cross products finds
+every run around the apex, and a difference of prefix XORs over the
+doubled order reads its mask.
+
 `segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
 `check_pairwise_crossing` decide one pair at a time and stay independent
 of this layer, so they can re-check it.
@@ -29,9 +43,19 @@ of this layer, so they can re-check it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from itertools import accumulate
+from operator import gt, mul, xor
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import Edge, PointSet
+
+# Sweep keys: a slope key floor(-dx * 2^64 / dy) lies within +/-2^95, the
+# direction with dy = 0 that opens each half plane takes _ON_AXIS below all of
+# them, and _HALF puts the upper half plane (angles in [0, pi)) below 0 and
+# the lower one above.
+_HALF = 1 << 97
+_ON_AXIS = -(1 << 96)
 
 
 def canonical_edge(n: int, e) -> Edge:
@@ -55,8 +79,26 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
     form and in range, as `canonical_edges` and `all_edges` give them.
     """
     if isinstance(instance, PointSet):
-        return _string_rows(edges, _side_strings(instance, edges))
+        return _mask_rows(edges, _side_masks(instance, edges))
     return _convex_rows(edges)
+
+
+def class_crossing_masks(
+    instance: PointSet | int, classes: Iterable[Iterable]
+) -> Iterator[tuple[list[Edge], list[int]]]:
+    """Per class, its `canonical_edges` and their `crossing_masks` within the class.
+
+    One `crossing_masks` call covers the classes' edges end to end; the
+    rows of a class at offset lo with w edges are its edges' rows shifted
+    down by lo and cut to w bits. An edge may lie in several classes.
+    """
+    groups = [canonical_edges(instance, edges) for edges in classes]
+    rows = crossing_masks(instance, [e for edges in groups for e in edges])
+    lo = 0
+    for edges in groups:
+        cut = (1 << len(edges)) - 1
+        yield edges, [row >> lo & cut for row in rows[lo : lo + len(edges)]]
+        lo += len(edges)
 
 
 def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[list[Edge], list[int], list[int]]:
@@ -64,17 +106,17 @@ def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[
 
     Ties keep the given order. masks is `crossing_masks` of the reordered
     edges, and depths[i] is the smaller number of touched points on either
-    side of edges[i]'s line. The side strings are computed once: the rows
-    are assembled from them in the given order for the degrees, and again
-    in the new order.
+    side of edges[i]'s line, from its side mask. The side masks come from
+    one sweep: the rows are assembled from them in the given order for the
+    degrees, and again in the new order.
     """
-    strings = _side_strings(points, edges)
-    degree = [row.bit_count() for row in _string_rows(edges, strings)]
+    sides = _side_masks(points, edges)
+    degree = [row.bit_count() for row in _mask_rows(edges, sides)]
     order = sorted(range(len(edges)), key=lambda i: -degree[i])
-    edges, strings = [edges[i] for i in order], [strings[i] for i in order]
-    touched = len(strings[0]) if strings else 0
-    depths = [min(c, touched - 2 - c) for c in (s.count("1") for s in strings)]
-    return edges, _string_rows(edges, strings), depths
+    edges, sides = [edges[i] for i in order], [sides[i] for i in order]
+    touched = len({w for e in edges for w in e})
+    depths = [min(c, touched - 2 - c) for c in (side.bit_count() for side in sides)]
+    return edges, _mask_rows(edges, sides), depths
 
 
 def _incidence(edges: Sequence[Edge]) -> tuple[dict[int, int], list[int]]:
@@ -86,29 +128,67 @@ def _incidence(edges: Sequence[Edge]) -> tuple[dict[int, int], list[int]]:
     return inc, sorted(inc)
 
 
-def _side_strings(points: PointSet, edges: Sequence[Edge]) -> list[str]:
-    """One side string per edge: character j is "1" iff used[-1 - j] lies strictly left of it.
+def _side_masks(points: PointSet, edges: Sequence[Edge]) -> list[int]:
+    """One side mask per edge: bit j is set iff used[j] lies strictly left of it.
 
-    `used` is the sorted points the edges touch, so bit j of the string
-    read as an int is used[j].
+    `used` is the sorted points the edges touch. Each edge is swept from
+    its lower end, and each such end once, for all its edges.
     """
-    xy = [(p.x, p.y) for p in points.points]
-    rev_xy = [xy[w] for w in sorted({w for e in edges for w in e}, reverse=True)]
-    strings = []
-    for a, b in edges:
-        (ax, ay), (bx, by) = xy[a], xy[b]
-        dx, dy = bx - ax, by - ay
-        c = dx * ay - dy * ax  # w is left of ab iff dx * wy - dy * wx > c
-        strings.append("".join(["1" if dx * y - dy * x > c else "0" for x, y in rev_xy]))
-    return strings
+    bit = {w: 1 << j for j, w in enumerate(sorted({w for e in edges for w in e}))}
+    swept: dict[int, list[int]] = {}  # lower end -> the edges swept from it
+    for i, e in enumerate(edges):
+        swept.setdefault(e.u, []).append(i)
+    used = [(points[w].x, points[w].y, w) for w in bit]
+    sides = [0] * len(edges)
+    for apex, ids in swept.items():
+        ax, ay = points[apex].x, points[apex].y
+        ring = [(x - ax, y - ay, bit[w]) for x, y, w in used if w != apex]
+        lefts = _sweep(ring, {bit[edges[i].v] for i in ids})
+        for i in ids:
+            sides[i] = lefts[bit[edges[i].v]]
+    return sides
 
 
-def _string_rows(edges: Sequence[Edge], strings: list[str]) -> list[int]:
-    """`crossing_masks` from the edges' side strings.
+def _sweep(ring: list[tuple[int, int, int]], ends: set[int]) -> dict[int, int]:
+    """For each end b, by its bit, the mask of the ring points strictly left of the apex -> b.
 
-    XOR tables over 8 used points at a time turn a string read as an int
-    into the XOR of `inc` over the points on its left, one lookup per
-    byte. Column j of the strings, read over the edges in reverse, is
+    The ring holds (dx, dy, bit) of every used point but the apex, dx and
+    dy taken from the apex.
+    """
+    # The half plane ((dy or dx) < 0 in the lower one), then floor(-dx * 2^64 / dy),
+    # which rises with the angle.
+    ring = sorted(
+        [
+            (((-dx << 64) // dy if dy else _ON_AXIS) + (_HALF if (dy or dx) < 0 else -_HALF), dx, dy, b)
+            for dx, dy, b in ring
+        ]
+    )
+    keys, xs, ys, bits = zip(*ring)
+    m, upper = len(keys), bisect_left(keys, 0)
+    for lo, hi in ((0, upper), (upper, m)):  # one half plane each: every step turns left
+        if not all(map(gt, map(mul, xs[lo : hi - 1], ys[lo + 1 : hi]), map(mul, ys[lo : hi - 1], xs[lo + 1 : hi]))):
+            raise AssertionError("angular order around a point fails its cross-product check")
+    xs, ys = xs + xs, ys + ys
+    prefix = list(accumulate(bits + bits, xor, initial=0))  # prefix[j] = XOR of the bits of the doubled ring[:j]
+    lefts = {}
+    j = 0  # end of the run left of the last end swept; it only moves forward
+    for p, b in enumerate(bits):
+        if b in ends:
+            bx, by = xs[p], ys[p]
+            if j <= p:
+                j = p + 1
+            while j < p + m and bx * ys[j] > by * xs[j]:
+                j += 1
+            lefts[b] = prefix[j] ^ prefix[p + 1]
+    return lefts
+
+
+def _mask_rows(edges: Sequence[Edge], sides: list[int]) -> list[int]:
+    """`crossing_masks` from the edges' side masks.
+
+    XOR tables over 8 used points at a time turn a side mask into the XOR
+    of `inc` over the points on its left, one lookup per byte. Column j of
+    the side masks written in binary, read over the edges in reverse, is
     `left_of` of used[-1 - j].
     """
     inc, used = _incidence(edges)
@@ -119,12 +199,13 @@ def _string_rows(edges: Sequence[Edge], strings: list[str]) -> list[int]:
             table += [x ^ inc[w] for x in table]
         tables.append(table)
     split = []
-    for s, (a, b) in zip(strings, edges):
+    for side, (a, b) in zip(sides, edges):
         x = 0
-        for table, byte in zip(tables, int(s, 2).to_bytes(len(tables), "little")):
+        for table, byte in zip(tables, side.to_bytes(len(tables), "little")):
             x ^= table[byte]
         split.append(x & ~(inc[a] | inc[b]))
-    columns = (int("".join(column), 2) for column in zip(*strings[::-1]))
+    width = f"0{len(used)}b"
+    columns = (int("".join(column), 2) for column in zip(*[format(side, width) for side in reversed(sides)]))
     left_of = dict(zip(reversed(used), columns))
     return _crossing_rows(edges, split, left_of)
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import canonical_edge, canonical_edges, crossing_masks, crossings_in_degree_order
+from .crossings import canonical_edge, class_crossing_masks, crossings_in_degree_order
 from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -138,34 +138,40 @@ def _certified(graph: CrossingGraph, points: PointSet, members: list[int], prove
 class QuasiPlanarResult:
     ok: bool
     witness: tuple[Edge, ...] | None = None
+    index: int | None = None  # position of the first failing class
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def is_k_quasi_planar(
-    points: PointSet, edges: Iterable[Edge], k: int, budget: int = DEFAULT_BUDGET
+    points: PointSet, classes: Iterable[Iterable[Edge]], k: int, budget: int = DEFAULT_BUDGET
 ) -> QuasiPlanarResult:
-    """True iff the edge set contains no k pairwise crossing edges.
+    """True iff no class contains k pairwise crossing edges.
 
-    On failure the witness is a crossing family of exactly k edges,
-    re-verified with the exact segment predicate.
+    classes is a sequence of edge lists, such as
+    `coloring.classes().values()`, checked in one crossing pass and then
+    one clique search per class, each within `budget` nodes. Every class
+    is range-checked before any is searched, so an out-of-range edge in
+    any class raises ValueError. On failure, index is the position of
+    the first failing class and the witness a
+    crossing family of exactly k of its edges, re-verified with the exact
+    segment predicate.
     """
     if k < 2:
         raise ValueError(f"k >= 2 required, got {k}")
-    es = canonical_edges(points, edges)
-    masks = crossing_masks(points, es)
-    size, members, proven, nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
-    if size >= k:
-        witness = tuple(es[i] for i in members[:k])
-        if not check_pairwise_crossing(points, witness):
-            raise AssertionError("quasi-planarity witness fails exact re-verification")
-        return QuasiPlanarResult(False, witness)
-    if not proven:
-        raise SearchBudgetError(
-            f"existence search for {k} pairwise crossing edges exceeded budget {budget}"
-            f" after {nodes} nodes; the largest crossing family found has fewer than {k} edges"
-        )
+    for index, (es, masks) in enumerate(class_crossing_masks(points, classes)):
+        size, members, proven, nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
+        if size >= k:
+            witness = tuple(es[i] for i in members[:k])
+            if not check_pairwise_crossing(points, witness):
+                raise AssertionError("quasi-planarity witness fails exact re-verification")
+            return QuasiPlanarResult(False, witness, index)
+        if not proven:
+            raise SearchBudgetError(
+                f"existence search for {k} pairwise crossing edges exceeded budget {budget}"
+                f" after {nodes} nodes; the largest crossing family found has fewer than {k} edges"
+            )
     return QuasiPlanarResult(True)
 
 

@@ -139,6 +139,25 @@ def naive_crossing_masks(instance, edges):
     return masks
 
 
+def naive_side_masks(points, edges):
+    """Side masks of an edge list, one determinant per edge and used point.
+
+    Bit j of masks[i] is set iff the j-th smallest point that the edges
+    touch lies strictly left of edges[i] = (a, b): det(b - a, w - a) > 0.
+    This is the per-point loop the crossing layer ran before its angular
+    sweep, kept here to check the sweep.
+    """
+    xy = [(p.x, p.y) for p in points.points]
+    rev_xy = [xy[w] for w in sorted({w for e in edges for w in e}, reverse=True)]
+    strings = []
+    for a, b in edges:
+        (ax, ay), (bx, by) = xy[a], xy[b]
+        dx, dy = bx - ax, by - ay
+        c = dx * ay - dy * ax  # w is left of ab iff dx * wy - dy * wx > c
+        strings.append("".join(["1" if dx * y - dy * x > c else "0" for x, y in rev_xy]))
+    return [int(s, 2) for s in strings]
+
+
 def naive_edge_depths(points):
     """Depth of every edge of K(P), in `all_edges` order, point by point.
 

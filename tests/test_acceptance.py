@@ -58,7 +58,7 @@ def test_criterion_01_slope_pipeline_one_planar():
         coloring = slope_partition(n, 3)
         assert coloring.num_colors == -(-n // 3)
         for edges in coloring.classes().values():
-            assert verify_k_planar(n, edges, 1).ok
+            assert verify_k_planar(n, [edges], 1).ok
         assert one_planar_lower_bound(n) == -(-n // 3)
     _done(1, "slope partition s=3 is 1-planar in exactly ceil(n/3) classes", started, 1.0)
 
@@ -70,7 +70,7 @@ def test_criterion_02_slope_blocks_with_position_refinement():
             coloring = slope_partition(n, s)
             k = (s - 1) * (s - 2) // 2
             for edges in coloring.classes().values():
-                assert verify_k_planar(n, edges, k).ok
+                assert verify_k_planar(n, [edges], k).ok
                 for e, mask in zip(edges, crossing_masks(n, edges)):
                     j = slope_class(n, e) % s + 1
                     assert mask.bit_count() <= position_crossing_cap(s, j) <= k
@@ -117,14 +117,14 @@ def test_criterion_05_kplane_classes_double_counting():
         for s in range(3, n + 1):
             k = (s - 1) * (s - 2) // 2
             for edges in slope_partition(n, s).classes().values():
-                assert verify_k_planar(n, edges, k).ok
+                assert verify_k_planar(n, [edges], k).ok
                 cr = count_crossings(n, edges)
                 assert 2 * cr <= k * len(edges)
                 checked += 1
     for n in range(4, 10):
         for k in range(5):
             result = max_k_plane_subgraph(n, k)
-            assert verify_k_planar(n, result.edges, k).ok
+            assert verify_k_planar(n, [result.edges], k).ok
             cr = count_crossings(n, result.edges)
             assert 2 * cr <= k * result.size
             checked += 1
@@ -145,7 +145,7 @@ def test_criterion_06_double_star_decompositions():
         seen = []
         for tree in trees.values():
             assert verify_spanning_tree(points, tree)
-            assert is_k_quasi_planar(points, tree, 3).ok
+            assert is_k_quasi_planar(points, [tree], 3).ok
             seen.extend(tree)
         assert len(seen) == len(set(seen)) == two_n * (two_n - 1) // 2
         assert sorted(seen) == list(all_edges(two_n))
@@ -163,7 +163,7 @@ def test_criterion_07_halving_partition_color_optimal():
             classes = coloring.classes()
             assert len(classes) == coloring.num_colors, "every color class must be nonempty"
             for edges in classes.values():
-                assert is_k_quasi_planar(points, edges, k).ok
+                assert is_k_quasi_planar(points, [edges], k).ok
             assert coloring.n == points.n
             found = max_crossing_family(points)
             assert found.proven_maximum and found.size == n
@@ -183,7 +183,7 @@ def test_criterion_08_family_partition_color_formula():
         assert lower <= coloring.num_colors <= upper
         assert coloring.num_colors >= -(-m // (k - 1))
         for edges in coloring.classes().values():
-            assert is_k_quasi_planar(points, edges, k).ok
+            assert is_k_quasi_planar(points, [edges], k).ok
         assert coloring.n == points.n
     _done(8, "family-guided partition meets the two-term color formula", started, 60.0)
 

@@ -152,7 +152,7 @@ class TestMaxKPlaneSubgraph:
         a = max_k_plane_subgraph(7, 2)
         b = max_k_plane_subgraph(7, 2)
         assert a == b
-        assert verify_k_planar(7, a.edges, 2)
+        assert verify_k_planar(7, [a.edges], 2)
         assert len(a.edges) == a.size
 
     def test_double_counting_on_witnesses(self):
@@ -178,7 +178,7 @@ class TestMaxKPlaneSubgraph:
             r = max_k_plane_subgraph(n, k, budget=budget)
             assert r.nodes <= budget, budget
             assert r.proven == (budget > full.nodes), budget
-            assert verify_k_planar(n, r.edges, k) and r.size <= full.size
+            assert verify_k_planar(n, [r.edges], k) and r.size <= full.size
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

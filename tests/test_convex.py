@@ -107,7 +107,7 @@ class TestSlopePartition:
         col = slope_partition(12, 4)
         assert col.num_colors == 3
         for edges in col.classes().values():
-            assert verify_k_planar(12, edges, 3)
+            assert verify_k_planar(12, [edges], 3)
 
     def test_single_interval_is_whole_graph(self):
         col = slope_partition(5, 5)
@@ -126,7 +126,7 @@ class TestSlopePartition:
         for s in range(3, n + 1):
             k = (s - 1) * (s - 2) // 2
             for edges in slope_partition(n, s).classes().values():
-                res = verify_k_planar(n, edges, k)
+                res = verify_k_planar(n, [edges], k)
                 assert res, (n, s, res.witness, res.crossings)
 
     @pytest.mark.parametrize("n", [3, 7, 12])
@@ -142,7 +142,7 @@ class TestSlopePartition:
         col = slope_partition(points, 3)
         assert col.num_colors == -(-n // 3)
         assert dict(col.items()) == {e: base[Edge.of(pos[e.u], pos[e.v])] for e in all_edges(n)}
-        assert all(verify_k_planar(points, edges, 1) for edges in col.classes().values())
+        assert all(verify_k_planar(points, [edges], 1) for edges in col.classes().values())
         with pytest.raises(ValueError, match="convex position"):
             slope_partition(gen_random_pointset(12, 1), 3)
 
@@ -158,37 +158,37 @@ class TestSlopePartition:
 
 class TestVerifyKPlanar:
     def test_k5_is_2_planar(self):
-        assert verify_k_planar(5, all_edges(5), 2)
+        assert verify_k_planar(5, [all_edges(5)], 2)
 
     def test_k5_not_1_planar_witness_is_diagonal(self):
-        res = verify_k_planar(5, all_edges(5), 1)
+        res = verify_k_planar(5, [all_edges(5)], 1)
         assert not res
         u, v = res.witness
         assert (v - u) % 5 not in (1, 4)  # a diagonal, not a hull edge
         assert res.crossings == 2
 
     def test_empty_set(self):
-        assert verify_k_planar(9, [], 0)
+        assert verify_k_planar(9, [[]], 0)
 
     def test_witness_count_is_exact(self):
-        res = verify_k_planar(6, all_edges(6), 3)
+        res = verify_k_planar(6, [all_edges(6)], 3)
         assert not res and res.crossings == 4
 
     def test_reversed_duplicates_are_one_edge(self):
-        assert verify_k_planar(6, [(0, 3), (3, 0), (1, 4)], 1)
+        assert verify_k_planar(6, [[(0, 3), (3, 0), (1, 4)]], 1)
 
     def test_pointset_instance_matches_convex_index_order(self):
         ps = gen_convex_polygon(6, seed=0)
-        assert verify_k_planar(ps, all_edges(6), 4)
-        res = verify_k_planar(ps, all_edges(6), 3)
+        assert verify_k_planar(ps, [all_edges(6)], 4)
+        res = verify_k_planar(ps, [all_edges(6)], 3)
         assert (res.ok, res.witness, res.crossings) == (False, Edge(0, 3), 4)
-        assert verify_k_planar(6, all_edges(6), 3) == res
+        assert verify_k_planar(6, [all_edges(6)], 3) == res
 
     def test_rejects_out_of_range_edges(self):
         with pytest.raises(ValueError, match="out of range"):
-            verify_k_planar(6, [(0, 6)], 1)
+            verify_k_planar(6, [[(0, 6)]], 1)
         with pytest.raises(ValueError, match="out of range"):
-            verify_k_planar(gen_convex_polygon(6), [(-1, 2)], 1)
+            verify_k_planar(gen_convex_polygon(6), [[(-1, 2)]], 1)
 
 
 def max_crossings_in_class(n, coloring, color):

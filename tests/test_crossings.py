@@ -6,17 +6,44 @@ convex point sets and on convex index order: complete graphs up to the
 benchmark's n = 40, random edge subsets, the (skip, edge) order of the
 extremal oracle's diagonal lists, reversed and shuffled caller orders,
 subsets that leave most points unused, and coordinates at the limit.
-Masks and depths are also checked where the side strings' XOR tables
+Masks and depths are also checked where the side masks' XOR tables
 change byte: 7, 8, 9, 16, 17 and 25 used points.
+
+The angular sweep that gives the side masks is compared with
+`naive_side_masks`, one determinant per edge and used point, on random,
+convex and crossing-family sets, the smallest sets, single edges, stars
+at every center, matchings, and directions at the coordinate limit whose
+determinant is 1, where the sweep's integer key is closest to its
+exactness bound.
+
+The class-list verifiers, which take every class in one crossing pass,
+are compared with a loop of one-class calls: the same first failing
+class, witness, crossing count and budget stop.
 """
 
 import random
 
 import pytest
-from oracles import naive_crossing_masks, naive_edge_depths
+from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_enum, naive_side_masks
 
-from beyondplanar.crossings import canonical_edges, crossing_masks, crossings_in_degree_order
-from beyondplanar.geometry import COORD_LIMIT, Edge, PointSet, all_edges, gen_convex_polygon, gen_random_pointset
+from beyondplanar.convex import verify_k_planar
+from beyondplanar.crossings import (
+    _side_masks,
+    canonical_edges,
+    class_crossing_masks,
+    crossing_masks,
+    crossings_in_degree_order,
+)
+from beyondplanar.geometry import (
+    COORD_LIMIT,
+    Edge,
+    PointSet,
+    all_edges,
+    gen_convex_polygon,
+    gen_perfect_crossing_family_pointset,
+    gen_random_pointset,
+)
+from beyondplanar.quasiplanar import SearchBudgetError, is_k_quasi_planar
 
 
 def skip_order(n):
@@ -102,6 +129,102 @@ class TestCrossingMasks:
             assert crossing_masks(n, edges) == crossing_masks(polygon, edges)
 
 
+def near_parallel_pointset():
+    """Points at the coordinate limit L.
+
+    Seen from point 0 = (-L, -L), points 1 and 2, and points 3 and 4, lie
+    in directions whose determinant is -1 and 1, with every |dx| and |dy|
+    within 2 of 2^31: their slopes differ by about 2^-62, the bound the
+    sweep's integer key is exact to. Point 5 lies straight right of point
+    0, where the upper half plane of point 0's sweep begins, and point 0
+    straight left of point 5, where the lower one of point 5's begins.
+    Point 6 lies straight above point 0.
+    """
+    lim = COORD_LIMIT
+    near = [(lim, lim - 1), (lim - 1, lim - 2), (lim - 1, lim), (lim - 2, lim - 1)]
+    return PointSet([(-lim, -lim)] + near + [(lim, -lim), (-lim, lim), (2, 3 - lim)])
+
+
+class TestAngularSweep:
+    """Side masks from one angular sweep per apex against one determinant per point."""
+
+    @pytest.mark.parametrize("n", [4, 9, 17, 40])
+    @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
+    def test_random_and_convex_sets(self, make, n):
+        points = make(n, seed=n)
+        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_crossing_family_sets(self, m):
+        points, family = gen_perfect_crossing_family_pointset(m, seed=m)
+        for edges in (family, family[::-1], all_edges(2 * m), random_subset(2 * m, 2)):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_sets(self, n):
+        points = gen_random_pointset(n, seed=n)
+        for edges in (all_edges(n), all_edges(n)[::-1], all_edges(n)[:1], []):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_edges(self, seed):
+        points = gen_random_pointset(9, seed=seed)
+        for e in all_edges(9):
+            assert _side_masks(points, [e]) == naive_side_masks(points, [e]) == [0]
+        assert _side_masks(points, [Edge(0, 8), Edge(3, 5)]) == naive_side_masks(points, [Edge(0, 8), Edge(3, 5)])
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_stars_at_every_center(self, n):
+        # The center sweeps its edges to higher points; each edge to a lower
+        # point is swept from that point, its lower end.
+        points = gen_random_pointset(n, seed=n)
+        for center in range(n):
+            star = [Edge.of(center, w) for w in range(n) if w != center]
+            for edges in (star, star[::-1], star[:2], [star[-1]] + star[:1]):
+                assert _side_masks(points, edges) == naive_side_masks(points, edges)
+                assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("n", [6, 13, 40])
+    def test_matchings(self, n):
+        # Every end has one edge, so every lower end sorts for a single edge.
+        rng = random.Random(f"matching:{n}")
+        order = list(range(n))
+        rng.shuffle(order)
+        matching = [Edge.of(a, b) for a, b in zip(order[::2], order[1::2])]
+        points = gen_random_pointset(n, seed=n)
+        for edges in (matching, matching[: len(matching) // 2]):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+
+    def test_near_parallel_directions_at_the_coordinate_limit(self):
+        points = near_parallel_pointset()
+        d = [(p.x - points[0].x, p.y - points[0].y) for p in points[1:]]
+        assert [d[0][0] * d[1][1] - d[0][1] * d[1][0], d[2][0] * d[3][1] - d[2][1] * d[3][0]] == [-1, 1]
+        assert min(c for v in d[:4] for c in v) >= 2**31 - 2
+        assert d[4][1] == d[5][0] == 0
+        n = points.n
+        for edges in (all_edges(n), all_edges(n)[::-1], [Edge(0, w) for w in range(1, n)], [Edge(1, 2), Edge(3, 4)]):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coordinates_within_three_of_the_limit(self, seed):
+        points = extreme_pointset(14, seed)
+        for edges in (all_edges(14), random_subset(14, seed)):
+            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize(
+        "points",
+        [gen_random_pointset(13, seed=2), gen_convex_polygon(10, seed=1), gen_perfect_crossing_family_pointset(6)[0]],
+        ids=["random", "convex", "family"],
+    )
+    def test_depths_match_the_pointwise_oracle(self, points):
+        edges, masks, depths = crossings_in_degree_order(points, all_edges(points.n))
+        assert dict(zip(edges, depths)) == dict(zip(all_edges(points.n), naive_edge_depths(points)))
+        assert masks == naive_crossing_masks(points, edges)
+
+
 class TestSideStringTables:
     """Side strings are XORed through tables over 8 used points at a time."""
 
@@ -136,6 +259,127 @@ class TestSideStringTables:
         for edges in (nine, late, late[::-1]):
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
             assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
+
+
+def random_classes(n, seed):
+    """Random classes of K_n: some empty, one edge in two classes, edges written backwards."""
+    rng = random.Random(f"classes:{n}:{seed}")
+    classes = [[] for _ in range(rng.randrange(2, 6))]
+    for e in all_edges(n):
+        classes[rng.randrange(len(classes))].append(e if rng.random() < 0.8 else (e.v, e.u))
+    classes.insert(rng.randrange(len(classes) + 1), [])
+    shared = rng.choice(all_edges(n))
+    for edges in rng.sample(classes, 2):
+        edges.append(shared)
+    return classes
+
+
+def one_class_at_a_time(verify, instance, classes, *args, **kwargs):
+    """The first failing class by one-class calls: (index, witness, crossings), or (index, message) of a budget stop."""
+    for index, edges in enumerate(classes):
+        try:
+            result = verify(instance, [edges], *args, **kwargs)
+        except SearchBudgetError as err:
+            return index, str(err)
+        if not result.ok:
+            assert result.index == 0
+            return index, result.witness, getattr(result, "crossings", None)
+    return None
+
+
+def all_classes_at_once(verify, instance, classes, *args, **kwargs):
+    """(index, witness, crossings) of the first failing class by one class-list call, or a budget stop's message."""
+    try:
+        result = verify(instance, classes, *args, **kwargs)
+    except SearchBudgetError as err:
+        return str(err)
+    return None if result.ok else (result.index, result.witness, getattr(result, "crossings", None))
+
+
+class TestClassLists:
+    """One crossing pass over every class against one call per class."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [5, 9, 14])
+    def test_rows_are_those_of_each_class_alone(self, n, seed):
+        classes = random_classes(n, seed)
+        for instance in (gen_random_pointset(n, seed=seed), n):
+            got = list(class_crossing_masks(instance, classes))
+            want = [canonical_edges(instance, edges) for edges in classes]
+            assert [edges for edges, _ in got] == want
+            assert [masks for _, masks in got] == [naive_crossing_masks(instance, edges) for edges in want]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [6, 10, 16])
+    def test_k_planar_first_failing_class(self, n, seed):
+        classes = random_classes(n, seed)
+        for instance in (gen_random_pointset(n, seed=seed), gen_convex_polygon(n, seed=seed), n):
+            for k in (0, 1, 2, 4, 40):
+                want = one_class_at_a_time(verify_k_planar, instance, classes, k)
+                assert all_classes_at_once(verify_k_planar, instance, classes, k) == want
+                naive = [
+                    any(m.bit_count() > k for m in naive_crossing_masks(instance, canonical_edges(instance, c)))
+                    for c in classes
+                ]
+                assert (want is None) == (True not in naive)
+                assert want is None or want[0] == naive.index(True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [7, 10, 12])
+    def test_quasi_planar_first_failing_class(self, n, seed):
+        classes = random_classes(n, seed)
+        points = gen_random_pointset(n, seed=seed)
+        for k in (3, 4, 5):
+            want = one_class_at_a_time(is_k_quasi_planar, points, classes, k)
+            assert all_classes_at_once(is_k_quasi_planar, points, classes, k) == want
+            naive = []
+            for c in classes:
+                edges = canonical_edges(points, c)
+                masks = naive_crossing_masks(points, edges)
+                naive.append(naive_max_clique_enum(lambda i, j: bool(masks[i] >> j & 1), len(edges)) >= k)
+            assert (want is None) == (True not in naive)
+            assert want is None or want[0] == naive.index(True)
+
+    def test_budget_stops_where_the_class_loop_stops(self):
+        n = 16
+        stops = set()
+        for seed in range(4):
+            classes = random_classes(n, seed)
+            points = gen_random_pointset(n, seed=seed)
+            for k in (3, 4, 5):
+                for budget in (1, 2, 3, 5, 8, 13, 21, 55, 10**8):
+                    want = one_class_at_a_time(is_k_quasi_planar, points, classes, k, budget=budget)
+                    got = all_classes_at_once(is_k_quasi_planar, points, classes, k, budget=budget)
+                    if want is not None and len(want) == 2:  # the loop stopped at class want[0]
+                        assert got == want[1]
+                        stops.add(want[0])
+                    else:
+                        assert got == want
+        assert {0, 2, 3, 4} <= stops  # in the first class, and after classes that passed
+
+    def test_every_class_is_range_checked_before_any_is_verified(self):
+        # Class 0 fails on its own, but class 1 holds an edge out of range:
+        # the class-list call raises rather than report index 0.
+        n = 6
+        failing = all_edges(n)
+        points = gen_convex_polygon(n, seed=0)
+        assert verify_k_planar(n, [failing], 0).index == 0
+        assert is_k_quasi_planar(points, [failing], 3).index == 0
+        classes = [failing, [Edge(0, 1), (2, n)]]
+        with pytest.raises(ValueError, match="out of range"):
+            verify_k_planar(n, classes, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_k_planar(points, classes, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            is_k_quasi_planar(points, classes, 3)
+
+    def test_empty_class_lists_and_classes(self):
+        points = gen_random_pointset(6, seed=0)
+        for verify, k in ((verify_k_planar, 0), (is_k_quasi_planar, 2)):
+            assert verify(points, [], k).ok
+            assert verify(points, [[], []], k).ok
+            result = verify(points, [[], [], all_edges(6)], k)
+            assert not result.ok and result.index == 2
 
 
 class TestCanonicalEdges:

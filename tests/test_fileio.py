@@ -20,6 +20,7 @@ from beyondplanar.fileio import (
     write_instance,
 )
 from beyondplanar.geometry import (
+    Edge,
     all_edges,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
@@ -182,6 +183,15 @@ class TestColoringFormat:
         coloring = Coloring(4, 5, {e: (4 if e == (0, 1) else 1) for e in all_edges(4)})
         assert list(coloring.classes()) == [1, 4]
         assert coloring.classes()[1] == all_edges(4)[1:]
+
+    def test_items_in_edge_order_whatever_the_input_order(self):
+        # Built from plain tuples in reverse order, the store still holds
+        # `Edge`s in `all_edges` order, so items() and classes() need no sort.
+        edges = all_edges(7)
+        coloring = Coloring(7, 3, {(e.u, e.v): (e.u * e.v) % 3 for e in reversed(edges)})
+        assert list(coloring.items()) == [(e, (e.u * e.v) % 3) for e in edges]
+        assert all(type(e) is Edge for e, _ in coloring.items())
+        assert coloring.classes() == {c: [e for e in edges if (e.u * e.v) % 3 == c] for c in range(3)}
 
 
 def imported_names(path):

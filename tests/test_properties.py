@@ -85,13 +85,13 @@ class TestQuasiPlanarity:
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_k(self, points, k):
         edges = all_edges(points.n)
-        if is_k_quasi_planar(points, edges, k).ok:
-            assert is_k_quasi_planar(points, edges, k + 1).ok
+        if is_k_quasi_planar(points, [edges], k).ok:
+            assert is_k_quasi_planar(points, [edges], k + 1).ok
 
     @given(point_sets(min_n=6, max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_witness_is_a_crossing_family_of_size_k(self, points):
-        result = is_k_quasi_planar(points, all_edges(points.n), 3)
+        result = is_k_quasi_planar(points, [all_edges(points.n)], 3)
         if not result.ok:
             assert len(result.witness) == 3
             assert check_pairwise_crossing(points, result.witness)
@@ -134,7 +134,7 @@ class TestSlopePartition:
         assert coloring.num_colors == -(-n // s)
         k = (s - 1) * (s - 2) // 2
         for edges in coloring.classes().values():
-            assert verify_k_planar(n, edges, k).ok
+            assert verify_k_planar(n, [edges], k).ok
 
     @given(st.integers(min_value=5, max_value=40))
     @settings(max_examples=36)

@@ -189,29 +189,29 @@ class TestMaxCrossingFamily:
 class TestIsKQuasiPlanar:
     def test_convex_k6_has_3_pairwise_crossing(self):
         ps = gen_convex_polygon(6, 0)
-        res = is_k_quasi_planar(ps, all_edges(6), 3)
+        res = is_k_quasi_planar(ps, [all_edges(6)], 3)
         assert not res
         assert len(res.witness) == 3
         assert check_pairwise_crossing(ps, res.witness)
 
     def test_convex_k6_has_no_4_pairwise_crossing(self):
         ps = gen_convex_polygon(6, 0)
-        assert is_k_quasi_planar(ps, all_edges(6), 4).ok
+        assert is_k_quasi_planar(ps, [all_edges(6)], 4).ok
 
     def test_star_is_2_quasi_planar(self):
         ps = gen_random_pointset(8, 1)
         star = [Edge(0, v) for v in range(1, 8)]
-        assert is_k_quasi_planar(ps, star, 2).ok
+        assert is_k_quasi_planar(ps, [star], 2).ok
 
     def test_rejects_k_below_2(self):
         ps = gen_convex_polygon(4, 0)
         with pytest.raises(ValueError):
-            is_k_quasi_planar(ps, all_edges(4), 1)
+            is_k_quasi_planar(ps, [all_edges(4)], 1)
 
     def test_budget_error_says_what_was_spent(self):
         ps = gen_random_pointset(20, seed=1)
         with pytest.raises(SearchBudgetError, match="exceeded budget 3 after 3 nodes;.* fewer than 3 edges"):
-            is_k_quasi_planar(ps, all_edges(20), 3, budget=3)
+            is_k_quasi_planar(ps, [all_edges(20)], 3, budget=3)
 
 
 class TestDoubleStarPartition:
@@ -243,7 +243,7 @@ class TestDoubleStarPartition:
         for tree in trees.values():
             assert len(tree) == n2 - 1
             assert verify_spanning_tree(ps, tree)
-            assert is_k_quasi_planar(ps, tree, 3).ok
+            assert is_k_quasi_planar(ps, [tree], 3).ok
             assert not (seen & set(tree))
             seen.update(tree)
         assert len(seen) == n2 * (n2 - 1) // 2
@@ -324,14 +324,14 @@ class TestHalvingLinePartition:
         ps, fam = gen_perfect_crossing_family_pointset(3, 0)
         col = halving_line_partition(ps, fam, 4)
         assert col.num_colors == 1
-        assert is_k_quasi_planar(ps, col.classes()[0], 4).ok
+        assert is_k_quasi_planar(ps, [col.classes()[0]], 4).ok
 
     def test_n6_k4_two_verified_colors(self):
         ps, fam = gen_perfect_crossing_family_pointset(6, 0)
         col = halving_line_partition(ps, fam, 4)
         assert col.num_colors == 2
         for edges in col.classes().values():
-            assert is_k_quasi_planar(ps, edges, 4).ok
+            assert is_k_quasi_planar(ps, [edges], 4).ok
         assert col.n == ps.n
 
     def test_rejects_k_below_3(self):
@@ -381,7 +381,7 @@ class TestHalvingLinePartition:
                     # sends every edge to an earlier group.
                     assert len(col.classes()) == col.num_colors or m == 0 == (n - 1) % (k - 1)
                     for edges in col.classes().values():
-                        assert is_k_quasi_planar(ps, edges, k).ok, (seed, part, k)
+                        assert is_k_quasi_planar(ps, [edges], k).ok, (seed, part, k)
 
     def test_fewer_colors_on_family_edges_force_k_crossing(self):
         # Pigeonhole floor: crammed into fewer classes, some class holds at
@@ -393,7 +393,7 @@ class TestHalvingLinePartition:
             classes = [[] for _ in range(fewer)]
             for i, e in enumerate(fam):
                 classes[i % fewer].append(e)
-            assert any(not is_k_quasi_planar(ps, c, k).ok for c in classes if c)
+            assert any(not is_k_quasi_planar(ps, [c], k).ok for c in classes if c)
 
 
 class TestCrossingFamilyPartition:
@@ -410,7 +410,7 @@ class TestCrossingFamilyPartition:
         upper = lower + -(-(12 - 2 * family.size) // 2)
         assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
-            assert is_k_quasi_planar(ps, edges, 3).ok
+            assert is_k_quasi_planar(ps, [edges], 3).ok
         assert col.n == ps.n
 
     @pytest.mark.parametrize("seed", range(6))
@@ -427,7 +427,7 @@ class TestCrossingFamilyPartition:
             upper = lower + -(-(npts - 2 * m) // (k - 1))
             assert lower <= col.num_colors <= upper
         for edges in col.classes().values():
-            assert is_k_quasi_planar(ps, edges, k).ok
+            assert is_k_quasi_planar(ps, [edges], k).ok
         assert col.n == ps.n
         assert len(col.classes()) == col.num_colors
 
