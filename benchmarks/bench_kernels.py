@@ -9,11 +9,15 @@ kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
 A second table times the crossing layer, `crossing_masks` on the complete
 graph of random n = 24, 32, 40 (the benchmark's sizes) and 60 points (and
-100 under --heavy), where the angular sweep's O(n^2 log n) side masks
-part from O(n^3) point-by-point signs, and of n = 24, 32 and 40 points in
-convex index order. It has no compiled twin. Each random row checks its
-crossing count against a count made pair by pair with `segments_cross`
-outside the timing, each convex row against C(n, 4).
+100 under --heavy), where the angular sweep's O(n^2 log n) cuts part
+from O(n^3) point-by-point signs, and of n = 24, 32, 40 and 60 points in
+convex index order; then `crossings_in_degree_order`, which assembles the
+rows twice, on random n = 40 and 60 (and 100 under --heavy). It has no
+compiled twin. Outside the timing, each random `crossing_masks` row
+checks its crossing count against a count made pair by pair with
+`segments_cross`, each convex row against C(n, 4), and each degree-order
+row its masks against `crossing_masks` of the reordered edges and its
+order against the degrees those masks give.
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the search nodes summed over its
@@ -39,7 +43,7 @@ from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _skip, max_k_plane_subgraph
-from beyondplanar.crossings import crossing_masks
+from beyondplanar.crossings import crossing_masks, crossings_in_degree_order
 from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
 from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
 
@@ -136,13 +140,23 @@ def main() -> None:
         if got != want:
             raise SystemExit(f"crossing_masks counts {got} crossings on random n={n}, segments_cross {want}")
         print(f"{f'crossing masks random n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
-    for n in (24, 32, 40):
+    for n in (24, 32, 40, 60):
         edges = all_edges(n)
         masks, t = run_one(crossing_masks, (n, edges), {}, args.repeat)
         got = sum(m.bit_count() for m in masks) // 2
         if got != comb(n, 4):
             raise SystemExit(f"crossing_masks counts {got} crossings on convex n={n}, C(n, 4) = {comb(n, 4)}")
         print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+    for n in (40, 60) + ((100,) if args.heavy else ()):
+        points = gen_random_pointset(n, seed=n)
+        (edges, masks, _), t = run_one(crossings_in_degree_order, (points, all_edges(n)), {}, args.repeat)
+        degree = {e: m.bit_count() for e, m in zip(edges, masks)}
+        if masks != crossing_masks(points, edges):
+            raise SystemExit(f"crossings_in_degree_order on random n={n}: masks differ from crossing_masks")
+        if edges != sorted(all_edges(n), key=lambda e: (-degree[e], e)):
+            raise SystemExit(f"crossings_in_degree_order on random n={n}: edges not in descending degree order")
+        got = sum(degree.values()) // 2
+        print(f"{f'crossings in degree order random n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
 
     print()
     header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"

@@ -6,35 +6,47 @@ the closed form C(n, 4) of convex K_n, comes from `crossing_masks`, or
 from `crossings_in_degree_order` when the edges are to be reordered by
 their crossing counts.
 
-It never tests a pair of edges. It uses side masks, the order-type view
-of Goodman and Pollack: for each edge ab, one bit per point w that the
-edge list touches, set iff w lies strictly left of ab, that is, iff the
-exact integer det(b - a, w - a) is positive on a PointSet, and a < w < b
-in convex position. With inc[w] the mask of the edges ending at w, the
-XOR of inc[w] over the points left of ab keeps exactly the edges with one
-end on each side of ab's line, once the edges at a and b are masked out:
-an edge with both ends on the left cancels. On a PointSet that XOR is one
-table lookup per byte of the side mask; in convex position the left
-side is a range of the index order, so it is one difference of prefix
-XORs. The side masks, transposed, give the edges each point lies left
-of. Two edges properly cross iff each one's line separates the other's
-ends; an edge that shares an endpoint with ab has that end on its line
-and drops out. General position makes every other sign nonzero. Each
-side mask's popcount gives its edge's depth, the fewer points on
-either side of its line.
+It never tests a pair of edges. It uses the order-type view of Goodman
+and Pollack: which points lie strictly left of each edge ab, that is,
+where the exact integer det(b - a, w - a) is positive on a PointSet, and
+where a < w < b in convex position. That left side is always a run of a
+ring, cut at two points (lo, hi): ring[lo:hi], read cyclically. In
+convex position there is one ring, the used points in index order, and
+edge (a, b) is cut just after a and just before b. On a PointSet each
+edge a < b is cut on the ring of its lower end a: the other used points
+in angular order around a.
 
-On a PointSet the side masks come from one angular sweep per apex, in
-O(n^2 log n) for K_n instead of O(n^3) signs. Each edge a < b is swept
-from its lower end a, so K_n costs n - 1 sorts. Around an apex the
-other used points are sorted by an exact integer key: the half plane,
-then floor(-dx * 2^64 / dy). Coordinates within COORD_LIMIT = 2^30 bound
-|dx| and |dy| by 2^31, so two distinct slopes differ by at least 2^-62
-and their keys by at least 3; one exact cross product per adjacent pair
-certifies the order anyway. The points strictly left of a -> b are the
-run that follows b in the cyclic order up to the first point at an
-angle of pi or more. A two-pointer advance on exact cross products finds
-every run around the apex, and a difference of prefix XORs over the
-doubled order reads its mask.
+With inc[w] the mask of the edges ending at w, the XOR of inc over the
+points left of ab keeps exactly the edges with one end on each side of
+ab's line, once the edges at a and b are masked out: an edge with both
+ends on the left cancels. Over one ring that is one difference of prefix
+XORs. Toggling each edge's bit at both cuts of a difference list gives,
+in one running XOR, left_of[w], the edges point w lies left of. Two
+edges properly cross iff each one's line separates the other's ends; an
+edge that shares an endpoint with ab has that end on its line and drops
+out. General position makes every other sign nonzero.
+
+Either side of a cut gives the same rows, so a run that wraps past the
+ring's end is read from hi mod len(ring) to lo with no branch. The ring
+holds every used point but a (in convex position, every used point), and
+each edge has two ends, so the XORs of inc over the two sides differ only
+by inc[a], which is masked out. Reading the other side flips edge i's bit
+in left_of at every ring point, which leaves left_of[c] ^ left_of[d]
+unchanged for every edge cd without an end at a; the edges at a are
+masked out of edge i's crossings anyway. An edge's depth, the fewer
+points on either side of its line, is the length of its run against the
+rest of its ring.
+
+On a PointSet one angular sweep per apex finds every run, in O(n^2 log n)
+for K_n instead of O(n^3) signs, and K_n costs n - 1 sorts. Around an
+apex the other used points are sorted by an exact integer key: the half
+plane, then floor(-dx * 2^64 / dy). Coordinates within COORD_LIMIT = 2^30
+bound |dx| and |dy| by 2^31, so two distinct slopes differ by at least
+2^-62 and their keys by at least 3; one exact cross product per adjacent
+pair certifies the order anyway. The points strictly left of a -> b are
+the run that follows b in the cyclic order up to the first point at an
+angle of pi or more, and a two-pointer advance on exact cross products
+finds every run around the apex.
 
 `segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
 `check_pairwise_crossing` decide one pair at a time and stay independent
@@ -78,9 +90,7 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
     The edges keep the caller's order and must already be in `Edge.of`
     form and in range, as `canonical_edges` and `all_edges` give them.
     """
-    if isinstance(instance, PointSet):
-        return _mask_rows(edges, _side_masks(instance, edges))
-    return _convex_rows(edges)
+    return _rows(edges, _left_runs(instance, edges))
 
 
 def class_crossing_masks(
@@ -106,141 +116,104 @@ def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[
 
     Ties keep the given order. masks is `crossing_masks` of the reordered
     edges, and depths[i] is the smaller number of touched points on either
-    side of edges[i]'s line, from its side mask. The side masks come from
-    one sweep: the rows are assembled from them in the given order for the
-    degrees, and again in the new order.
+    side of edges[i]'s line. The cuts come from one sweep: the rows are
+    assembled from them in the given order for the degrees, and again,
+    with the cuts renumbered, in the new order.
     """
-    sides = _side_masks(points, edges)
-    degree = [row.bit_count() for row in _mask_rows(edges, sides)]
+    runs = _left_runs(points, edges)
+    degree = [row.bit_count() for row in _rows(edges, runs)]
     order = sorted(range(len(edges)), key=lambda i: -degree[i])
-    edges, sides = [edges[i] for i in order], [sides[i] for i in order]
-    touched = len({w for e in edges for w in e})
-    depths = [min(c, touched - 2 - c) for c in (side.bit_count() for side in sides)]
-    return edges, _mask_rows(edges, sides), depths
+    rank = {i: k for k, i in enumerate(order)}
+    runs = [(ring, [(rank[i], lo, hi) for i, lo, hi in cuts]) for ring, cuts in runs]
+    depths = [0] * len(edges)
+    for ring, cuts in runs:  # the ring is every touched point but the apex, b among them
+        for i, lo, hi in cuts:
+            depths[i] = min(hi - lo, len(ring) - 1 - (hi - lo))
+    edges = [edges[i] for i in order]
+    return edges, _rows(edges, runs), depths
 
 
-def _incidence(edges: Sequence[Edge]) -> tuple[dict[int, int], list[int]]:
-    """(inc, used): inc[w] is the mask of the edges ending at point w; used is the sorted points."""
-    inc: dict[int, int] = {}
-    for i, e in enumerate(edges):
-        for w in e:
-            inc[w] = inc.get(w, 0) | 1 << i
-    return inc, sorted(inc)
+def _left_runs(
+    instance: PointSet | int, edges: Sequence[Edge]
+) -> list[tuple[Sequence[int], list[tuple[int, int, int]]]]:
+    """(ring, cuts) per ring: the cut (i, lo, hi) of each edge on it.
 
-
-def _side_masks(points: PointSet, edges: Sequence[Edge]) -> list[int]:
-    """One side mask per edge: bit j is set iff used[j] lies strictly left of it.
-
-    `used` is the sorted points the edges touch. Each edge is swept from
-    its lower end, and each such end once, for all its edges.
+    The points strictly left of edges[i] are ring[lo:hi], read cyclically,
+    so hi may pass len(ring). In convex index order the one ring is the
+    used points. On a PointSet each edge is cut on the ring of its lower
+    end, one sweep per such end for all its edges.
     """
-    bit = {w: 1 << j for j, w in enumerate(sorted({w for e in edges for w in e}))}
+    used = sorted({w for e in edges for w in e})
+    if not isinstance(instance, PointSet):
+        at = {w: j for j, w in enumerate(used)}
+        return [(used, [(i, at[a] + 1, at[b]) for i, (a, b) in enumerate(edges)])]
     swept: dict[int, list[int]] = {}  # lower end -> the edges swept from it
     for i, e in enumerate(edges):
         swept.setdefault(e.u, []).append(i)
-    used = [(points[w].x, points[w].y, w) for w in bit]
-    sides = [0] * len(edges)
+    xy = [(instance[w].x, instance[w].y, w) for w in used]
+    runs = []
     for apex, ids in swept.items():
-        ax, ay = points[apex].x, points[apex].y
-        ring = [(x - ax, y - ay, bit[w]) for x, y, w in used if w != apex]
-        lefts = _sweep(ring, {bit[edges[i].v] for i in ids})
-        for i in ids:
-            sides[i] = lefts[bit[edges[i].v]]
-    return sides
+        ax, ay = instance[apex].x, instance[apex].y
+        ring, cut = _sweep([(x - ax, y - ay, w) for x, y, w in xy if w != apex], {edges[i].v for i in ids})
+        runs.append((ring, [(i, *cut[edges[i].v]) for i in ids]))
+    return runs
 
 
-def _sweep(ring: list[tuple[int, int, int]], ends: set[int]) -> dict[int, int]:
-    """For each end b, by its bit, the mask of the ring points strictly left of the apex -> b.
+def _sweep(ring: list[tuple[int, int, int]], ends: set[int]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """(order, cut): the ring's points by angle, and for each end b the run (lo, hi) strictly left of the apex -> b.
 
-    The ring holds (dx, dy, bit) of every used point but the apex, dx and
-    dy taken from the apex.
+    The ring holds (dx, dy, w) of every used point but the apex, dx and
+    dy taken from the apex. The run is order[lo:hi], read cyclically.
     """
     # The half plane ((dy or dx) < 0 in the lower one), then floor(-dx * 2^64 / dy),
     # which rises with the angle.
     ring = sorted(
         [
-            (((-dx << 64) // dy if dy else _ON_AXIS) + (_HALF if (dy or dx) < 0 else -_HALF), dx, dy, b)
-            for dx, dy, b in ring
+            (((-dx << 64) // dy if dy else _ON_AXIS) + (_HALF if (dy or dx) < 0 else -_HALF), dx, dy, w)
+            for dx, dy, w in ring
         ]
     )
-    keys, xs, ys, bits = zip(*ring)
+    keys, xs, ys, order = zip(*ring)
     m, upper = len(keys), bisect_left(keys, 0)
     for lo, hi in ((0, upper), (upper, m)):  # one half plane each: every step turns left
         if not all(map(gt, map(mul, xs[lo : hi - 1], ys[lo + 1 : hi]), map(mul, ys[lo : hi - 1], xs[lo + 1 : hi]))):
             raise AssertionError("angular order around a point fails its cross-product check")
     xs, ys = xs + xs, ys + ys
-    prefix = list(accumulate(bits + bits, xor, initial=0))  # prefix[j] = XOR of the bits of the doubled ring[:j]
-    lefts = {}
+    cut = {}
     j = 0  # end of the run left of the last end swept; it only moves forward
-    for p, b in enumerate(bits):
+    for p, b in enumerate(order):
         if b in ends:
             bx, by = xs[p], ys[p]
             if j <= p:
                 j = p + 1
             while j < p + m and bx * ys[j] > by * xs[j]:
                 j += 1
-            lefts[b] = prefix[j] ^ prefix[p + 1]
-    return lefts
+            cut[b] = (p + 1, j)
+    return order, cut
 
 
-def _mask_rows(edges: Sequence[Edge], sides: list[int]) -> list[int]:
-    """`crossing_masks` from the edges' side masks.
+def _rows(edges: Sequence[Edge], runs: list[tuple[Sequence[int], list[tuple[int, int, int]]]]) -> list[int]:
+    """`crossing_masks` from every edge's cut on its ring, as `_left_runs` gives them.
 
-    XOR tables over 8 used points at a time turn a side mask into the XOR
-    of `inc` over the points on its left, one lookup per byte. Column j of
-    the side masks written in binary, read over the edges in reverse, is
-    `left_of` of used[-1 - j].
+    Row i: the edges split by edge i's line whose own line splits edge i.
     """
-    inc, used = _incidence(edges)
-    tables = []
-    for lo in range(0, len(used), 8):
-        table = [0]  # table[m] = XOR of inc over the points of used[lo:lo + 8] at the bits of m
-        for w in used[lo : lo + 8]:
-            table += [x ^ inc[w] for x in table]
-        tables.append(table)
-    split = []
-    for side, (a, b) in zip(sides, edges):
-        x = 0
-        for table, byte in zip(tables, side.to_bytes(len(tables), "little")):
-            x ^= table[byte]
-        split.append(x & ~(inc[a] | inc[b]))
-    width = f"0{len(used)}b"
-    columns = (int("".join(column), 2) for column in zip(*[format(side, width) for side in reversed(sides)]))
-    left_of = dict(zip(reversed(used), columns))
-    return _crossing_rows(edges, split, left_of)
-
-
-def _convex_rows(edges: Sequence[Edge]) -> list[int]:
-    """`crossing_masks` in convex index order, O(1) big-int steps per edge.
-
-    The left of edge (a, b), a < b, is the used points strictly between a
-    and b: a range of the used order. A prefix XOR of `inc` gives the XOR
-    over that range, and XORing each edge's bit at both ends of its range
-    into a difference list gives `left_of` in one running XOR.
-    """
-    inc, used = _incidence(edges)
-    at = {w: j for j, w in enumerate(used)}
-    prefix = [0]  # prefix[j] = XOR of inc over used[:j]
-    for w in used:
-        prefix.append(prefix[-1] ^ inc[w])
-    diff = [0] * (len(used) + 1)
-    split = []
+    inc: dict[int, int] = {}  # inc[w] = the mask of the edges ending at w
     for i, (a, b) in enumerate(edges):
-        ja, jb = at[a], at[b]
-        split.append((prefix[jb] ^ prefix[ja + 1]) & ~(inc[a] | inc[b]))
-        diff[ja + 1] ^= 1 << i
-        diff[jb] ^= 1 << i
-    left_of, acc = {}, 0
-    for j, w in enumerate(used):
-        acc ^= diff[j]
-        left_of[w] = acc
-    return _crossing_rows(edges, split, left_of)
-
-
-def _crossing_rows(edges: Sequence[Edge], split: list[int], left_of: dict[int, int]) -> list[int]:
-    """Row i: the edges split by edge i's line whose own line splits edge i.
-
-    split[i] is the mask of the edges with one end on each side of edge
-    i's line, and left_of[w] the mask of the edges point w lies left of.
-    """
-    return [row & (left_of[a] ^ left_of[b]) for row, (a, b) in zip(split, edges)]
+        bit = 1 << i
+        inc[a] = inc.get(a, 0) | bit
+        inc[b] = inc.get(b, 0) | bit
+    split = [0] * len(edges)  # split[i] = the edges with one end on each side of edge i's line
+    left_of = dict.fromkeys(inc, 0)  # left_of[w] = the edges point w lies left of
+    for ring, cuts in runs:
+        m = len(ring)
+        prefix = list(accumulate([inc[w] for w in ring], xor, initial=0))
+        diff = [0] * (m + 1)
+        for i, lo, hi in cuts:
+            hi %= m  # either side of a cut gives the same row
+            split[i] = prefix[hi] ^ prefix[lo]
+            bit = 1 << i
+            diff[lo] ^= bit
+            diff[hi] ^= bit
+        for w, side in zip(ring, accumulate(diff, xor)):
+            left_of[w] ^= side
+    return [split[i] & ~(inc[a] | inc[b]) & (left_of[a] ^ left_of[b]) for i, (a, b) in enumerate(edges)]

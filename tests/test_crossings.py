@@ -6,15 +6,17 @@ convex point sets and on convex index order: complete graphs up to the
 benchmark's n = 40, random edge subsets, the (skip, edge) order of the
 extremal oracle's diagonal lists, reversed and shuffled caller orders,
 subsets that leave most points unused, and coordinates at the limit.
-Masks and depths are also checked where the side masks' XOR tables
-change byte: 7, 8, 9, 16, 17 and 25 used points.
+Masks and depths are also checked on edge lists that touch 7, 8, 9, 16,
+17 and 25 of 40 points, and on lists that avoid the first eight points.
 
-The angular sweep that gives the side masks is compared with
-`naive_side_masks`, one determinant per edge and used point, on random,
-convex and crossing-family sets, the smallest sets, single edges, stars
-at every center, matchings, and directions at the coordinate limit whose
+Each edge's left side is a run of a ring, cut at two points. Side masks
+rebuilt from those cuts are compared with `naive_side_masks`, one
+determinant per edge and used point, on random, convex and
+crossing-family sets, the smallest sets, single edges, stars at every
+center, matchings, and directions at the coordinate limit whose
 determinant is 1, where the sweep's integer key is closest to its
-exactness bound.
+exactness bound; in convex index order they are compared with the rule
+a < w < b. Runs that wrap past the end of their ring give the same rows.
 
 The class-list verifiers, which take every class in one crossing pass,
 are compared with a loop of one-class calls: the same first failing
@@ -28,7 +30,7 @@ from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_en
 
 from beyondplanar.convex import verify_k_planar
 from beyondplanar.crossings import (
-    _side_masks,
+    _left_runs,
     canonical_edges,
     class_crossing_masks,
     crossing_masks,
@@ -73,6 +75,23 @@ def extreme_pointset(n, seed):
             return PointSet([(coord(), coord()) for _ in range(n)])
         except ValueError:
             continue
+
+
+def side_masks(instance, edges):
+    """Side masks from the cuts: bit j of masks[i] is set iff the j-th smallest used point is in edges[i]'s run."""
+    bit = {w: 1 << j for j, w in enumerate(sorted({w for e in edges for w in e}))}
+    masks = [0] * len(edges)
+    for ring, cuts in _left_runs(instance, edges):
+        for i, lo, hi in cuts:
+            for k in range(lo, hi):
+                masks[i] |= bit[ring[k % len(ring)]]
+    return masks
+
+
+def naive_convex_side_masks(edges):
+    """Side masks in convex index order: the used points w with a < w < b for edge (a, b)."""
+    used = sorted({w for e in edges for w in e})
+    return [sum(1 << j for j, w in enumerate(used) if a < w < b) for a, b in edges]
 
 
 class TestCrossingMasks:
@@ -146,33 +165,33 @@ def near_parallel_pointset():
 
 
 class TestAngularSweep:
-    """Side masks from one angular sweep per apex against one determinant per point."""
+    """Cuts from one angular sweep per apex against one determinant per point."""
 
     @pytest.mark.parametrize("n", [4, 9, 17, 40])
     @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
     def test_random_and_convex_sets(self, make, n):
         points = make(n, seed=n)
         for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), skip_order(n)):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12])
     def test_crossing_family_sets(self, m):
         points, family = gen_perfect_crossing_family_pointset(m, seed=m)
         for edges in (family, family[::-1], all_edges(2 * m), random_subset(2 * m, 2)):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_smallest_sets(self, n):
         points = gen_random_pointset(n, seed=n)
         for edges in (all_edges(n), all_edges(n)[::-1], all_edges(n)[:1], []):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_edges(self, seed):
         points = gen_random_pointset(9, seed=seed)
         for e in all_edges(9):
-            assert _side_masks(points, [e]) == naive_side_masks(points, [e]) == [0]
-        assert _side_masks(points, [Edge(0, 8), Edge(3, 5)]) == naive_side_masks(points, [Edge(0, 8), Edge(3, 5)])
+            assert side_masks(points, [e]) == naive_side_masks(points, [e]) == [0]
+        assert side_masks(points, [Edge(0, 8), Edge(3, 5)]) == naive_side_masks(points, [Edge(0, 8), Edge(3, 5)])
 
     @pytest.mark.parametrize("n", [5, 12])
     def test_stars_at_every_center(self, n):
@@ -182,7 +201,7 @@ class TestAngularSweep:
         for center in range(n):
             star = [Edge.of(center, w) for w in range(n) if w != center]
             for edges in (star, star[::-1], star[:2], [star[-1]] + star[:1]):
-                assert _side_masks(points, edges) == naive_side_masks(points, edges)
+                assert side_masks(points, edges) == naive_side_masks(points, edges)
                 assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
 
     @pytest.mark.parametrize("n", [6, 13, 40])
@@ -194,7 +213,7 @@ class TestAngularSweep:
         matching = [Edge.of(a, b) for a, b in zip(order[::2], order[1::2])]
         points = gen_random_pointset(n, seed=n)
         for edges in (matching, matching[: len(matching) // 2]):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
 
     def test_near_parallel_directions_at_the_coordinate_limit(self):
@@ -205,14 +224,14 @@ class TestAngularSweep:
         assert d[4][1] == d[5][0] == 0
         n = points.n
         for edges in (all_edges(n), all_edges(n)[::-1], [Edge(0, w) for w in range(1, n)], [Edge(1, 2), Edge(3, 4)]):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_coordinates_within_three_of_the_limit(self, seed):
         points = extreme_pointset(14, seed)
         for edges in (all_edges(14), random_subset(14, seed)):
-            assert _side_masks(points, edges) == naive_side_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
 
     @pytest.mark.parametrize(
         "points",
@@ -225,11 +244,33 @@ class TestAngularSweep:
         assert masks == naive_crossing_masks(points, edges)
 
 
-class TestSideStringTables:
-    """Side strings are XORed through tables over 8 used points at a time."""
+class TestCuts:
+    """Runs in convex index order, and runs that wrap past the end of their ring."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_convex_index_order(self, n):
+        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+            assert side_masks(n, edges) == naive_convex_side_masks(edges)
+
+    @pytest.mark.parametrize("n", [5, 9, 14])
+    def test_runs_that_wrap_give_the_same_rows(self, n):
+        points = gen_random_pointset(n, seed=3)
+        edges = all_edges(n)
+        runs = _left_runs(points, edges)
+        wrapping = [edges[i] for ring, cuts in runs for i, lo, hi in cuts if hi > len(ring)]
+        at_the_end = [edges[i] for ring, cuts in runs for i, lo, hi in cuts if len(ring) in (lo, hi)]
+        assert wrapping and at_the_end
+        assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+        for sub in (wrapping, wrapping[::-1], at_the_end, wrapping[:1] + at_the_end[:1]):
+            assert side_masks(points, sub) == naive_side_masks(points, sub)
+            assert crossing_masks(points, sub) == naive_crossing_masks(points, sub)
+
+
+class TestFewUsedPoints:
+    """Edge lists that touch only some of the points: rings hold the used points alone."""
 
     @pytest.mark.parametrize("used", [7, 8, 9, 16, 17, 25])
-    def test_masks_and_depths_at_table_boundaries(self, used):
+    def test_masks_and_depths_on_the_used_points(self, used):
         n = 40
         rng = random.Random(f"tables:{used}")
         points = gen_random_pointset(n, seed=used)
@@ -249,8 +290,8 @@ class TestSideStringTables:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_edge_at_the_first_eight_points(self, seed):
-        # Tables are indexed by used point, not by point index: edges that
-        # avoid points 0..7 still fill the first table.
+        # Rings are indexed by used point, not by point index: edges that
+        # avoid points 0..7 start their rings at point 8.
         n = 40
         rng = random.Random(f"first-byte:{seed}")
         points = gen_random_pointset(n, seed=seed)
