@@ -42,7 +42,7 @@ import time
 from math import comb
 
 from beyondplanar import _kernels_py, _native
-from beyondplanar.bounds import _skip, max_k_plane_subgraph
+from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
 from beyondplanar.crossings import crossing_masks, crossings_in_degree_order
 from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
 from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
@@ -62,8 +62,7 @@ def random_graph(v: int, p: float, seed: int) -> list[int]:
 
 
 def diagonal_conflicts(n: int) -> list[int]:
-    diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
-    return crossing_masks(n, diagonals)
+    return crossing_masks(n, _diagonals(n))
 
 
 def clique_workloads(heavy: bool):

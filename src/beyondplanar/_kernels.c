@@ -121,18 +121,25 @@ long long bp_max_clique(int n, int W, const u64 *adj, const u64 *allowed, long l
     return nodes;
 }
 
-/* conflicts: d * W words. forced, chosen, best_mask: W words. cnt: d ints.
-   blocked: (d + 1) * W words, the barred set on reaching each index; the
-   unused high bits of its last word are kept set so that counting the
-   free indices needs no mask. An included index stays in chosen while its
-   include branch is open, so chosen doubles as the stack of open branches.
-   *best enters as the floor: only larger subsets are recorded. Returns the
-   node count. */
+/* conflicts: d * W words. forced, chosen, best_mask: W words. cnt: d ints,
+   each index's count of chosen conflicts. level: d + 1 ints, free indices
+   counted by cnt. blocked: (d + 1) * W words, the barred set on reaching
+   each index; the unused high bits of its last word are kept set so that
+   counting the free indices needs no mask. An included index stays in
+   chosen while its include branch is open, so chosen doubles as the stack
+   of open branches. *best enters as the floor: only larger subsets are
+   recorded. Returns the node count.
+
+   The node bound for k > 0 is _kernels_py's spare-capacity bound: the
+   chosen set S can take k|S| - 2 cr(S) more conflicts in all, a free
+   index j that joins takes cnt[j] of them, so at most the free indices
+   with cnt 0 plus the most of the rest that fit, cheapest first, can
+   join. It prunes only subtrees without a better subset. */
 long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, const u64 *forced,
-                                      long long cap, long long budget, int *cnt, u64 *blocked,
+                                      long long cap, long long budget, int *cnt, int *level, u64 *blocked,
                                       u64 *chosen, u64 *best_mask, long long *best, int *exhausted)
 {
-    long long nodes = 0;
+    long long nodes = 0, crossed = 0; /* crossed: conflicting pairs inside chosen */
     int i = 0, size = 0;
     if (d & 63)
         blocked[W - 1] = ~(u64)0 << (d & 63);
@@ -155,10 +162,31 @@ long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts,
                 ub += __builtin_popcountll(~bl[w]);
             if (ub > cap)
                 ub = cap;
+            if (ub > *best && k > 0) {
+                /* Spare capacity: free indices taken cheapest level first. */
+                long long spare = (long long)k * size - 2 * crossed;
+                int top = k < size ? k : size;
+                memset(level, 0, (top + 1) * sizeof(int)); /* a free index has cnt <= top */
+                for (int w = i >> 6; w < W; w++)
+                    for (u64 m = ~bl[w] & (w == i >> 6 ? ~(u64)0 << (i & 63) : ~(u64)0); m; m &= m - 1)
+                        level[cnt[w * 64 + __builtin_ctzll(m)]]++;
+                ub = size + level[0];
+                for (int v = 1; v <= top; v++) {
+                    if ((long long)level[v] * v > spare) {
+                        ub += spare / v;
+                        break;
+                    }
+                    ub += level[v];
+                    spare -= (long long)level[v] * v;
+                }
+                if (ub > cap)
+                    ub = cap;
+            }
             if (ub > *best) {
                 const u64 *ci = conflicts + (size_t)i * W;
                 memcpy(next, bl, W * sizeof(u64));
                 if (!HAS(bl, i) && cnt[i] <= k) {
+                    crossed += cnt[i];
                     for (int w = 0; w < W; w++) {
                         for (u64 m = ci[w]; m; m &= m - 1) {
                             int j = w * 64 + __builtin_ctzll(m);
@@ -197,6 +225,7 @@ long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts,
             for (int w = 0; w < W; w++)
                 for (u64 m = conflicts[(size_t)i * W + w]; m; m &= m - 1)
                     cnt[w * 64 + __builtin_ctzll(m)]--;
+            crossed -= cnt[i];
         } while (HAS(forced, i));
         memcpy(blocked + (size_t)(i + 1) * W, blocked + (size_t)i * W, W * sizeof(u64));
         blocked[(size_t)(i + 1) * W + (i >> 6)] |= BIT(i);

@@ -48,7 +48,9 @@ class CompiledKernels:
         ]
         self._clique.restype = _ll
         self._subset = lib.bp_max_conflict_bounded_set
-        self._subset.argtypes = [_int, _int, _int, _u64p, _u64p, _ll, _ll, _intp, _u64p, _u64p, _u64p, _llp, _intp]
+        self._subset.argtypes = [
+            _int, _int, _int, _u64p, _u64p, _ll, _ll, _intp, _intp, _u64p, _u64p, _u64p, _llp, _intp
+        ]
         self._subset.restype = _ll
 
     def max_clique(
@@ -96,7 +98,7 @@ class CompiledKernels:
         nodes = self._subset(
             d, w, _clamp(k, -1, d + 1), _words(conflicts, w), _words([forced_mask & ((1 << d) - 1)], w),
             d + 1 if cap is None else _clamp(cap, -1, d + 1), _clamp(budget, 0, 2**62),
-            _zeros(_int, d), _zeros(_u64, (d + 1) * w), _zeros(_u64, w), best_mask,
+            _zeros(_int, d), _zeros(_int, d + 1), _zeros(_u64, (d + 1) * w), _zeros(_u64, w), best_mask,
             ctypes.byref(best), ctypes.byref(exhausted),
         )
         if best.value == floor:

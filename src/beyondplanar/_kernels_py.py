@@ -188,6 +188,21 @@ def max_conflict_bounded_set(
     level down, so an index is over capacity when it is in ge[k+1] and
     saturated when it is in ge[k] but not ge[k+1]. Each include branch
     pushes its parent's ge list, so backtracking restores it as it is.
+
+    A node's bound is the chosen size plus the free indices (undecided,
+    not barred) that can still join, at most `cap`. For k > 0 it counts
+    spare capacity. Let S be the chosen set, cr(S) its conflicting pairs
+    and c_j the number of members of S that conflict with j. Each x in S
+    can take k - c_x(S) more conflicts, so S has k|S| - 2 cr(S) units
+    left in all, and every leaf below keeps the sum non-negative. A free
+    j that joins uses c_j of them, at least, since later indices only add
+    conflicts. So the indices that join number at most the free ones with
+    c_j = 0 plus the most of the rest whose c_j fit the spare units,
+    taken smallest c_j first. The level of a free index is its ge level,
+    and cr(S) rides on the stack. A valid bound prunes only subtrees that
+    hold no better subset, so the answer and the witness are those of the
+    search without it. For k = 0 nothing is spare and every free index
+    has c_j = 0, so the bound is the free count, as it is for k < 0.
     """
     check_conflicts(conflicts)
     d = len(conflicts)
@@ -207,8 +222,8 @@ def max_conflict_bounded_set(
     # it and the counter masks ge[0..k+1]. Each index is first included,
     # then excluded; stack holds the nodes whose include branch is open,
     # so their exclude branch is next.
-    stack: list[tuple[int, int, int, int, list[int]]] = []
-    i = size = chosen = blocked = 0
+    stack: list[tuple[int, int, int, int, int, list[int]]] = []
+    i = size = crossed = chosen = blocked = 0
     ge = [-1] + [0] * (k + 1)
     while True:
         nodes += 1
@@ -222,14 +237,32 @@ def max_conflict_bounded_set(
                 if best_size >= cap:
                     break
         else:
-            ub = size + (suffix[i] & ~blocked).bit_count()
+            free = suffix[i] & ~blocked
+            ub = size + free.bit_count()
+            if k > 0 and ub > best_size and cap > best_size:
+                # Spare capacity: free indices taken cheapest level first.
+                # `over` counts the free indices at level v or above.
+                spare = k * size - 2 * crossed
+                over = (free & ge[1]).bit_count()
+                ub -= over
+                v = 1
+                while over:
+                    above = (free & ge[v + 1]).bit_count()
+                    if (over - above) * v > spare:
+                        ub += spare // v
+                        break
+                    ub += over - above
+                    spare -= (over - above) * v
+                    over = above
+                    v += 1
             if ub > cap:
                 ub = cap
             if ub > best_size:
                 bit = 1 << i
                 if not (blocked | ge[k + 1]) >> i & 1:
-                    stack.append((i, size, chosen, blocked, ge))
+                    stack.append((i, size, crossed, chosen, blocked, ge))
                     m = conflicts[i]
+                    crossed += (m & chosen).bit_count()
                     was = ge
                     ge = ge.copy()
                     for v in range(min(k, size) + 1, 0, -1):  # levels above size + 1 stay empty
@@ -250,7 +283,7 @@ def max_conflict_bounded_set(
         # Backtrack: return to the deepest open include branch and take its
         # exclude branch, unless that index is forced.
         while stack:
-            i, size, chosen, blocked, ge = stack.pop()
+            i, size, crossed, chosen, blocked, ge = stack.pop()
             if not forced_mask >> i & 1:
                 break
         else:

@@ -10,7 +10,12 @@ nothing, so some maximum k-plane edge set contains all of them and the
 search runs over diagonal subsets. A rotation of the polygon maps
 solutions to solutions, which allows casework on the smallest chord skip
 present: the representative case forces one canonical diagonal and drops
-all shorter skips.
+all shorter skips. The search branches on the most-crossed diagonals
+first (longest skip first, ties in descending edge order), as the clique
+kernel colors dense vertices first: including one fills the crossing
+capacity of many others early, so the subset kernel's spare-capacity
+bound closes subtrees near the root. The order changes which maximum
+witness comes back, never its size.
 
 The best size so far is carried from case to case as the subset kernel's
 floor: a case records only subsets that beat it, so a case that cannot
@@ -98,22 +103,35 @@ def _skip(n: int, e: Edge) -> int:
     return min(e.v - e.u, n - (e.v - e.u))
 
 
+def _diagonals(n: int) -> list[Edge]:
+    """The diagonals of convex K_n in the oracle's branch order: most crossed first.
+
+    A diagonal of skip s crosses (s - 1)(n - s - 1) others, which grows
+    with s up to n / 2, so this is the longest skip first, ties in
+    descending edge order.
+    """
+    return sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e), reverse=True)
+
+
 def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> SubgraphSearchResult:
     """Exact max edge count of a k-plane subgraph of convex K_n, with witness.
 
     Hull edges are always included. Diagonal subsets are searched by
-    branch and bound with crossing-count propagation, capped by the closed
-    formula when k <= 4, one rotation-symmetry case per smallest forced
-    skip, each floored at the best size of the cases before it. The cases
-    share `budget`; once it is spent no case starts and the result is
-    unproven. The witness is re-verified independently before returning.
+    branch and bound with crossing-count propagation, most-crossed
+    diagonals first (`_diagonals`), capped by the closed formula when
+    k <= 4, one rotation-symmetry case per smallest forced skip, each
+    floored at the best size of the cases before it. The witness is the
+    first largest set in that branch order, from the first case that
+    reaches its size. The cases share `budget`; once it is spent no case
+    starts and the result is unproven. The witness is re-verified
+    independently before returning.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got {n}")
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
     hull = [Edge.of(i, (i + 1) % n) for i in range(n)]
-    diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
+    diagonals = _diagonals(n)
     cap_total = int(edge_bound_small_k(n, k)) if k <= 4 else None  # floor; sound pruning cap
 
     best_size = len(hull)

@@ -81,7 +81,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise CommandError(f"--budget must be positive, got {budget}")
+
+
 def _cmd_partition(args) -> int:
+    _check_budget(args.budget)
     instance = parse_instance(_read_text(getattr(args, "in")))
     points = instance.points
     extra = ""
@@ -121,6 +127,7 @@ def _convex_realization(n: int) -> PointSet:
 
 
 def _cmd_verify(args) -> int:
+    _check_budget(args.budget)
     coloring = parse_coloring(_read_text(getattr(args, "in")))
     if args.instance is None:
         instance = coloring.n  # points in convex position, index order clockwise

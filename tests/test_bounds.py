@@ -171,6 +171,22 @@ class TestMaxKPlaneSubgraph:
         r = max_k_plane_subgraph(11, 2)
         assert r.proven and r.size == 28 and r.nodes <= 11_810
 
+    def test_smallest_skip_two_case_proves_with_few_nodes(self):
+        # Most-crossed diagonals first and the spare-capacity bound: these
+        # took 336,205 and 118,165 nodes in ascending skip order with the
+        # free-index bound alone.
+        r = max_k_plane_subgraph(9, 4)
+        assert r.proven and r.size == 24 and r.nodes <= 6_425
+        r = max_k_plane_subgraph(10, 2)
+        assert r.proven and r.size == 24 and r.nodes <= 10_624
+
+    @pytest.mark.parametrize("k, size", [(3, 27), (4, 29)])
+    def test_n10_sizes(self, k, size):
+        # Sizes proven by the ascending-skip search of the compiled kernel.
+        r = max_k_plane_subgraph(10, k)
+        assert r.proven and r.size == size
+        assert verify_k_planar(10, [r.edges], k) and len(set(r.edges)) == size
+
     @pytest.mark.parametrize("n, k", [(10, 2), (12, 1)])
     def test_cases_share_the_budget(self, n, k):
         full = max_k_plane_subgraph(n, k)

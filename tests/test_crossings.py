@@ -3,8 +3,8 @@
 `crossing_masks` is compared with `naive_crossing_masks`, which decides
 every pair with `segments_cross` or `convex_edges_cross`, on random and
 convex point sets and on convex index order: complete graphs up to the
-benchmark's n = 40, random edge subsets, the (skip, edge) order of the
-extremal oracle's diagonal lists, reversed and shuffled caller orders,
+benchmark's n = 40, random edge subsets, the extremal oracle's diagonal
+lists in its branch order, reversed and shuffled caller orders,
 subsets that leave most points unused, and coordinates at the limit.
 Masks and depths are also checked on edge lists that touch 7, 8, 9, 16,
 17 and 25 of 40 points, and on lists that avoid the first eight points.
@@ -28,6 +28,7 @@ import random
 import pytest
 from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_enum, naive_side_masks
 
+from beyondplanar.bounds import _diagonals
 from beyondplanar.convex import verify_k_planar
 from beyondplanar.crossings import (
     _left_runs,
@@ -46,13 +47,6 @@ from beyondplanar.geometry import (
     gen_random_pointset,
 )
 from beyondplanar.quasiplanar import SearchBudgetError, is_k_quasi_planar
-
-
-def skip_order(n):
-    def skip(e):
-        return min(e.v - e.u, n - (e.v - e.u))
-
-    return sorted((e for e in all_edges(n) if skip(e) >= 2), key=lambda e: (skip(e), e))
 
 
 def random_subset(n, seed):
@@ -99,12 +93,12 @@ class TestCrossingMasks:
     @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
     def test_pointset_matches_segments_cross(self, make, n):
         points = make(n, seed=n)
-        for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+        for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), _diagonals(n)):
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_convex_matches_convex_edges_cross(self, n):
-        for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+        for edges in (all_edges(n), random_subset(n, 0), random_subset(n, 1), _diagonals(n)):
             assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
 
     @pytest.mark.parametrize("n", [24, 32, 40])
@@ -144,7 +138,7 @@ class TestCrossingMasks:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_convex_index_order_matches_a_convex_polygon(self, n):
         polygon = gen_convex_polygon(n, seed=n)
-        for edges in (all_edges(n), random_subset(n, 2), skip_order(n)):
+        for edges in (all_edges(n), random_subset(n, 2), _diagonals(n)):
             assert crossing_masks(n, edges) == crossing_masks(polygon, edges)
 
 
@@ -171,7 +165,7 @@ class TestAngularSweep:
     @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
     def test_random_and_convex_sets(self, make, n):
         points = make(n, seed=n)
-        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), _diagonals(n)):
             assert side_masks(points, edges) == naive_side_masks(points, edges)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12])
@@ -249,7 +243,7 @@ class TestCuts:
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_convex_index_order(self, n):
-        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), skip_order(n)):
+        for edges in (all_edges(n), all_edges(n)[::-1], random_subset(n, 0), random_subset(n, 1), _diagonals(n)):
             assert side_masks(n, edges) == naive_convex_side_masks(edges)
 
     @pytest.mark.parametrize("n", [5, 9, 14])

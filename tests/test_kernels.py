@@ -4,10 +4,10 @@ import random
 
 import pytest
 from oracles import naive_max_clique_mask as naive_max_clique
-from oracles import naive_max_conflict_bounded
+from oracles import naive_first_conflict_bounded, naive_max_conflict_bounded
 
 from beyondplanar import _kernels_py
-from beyondplanar.bounds import _skip
+from beyondplanar.bounds import _diagonals
 from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
 from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
@@ -298,6 +298,24 @@ class TestMaxConflictBoundedSet:
         for i in members:
             assert (conflicts[i] & chosen).bit_count() <= k
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_returns_the_first_subset_in_branch_order(self, kernel, k):
+        # Every bound prunes only subtrees without a subset of the target
+        # size, so the search returns the first one in include-first order.
+        rng = random.Random(300 + k)
+        for trial in range(120):
+            d = rng.randint(0, 12)
+            conflicts = random_graph(d, rng.random(), 1000 * k + trial)
+            kwargs = {}
+            if rng.random() < 0.5:
+                kwargs["cap"] = rng.randint(0, d + 1)
+            if rng.random() < 0.5:
+                kwargs["forced_mask"] = rng.getrandbits(d) & rng.getrandbits(d)
+            if rng.random() < 0.5:
+                kwargs["floor_size"] = rng.randint(-2, d)
+            size, members, proven, _ = kernel.max_conflict_bounded_set(conflicts, k, **kwargs)
+            assert proven and (size, members) == naive_first_conflict_bounded(conflicts, k, **kwargs), (d, kwargs)
+
     def test_cap_allows_early_stop(self, kernel):
         conflicts = [0] * 8
         size, _, proven, _ = kernel.max_conflict_bounded_set(conflicts, 0, cap=8)
@@ -362,8 +380,7 @@ class TestMaxConflictBoundedSet:
     @pytest.mark.parametrize("n", [13, 15])  # 65 and 90 diagonals: more than one 64-bit word
     @pytest.mark.parametrize("case", ["budget", "cap", "forced", "floor"])
     def test_implementations_agree_beyond_64_indices(self, compiled_kernels, n, case):
-        diagonals = sorted((e for e in all_edges(n) if _skip(n, e) >= 2), key=lambda e: (_skip(n, e), e))
-        conflicts = crossing_masks(n, diagonals)
+        conflicts = crossing_masks(n, _diagonals(n))
         k, kwargs = {
             "budget": (2, {"budget": 20000}),
             "cap": (0, {"cap": n - 3}),  # a triangulation's diagonal count
