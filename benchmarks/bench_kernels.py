@@ -20,8 +20,8 @@ row its masks against `crossing_masks` of the reordered edges and its
 order against the degrees those masks give.
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
-on the kernel in use: its size, the search nodes summed over its
-symmetry cases, and its wall time.
+on the kernel in use: its size, the nodes of its one subset search, and
+its wall time.
 
 A fourth table times `max_crossing_family` on random n = 40, 48 and 60
 points (seed 2; n = 60 with seed 1 under --heavy): its size, whether it

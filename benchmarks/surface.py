@@ -1,15 +1,16 @@
 """Measure the public surface of the package with an `ast` scan.
 
-Reads every `src/beyondplanar/*.py` except `__init__.py` and prints
-three counts, one per line:
+Reads every `src/beyondplanar/*.py` except `__init__.py`, and the
+compiled kernels' `_kernels.c`, and prints four counts, one per line:
 
-* lines: the physical lines of those files;
+* lines: the physical lines of those `.py` files;
 * parameters: the parameters of public top-level functions and of the
   public methods of public classes, `__init__` and properties included
   but the bound `self` or `cls` not, plus the annotated fields of
   public classes;
 * names: the public top-level names (functions, classes and assigned
-  names that do not start with an underscore).
+  names that do not start with an underscore);
+* c_lines: the physical lines of `_kernels.c`.
 
 Usage: python3 benchmarks/surface.py [PACKAGE_DIR]
 """
@@ -64,6 +65,7 @@ def scan(package: Path) -> dict[str, int]:
                         counts["parameters"] += 1
             else:
                 counts["names"] += sum(_public(name) for name in _assigned(node))
+    counts["c_lines"] = len((package / "_kernels.c").read_text(encoding="utf-8").splitlines())
     return counts
 
 

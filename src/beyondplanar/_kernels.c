@@ -121,23 +121,23 @@ long long bp_max_clique(int n, int W, const u64 *adj, const u64 *allowed, long l
     return nodes;
 }
 
-/* conflicts: d * W words. forced, chosen, best_mask: W words. cnt: d ints,
+/* conflicts: d * W words. chosen, best_mask: W words. cnt: d ints,
    each index's count of chosen conflicts. level: d + 1 ints, free indices
    counted by cnt. blocked: (d + 1) * W words, the barred set on reaching
    each index; the unused high bits of its last word are kept set so that
    counting the free indices needs no mask. An included index stays in
    chosen while its include branch is open, so chosen doubles as the stack
-   of open branches. *best enters as the floor: only larger subsets are
-   recorded. Returns the node count.
+   of open branches. *best enters as -1, so the first leaf is recorded.
+   Returns the node count.
 
    The node bound for k > 0 is _kernels_py's spare-capacity bound: the
    chosen set S can take k|S| - 2 cr(S) more conflicts in all, a free
    index j that joins takes cnt[j] of them, so at most the free indices
    with cnt 0 plus the most of the rest that fit, cheapest first, can
    join. It prunes only subtrees without a better subset. */
-long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, const u64 *forced,
-                                      long long cap, long long budget, int *cnt, int *level, u64 *blocked,
-                                      u64 *chosen, u64 *best_mask, long long *best, int *exhausted)
+long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, long long cap,
+                                      long long budget, int *cnt, int *level, u64 *blocked, u64 *chosen,
+                                      u64 *best_mask, long long *best, int *exhausted)
 {
     long long nodes = 0, crossed = 0; /* crossed: conflicting pairs inside chosen */
     int i = 0, size = 0;
@@ -208,25 +208,21 @@ long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts,
                     i++;
                     continue;
                 }
-                if (!HAS(forced, i)) {
-                    next[i >> 6] |= BIT(i);
-                    i++;
-                    continue;
-                }
+                next[i >> 6] |= BIT(i);
+                i++;
+                continue;
             }
         }
         /* Backtrack: undo the deepest open include branch and take its
-           exclude branch, unless that index is forced. */
-        do {
-            if ((i = highest_below(chosen, i)) < 0)
-                return nodes;
-            chosen[i >> 6] &= ~BIT(i);
-            size--;
-            for (int w = 0; w < W; w++)
-                for (u64 m = conflicts[(size_t)i * W + w]; m; m &= m - 1)
-                    cnt[w * 64 + __builtin_ctzll(m)]--;
-            crossed -= cnt[i];
-        } while (HAS(forced, i));
+           exclude branch. */
+        if ((i = highest_below(chosen, i)) < 0)
+            return nodes;
+        chosen[i >> 6] &= ~BIT(i);
+        size--;
+        for (int w = 0; w < W; w++)
+            for (u64 m = conflicts[(size_t)i * W + w]; m; m &= m - 1)
+                cnt[w * 64 + __builtin_ctzll(m)]--;
+        crossed -= cnt[i];
         memcpy(blocked + (size_t)(i + 1) * W, blocked + (size_t)i * W, W * sizeof(u64));
         blocked[(size_t)(i + 1) * W + (i >> 6)] |= BIT(i);
         i++;

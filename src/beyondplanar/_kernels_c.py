@@ -49,7 +49,7 @@ class CompiledKernels:
         self._clique.restype = _ll
         self._subset = lib.bp_max_conflict_bounded_set
         self._subset.argtypes = [
-            _int, _int, _int, _u64p, _u64p, _ll, _ll, _intp, _intp, _u64p, _u64p, _u64p, _llp, _intp
+            _int, _int, _int, _u64p, _ll, _ll, _intp, _intp, _u64p, _u64p, _u64p, _llp, _intp
         ]
         self._subset.restype = _ll
 
@@ -85,23 +85,18 @@ class CompiledKernels:
         k: int,
         cap: int | None = None,
         budget: int = 10**8,
-        forced_mask: int = 0,
-        floor_size: int = -1,
     ) -> tuple[int, list[int], bool, int]:
         """Largest index subset in which every member conflicts with at most k members; see _kernels_py."""
         _kernels_py.check_conflicts(conflicts)
         d = len(conflicts)
         w = max(1, -(-d // 64))
-        floor = _clamp(floor_size, -1, d + 1)
-        best, exhausted = _ll(floor), _int(0)
+        best, exhausted = _ll(-1), _int(0)
         best_mask = _zeros(_u64, w)
         nodes = self._subset(
-            d, w, _clamp(k, -1, d + 1), _words(conflicts, w), _words([forced_mask & ((1 << d) - 1)], w),
+            d, w, _clamp(k, -1, d + 1), _words(conflicts, w),
             d + 1 if cap is None else _clamp(cap, -1, d + 1), _clamp(budget, 0, 2**62),
             _zeros(_int, d), _zeros(_int, d + 1), _zeros(_u64, (d + 1) * w), _zeros(_u64, w), best_mask,
             ctypes.byref(best), ctypes.byref(exhausted),
         )
-        if best.value == floor:
-            return max(floor_size, -1), [], not exhausted.value, nodes
         members = [i for i in range(d) if best_mask[i >> 6] >> (i & 63) & 1]
         return best.value, members, not exhausted.value, nodes

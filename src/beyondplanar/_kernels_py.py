@@ -166,20 +166,14 @@ def max_conflict_bounded_set(
     k: int,
     cap: int | None = None,
     budget: int = 10**8,
-    forced_mask: int = 0,
-    floor_size: int = -1,
 ) -> tuple[int, list[int], bool, int]:
     """Largest index subset in which every member conflicts with at most k members.
 
     conflicts[i] is the bitmask of indices conflicting with i. `cap` is a
     caller-proven upper bound on the answer: it prunes, and reaching it
-    stops the search with a proven optimum. Indices in forced_mask must be
-    part of every considered subset (used for symmetry-reduced casework);
-    the returned size is -1 if the forced set itself is infeasible.
-    Subsets of size at most `floor_size` are ignored (size comes back as
-    floor_size with empty members), so a caller that already holds a
-    solution prunes every branch that cannot beat it; a floor below -1
-    counts as -1.
+    stops the search with a proven optimum. The size is -1, with empty
+    members, only when no leaf was reached: the budget ran out first, or
+    a cap below 0 pruned the root.
 
     Conflict counts are kept as counter masks rather than one counter per
     index: ge[v] is the mask of indices that conflict with at least v
@@ -207,10 +201,9 @@ def max_conflict_bounded_set(
     check_conflicts(conflicts)
     d = len(conflicts)
     k = max(-1, min(k, d))  # no index conflicts with d others, so a larger k never binds
-    floor_size = max(floor_size, -1)
     if cap is None:
         cap = d + 1  # no subset is larger
-    best_size = floor_size
+    best_size = -1
     best_mask = 0
     nodes = 0
     exhausted = False
@@ -277,17 +270,13 @@ def max_conflict_bounded_set(
                         blocked |= conflicts[b.bit_length() - 1] & ~chosen
                     i, size, chosen, blocked = i + 1, size + 1, chosen | bit, blocked | bit
                     continue
-                if not forced_mask >> i & 1:  # forced index: no exclude branch
-                    i, blocked = i + 1, blocked | bit
-                    continue
+                i, blocked = i + 1, blocked | bit
+                continue
         # Backtrack: return to the deepest open include branch and take its
-        # exclude branch, unless that index is forced.
-        while stack:
-            i, size, crossed, chosen, blocked, ge = stack.pop()
-            if not forced_mask >> i & 1:
-                break
-        else:
+        # exclude branch.
+        if not stack:
             break
+        i, size, crossed, chosen, blocked, ge = stack.pop()
         i, blocked = i + 1, blocked | 1 << i
 
     members = [i for i in range(d) if best_mask >> i & 1]

@@ -6,25 +6,13 @@ are never blurred by rounding. The one deliberately floating-point value
 is the general edge bound, whose constant is irrational.
 
 The extremal oracle searches convex position only: hull edges cross
-nothing, so some maximum k-plane edge set contains all of them and the
-search runs over diagonal subsets. A rotation of the polygon maps
-solutions to solutions, which allows casework on the smallest chord skip
-present: the representative case forces one canonical diagonal and drops
-all shorter skips. The search branches on the most-crossed diagonals
-first (longest skip first, ties in descending edge order), as the clique
-kernel colors dense vertices first: including one fills the crossing
-capacity of many others early, so the subset kernel's spare-capacity
-bound closes subtrees near the root. The order changes which maximum
-witness comes back, never its size.
-
-The best size so far is carried from case to case as the subset kernel's
-floor: a case records only subsets that beat it, so a case that cannot
-(in particular every case after the closed-form cap is met) prunes at
-its root. Witnesses are the ones a search without the floor returns: a
-subtree holding an optimal leaf has an upper bound at least that leaf's
-size, so it is never pruned before the first optimal leaf in DFS order
-is reached, and a later case replaces the witness only when strictly
-larger, as before.
+nothing, so some maximum k-plane edge set contains all of them, and one
+subset search runs over all the diagonals. It branches on the
+most-crossed diagonals first (longest skip first, ties in descending
+edge order), as the clique kernel colors dense vertices first: including
+one fills the crossing capacity of many others early, so the subset
+kernel's spare-capacity bound closes subtrees near the root. The order
+changes which maximum witness comes back, never its size.
 """
 
 from __future__ import annotations
@@ -119,56 +107,32 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     Hull edges are always included. Diagonal subsets are searched by
     branch and bound with crossing-count propagation, most-crossed
     diagonals first (`_diagonals`), capped by the closed formula when
-    k <= 4, one rotation-symmetry case per smallest forced skip, each
-    floored at the best size of the cases before it. The witness is the
-    first largest set in that branch order, from the first case that
-    reaches its size. The cases share `budget`; once it is spent no case
-    starts and the result is unproven. The witness is re-verified
-    independently before returning.
+    k <= 4. The witness is the first largest set in that branch order,
+    and it is re-verified independently before returning. A budget below
+    1 searches nothing: the hull comes back unproven, with 0 nodes.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got {n}")
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
-    hull = [Edge.of(i, (i + 1) % n) for i in range(n)]
+    hull = tuple(Edge.of(i, (i + 1) % n) for i in range(n))
+    if budget < 1:  # the kernel would count its root as one node
+        return SubgraphSearchResult(n, hull, False, 0)
     diagonals = _diagonals(n)
-    cap_total = int(edge_bound_small_k(n, k)) if k <= 4 else None  # floor; sound pruning cap
+    cap = int(edge_bound_small_k(n, k)) - n if k <= 4 else None  # rounded down: a sound pruning cap
+    _, members, proven, nodes = _native.max_conflict_bounded_set(
+        crossing_masks(n, diagonals), k, cap=cap, budget=budget
+    )
+    edges = hull + tuple(diagonals[i] for i in members)
 
-    best_size = len(hull)
-    best_edges = tuple(hull)
-    proven = True
-    total_nodes = 0
-    for smallest in range(2, n // 2 + 1):
-        if total_nodes >= budget:
-            proven = False
-            break
-        allowed = [e for e in diagonals if _skip(n, e) >= smallest]
-        canonical = Edge(0, smallest)
-        forced_mask = 1 << allowed.index(canonical)
-        conflicts = crossing_masks(n, allowed)
-        cap = None if cap_total is None else cap_total - len(hull)
-        size, members, case_proven, nodes = _native.max_conflict_bounded_set(
-            conflicts,
-            k,
-            cap=cap,
-            budget=budget - total_nodes,
-            forced_mask=forced_mask,
-            floor_size=best_size - len(hull),
-        )
-        total_nodes += nodes
-        proven = proven and case_proven
-        if members:
-            best_size = len(hull) + size
-            best_edges = tuple(hull) + tuple(allowed[i] for i in members)
-
-    result = verify_k_planar(n, [best_edges], k)
+    result = verify_k_planar(n, [edges], k)
     if not result:
         raise AssertionError(
             f"witness re-verification failed: edge {tuple(result.witness)} crosses {result.crossings} > {k}"
         )
-    if len(set(best_edges)) != best_size:
+    if len(set(edges)) != len(edges):
         raise AssertionError("witness contains duplicate edges")
-    return SubgraphSearchResult(best_size, best_edges, proven, total_nodes)
+    return SubgraphSearchResult(len(edges), edges, proven, nodes)
 
 
 def one_planar_lower_bound(n: int) -> int:

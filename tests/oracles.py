@@ -60,29 +60,24 @@ def naive_max_conflict_bounded(conflicts, k):
     return best_size
 
 
-def naive_first_conflict_bounded(conflicts, k, cap=None, forced_mask=0, floor_size=-1):
+def naive_first_conflict_bounded(conflicts, k, cap=None):
     """The (size, members) a conflict-bounded subset search without a budget returns (D <= 14).
 
     Subsets are scanned in include-first depth-first order: indicator
     vectors (x_0, ..., x_{D-1}) descending, x_0 most significant. The
-    answer is the first feasible superset of forced_mask whose size is at
-    least min(cap, opt), opt being the largest feasible size (-1 when
-    there is none); when that target is at most the floor, it is
-    (floor, []) instead, a floor below -1 counting as -1.
+    answer is the first feasible subset whose size is at least
+    min(cap, opt), opt being the largest feasible size; cap >= 0.
     """
     d = len(conflicts)
-    forced = forced_mask & ((1 << d) - 1)
     feasible = []
     for vector in range((1 << d) - 1, -1, -1):
         mask = sum(1 << i for i in range(d) if vector >> (d - 1 - i) & 1)
         members = [i for i in range(d) if mask >> i & 1]
-        if mask & forced == forced and all((conflicts[i] & mask).bit_count() <= k for i in members):
+        if all((conflicts[i] & mask).bit_count() <= k for i in members):
             feasible.append(members)
-    opt = max(map(len, feasible), default=-1)
-    target = opt if cap is None else min(cap, opt)
-    floor = max(floor_size, -1)
-    if target <= floor:
-        return floor, []
+    target = max(map(len, feasible))
+    if cap is not None:
+        target = min(cap, target)
     first = next(members for members in feasible if len(members) >= target)
     return len(first), first
 

@@ -116,6 +116,20 @@ class TestPeelingBound:
         assert peeling_bound(2, 0) == -5
 
 
+# Max k-plane edge counts of convex K_n for k = 0..5, as proven by an
+# independent search: one case per smallest diagonal skip s, with the
+# diagonal 0-s forced in and every shorter skip left out.
+PROVEN_SIZES = {
+    4: (5, 6, 6, 6, 6, 6),
+    5: (7, 8, 10, 10, 10, 10),
+    6: (9, 11, 12, 14, 15, 15),
+    7: (11, 13, 15, 16, 18, 19),
+    8: (13, 16, 19, 19, 21, 22),
+    9: (15, 18, 21, 23, 24, 26),
+    10: (17, 21, 24, 27, 29, 29),
+}
+
+
 class TestMaxKPlaneSubgraph:
     def test_known_small_values(self):
         assert max_k_plane_subgraph(5, 0).size == 7
@@ -162,23 +176,29 @@ class TestMaxKPlaneSubgraph:
                 r = max_k_plane_subgraph(n, k)
                 assert 2 * count_crossings(n, r.edges) <= k * r.size
 
-    def test_floor_carried_across_symmetry_cases_prunes(self):
-        # The first case (smallest skip 2) already meets the closed-form cap
-        # of 26 edges, so every later case prunes at its root.
+    def test_closed_form_cap_ends_the_search(self):
+        # The search meets the closed-form cap of 26 and 28 edges early, and
+        # reaching the cap proves the optimum.
         r = max_k_plane_subgraph(12, 1)
         assert r.proven and r.size == 26 == edge_bound_small_k(12, 1)
-        assert r.nodes < 100
+        assert r.nodes <= 55
         r = max_k_plane_subgraph(11, 2)
-        assert r.proven and r.size == 28 and r.nodes <= 11_810
+        assert r.proven and r.size == 28 == edge_bound_small_k(11, 2) and r.nodes <= 45
 
-    def test_smallest_skip_two_case_proves_with_few_nodes(self):
+    def test_most_crossed_first_proves_with_few_nodes(self):
         # Most-crossed diagonals first and the spare-capacity bound: these
         # took 336,205 and 118,165 nodes in ascending skip order with the
         # free-index bound alone.
         r = max_k_plane_subgraph(9, 4)
-        assert r.proven and r.size == 24 and r.nodes <= 6_425
+        assert r.proven and r.size == 24 and r.nodes <= 6_324
         r = max_k_plane_subgraph(10, 2)
-        assert r.proven and r.size == 24 and r.nodes <= 10_624
+        assert r.proven and r.size == 24 and r.nodes <= 10_599
+
+    @pytest.mark.parametrize("n, sizes", sorted(PROVEN_SIZES.items()))
+    def test_pinned_sizes_are_proven(self, n, sizes):
+        for k, size in enumerate(sizes):
+            r = max_k_plane_subgraph(n, k)
+            assert (r.size, r.proven) == (size, True), k
 
     @pytest.mark.parametrize("k, size", [(3, 27), (4, 29)])
     def test_n10_sizes(self, k, size):
@@ -188,7 +208,7 @@ class TestMaxKPlaneSubgraph:
         assert verify_k_planar(10, [r.edges], k) and len(set(r.edges)) == size
 
     @pytest.mark.parametrize("n, k", [(10, 2), (12, 1)])
-    def test_cases_share_the_budget(self, n, k):
+    def test_search_stays_within_the_budget(self, n, k):
         full = max_k_plane_subgraph(n, k)
         for budget in [0, 1, 2, 3, 5, 10, 50, 100, 500, 1000, full.nodes, full.nodes + 1]:
             r = max_k_plane_subgraph(n, k, budget=budget)

@@ -240,14 +240,15 @@ def test_no_unused_top_level_imports():
 
 
 def test_surface_scan_counts_the_package():
-    # Smoke test of benchmarks/surface.py: three counts, the first of them
-    # the package's line count without __init__.py.
+    # Smoke test of benchmarks/surface.py: four counts, the first of them
+    # the package's line count without __init__.py, the last the C kernels'.
     script = Path(__file__).parent.parent / "benchmarks" / "surface.py"
     package = Path(beyondplanar.__file__).parent
     argv = [sys.executable, str(script), str(package)]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     counts = {key: int(value) for key, value in (line.split(": ") for line in out.splitlines())}
-    assert list(counts) == ["lines", "parameters", "names"]
+    assert list(counts) == ["lines", "parameters", "names", "c_lines"]
     paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     assert counts["lines"] == sum(len(p.read_text().splitlines()) for p in paths)
+    assert counts["c_lines"] == len((package / "_kernels.c").read_text().splitlines())
     assert 0 < counts["names"] < counts["parameters"]

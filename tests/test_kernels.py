@@ -309,10 +309,6 @@ class TestMaxConflictBoundedSet:
             kwargs = {}
             if rng.random() < 0.5:
                 kwargs["cap"] = rng.randint(0, d + 1)
-            if rng.random() < 0.5:
-                kwargs["forced_mask"] = rng.getrandbits(d) & rng.getrandbits(d)
-            if rng.random() < 0.5:
-                kwargs["floor_size"] = rng.randint(-2, d)
             size, members, proven, _ = kernel.max_conflict_bounded_set(conflicts, k, **kwargs)
             assert proven and (size, members) == naive_first_conflict_bounded(conflicts, k, **kwargs), (d, kwargs)
 
@@ -327,22 +323,13 @@ class TestMaxConflictBoundedSet:
         size, _, proven, _ = kernel.max_conflict_bounded_set(conflicts, 1, cap=want)
         assert proven and size == want
 
-    def test_forced_mask_is_respected(self, kernel):
-        conflicts = random_graph(9, 0.4, 13)
-        for forced in (1, 1 << 4, (1 << 2) | (1 << 7)):
-            size, members, proven, _ = kernel.max_conflict_bounded_set(conflicts, 2, forced_mask=forced)
-            assert proven
-            if size >= 0:
-                chosen = 0
-                for i in members:
-                    chosen |= 1 << i
-                assert chosen & forced == forced
-
-    def test_infeasible_forced_set_returns_minus_one(self, kernel):
-        # 0 and 1 conflict; k=0 forbids choosing both, so forcing both fails.
+    def test_size_is_minus_one_when_no_leaf_is_reached(self, kernel):
+        # A cap below 0 prunes the root, and a budget of 1 ends the search
+        # there; only at d = 0 is the root itself a leaf.
         conflicts = [0b10, 0b01]
-        size, members, proven, _ = kernel.max_conflict_bounded_set(conflicts, 0, forced_mask=0b11)
-        assert proven and size == -1 and members == []
+        assert kernel.max_conflict_bounded_set(conflicts, 0, cap=-1) == (-1, [], True, 1)
+        assert kernel.max_conflict_bounded_set(conflicts, 0, budget=1) == (-1, [], False, 1)
+        assert kernel.max_conflict_bounded_set([], 0, cap=-1) == (0, [], True, 1)
 
     def test_budget_truncation_is_flagged(self, kernel):
         conflicts = random_graph(16, 0.5, 5)
@@ -352,40 +339,13 @@ class TestMaxConflictBoundedSet:
     def test_many_indices_without_recursion(self, kernel):
         assert kernel.max_conflict_bounded_set([0] * 1200, 0) == (1200, list(range(1200)), True, 2401)
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_floor_at_or_above_the_optimum_finds_nothing(self, kernel, seed, k):
-        conflicts = random_graph(10, 0.4, 200 + seed)
-        want = naive_max_conflict_bounded(conflicts, k)
-        for floor in (want, want + 2):
-            assert kernel.max_conflict_bounded_set(conflicts, k, floor_size=floor)[:3] == (floor, [], True)
-        # A floor the cap already meets prunes at the root.
-        assert kernel.max_conflict_bounded_set(conflicts, k, cap=want, floor_size=want) == (want, [], True, 1)
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_floor_below_the_optimum_keeps_the_answer(self, kernel, seed, k):
-        conflicts = random_graph(10, 0.4, 200 + seed)
-        size, members, proven, nodes = kernel.max_conflict_bounded_set(conflicts, k)
-        assert proven and size == naive_max_conflict_bounded(conflicts, k)
-        for floor in range(-3, size):
-            got = kernel.max_conflict_bounded_set(conflicts, k, floor_size=floor)
-            assert got[:3] == (size, members, True) and got[3] <= nodes
-
-    def test_floor_below_an_infeasible_forced_set(self, kernel):
-        conflicts = [0b10, 0b01]
-        assert kernel.max_conflict_bounded_set(conflicts, 0, forced_mask=0b11, floor_size=-1)[:3] == (-1, [], True)
-        assert kernel.max_conflict_bounded_set(conflicts, 0, forced_mask=0b11, floor_size=-5)[:3] == (-1, [], True)
-
     @pytest.mark.parametrize("n", [13, 15])  # 65 and 90 diagonals: more than one 64-bit word
-    @pytest.mark.parametrize("case", ["budget", "cap", "forced", "floor"])
+    @pytest.mark.parametrize("case", ["budget", "cap"])
     def test_implementations_agree_beyond_64_indices(self, compiled_kernels, n, case):
         conflicts = crossing_masks(n, _diagonals(n))
         k, kwargs = {
             "budget": (2, {"budget": 20000}),
             "cap": (0, {"cap": n - 3}),  # a triangulation's diagonal count
-            "forced": (1, {"budget": 20000, "forced_mask": 1 | 1 << 64}),
-            "floor": (1, {"budget": 20000, "floor_size": n - 1}),
         }[case]
         result = compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs)
         assert result == _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
@@ -407,9 +367,5 @@ class TestMaxConflictBoundedSet:
                 kwargs["budget"] = rng.randint(0, 2000)
             if rng.random() < 0.5:
                 kwargs["cap"] = rng.randint(-2, d + 2)
-            if rng.random() < 0.5:
-                kwargs["forced_mask"] = rng.getrandbits(d) & rng.getrandbits(d)
-            if rng.random() < 0.5:
-                kwargs["floor_size"] = rng.randint(-2, d + 2)
             want = _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
             assert compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs) == want, (d, k, kwargs)

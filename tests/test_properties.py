@@ -188,41 +188,48 @@ FAIL_KPLANAR = re.compile(r"FAIL kplanar class=(\d+) edge=(\d+)-(\d+) crossings=
 FAIL_QUASIPLANAR = re.compile(r"FAIL quasiplanar class=(\d+) k=(\d+) witness=(\S+)")
 
 
-# (command, exit code, stderr prefix) for values at and past each flag's
-# bound; {convex} and {random} are instances on 8 and 10 points, and
-# {coloring} is the slope partition of {convex} with s = 3 (1-planar).
+# (command, exit code, stderr prefix, stdout line) for values at and past
+# each flag's bound. {convex} and {random} are instances on 8 and 10
+# points, {coloring} is the slope partition of {convex} with s = 3
+# (1-planar), and {eN} is 10**N, far past any machine integer. A nonempty
+# stdout line must be one of the output's lines.
 FLAG_VALUES = [
-    ("partition slope --in {convex} --s 0", 2, "error: s >= 1 required, got 0"),
-    ("partition slope --in {convex} --s -1", 2, "error: s >= 1 required, got -1"),
-    ("partition family --in {random} --k 0", 2, "error: k >= 3 required, got 0"),
-    ("partition family --in {random} --k 1", 2, "error: k >= 3 required, got 1"),
-    ("partition family --in {random} --k -2", 2, "error: k >= 3 required, got -2"),
-    ("verify kplanar --in {coloring} --k 0", 1, ""),
-    ("verify kplanar --in {coloring} --k 1", 0, ""),
-    ("verify kplanar --in {coloring} --k -2", 2, "error: k >= 0 required, got -2"),
-    ("verify quasiplanar --in {coloring} --k 0", 2, "error: quasiplanar verification requires k >= 2"),
-    ("verify quasiplanar --in {coloring} --k 1", 2, "error: quasiplanar verification requires k >= 2"),
-    ("verify quasiplanar --in {coloring} --k -2", 2, "error: quasiplanar verification requires k >= 2"),
-    ("bounds --n 8 --k 0", 0, ""),
-    ("bounds --n 8 --k 1", 0, ""),
-    ("bounds --n 8 --k -2", 2, "error: --k must be nonnegative, got -2"),
-    ("gen convex --n 0", 2, "error: --n must be positive, got 0"),
-    ("gen convex --n 2", 2, "error: a convex polygon needs n >= 3, got 2"),
-    ("gen random --n 2", 0, ""),
-    ("bounds --n 0", 2, "error: --n must be at least 3, got 0"),
-    ("bounds --n 2", 2, "error: --n must be at least 3, got 2"),
-    ("partition family --in {random} --k 3 --budget 0", 2, "error: --budget must be positive, got 0"),
-    ("partition slope --in {convex} --s 3 --budget -1", 2, "error: --budget must be positive, got -1"),
-    ("verify quasiplanar --in {coloring} --k 3 --budget 0", 2, "error: --budget must be positive, got 0"),
-    ("verify kplanar --in {coloring} --k 1 --budget -1", 2, "error: --budget must be positive, got -1"),
-    ("verify quasiplanar --in {coloring} --k 3 --budget 1", 2, "error: existence search for 3 pairwise"),
+    ("partition slope --in {convex} --s 0", 2, "error: s >= 1 required, got 0", ""),
+    ("partition slope --in {convex} --s -1", 2, "error: s >= 1 required, got -1", ""),
+    ("partition family --in {random} --k 0", 2, "error: k >= 3 required, got 0", ""),
+    ("partition family --in {random} --k 1", 2, "error: k >= 3 required, got 1", ""),
+    ("partition family --in {random} --k -2", 2, "error: k >= 3 required, got -2", ""),
+    ("verify kplanar --in {coloring} --k 0", 1, "", ""),
+    ("verify kplanar --in {coloring} --k 1", 0, "", ""),
+    ("verify kplanar --in {coloring} --k -2", 2, "error: k >= 0 required, got -2", ""),
+    ("verify quasiplanar --in {coloring} --k 0", 2, "error: quasiplanar verification requires k >= 2", ""),
+    ("verify quasiplanar --in {coloring} --k 1", 2, "error: quasiplanar verification requires k >= 2", ""),
+    ("verify quasiplanar --in {coloring} --k -2", 2, "error: quasiplanar verification requires k >= 2", ""),
+    ("bounds --n 8 --k 0", 0, "", ""),
+    ("bounds --n 8 --k 1", 0, "", ""),
+    ("bounds --n 8 --k -2", 2, "error: --k must be nonnegative, got -2", ""),
+    ("gen convex --n 0", 2, "error: --n must be positive, got 0", ""),
+    ("gen convex --n 2", 2, "error: a convex polygon needs n >= 3, got 2", ""),
+    ("gen random --n 2", 0, "", ""),
+    ("bounds --n 0", 2, "error: --n must be at least 3, got 0", ""),
+    ("bounds --n 2", 2, "error: --n must be at least 3, got 2", ""),
+    ("partition family --in {random} --k 3 --budget 0", 2, "error: --budget must be positive, got 0", ""),
+    ("partition slope --in {convex} --s 3 --budget -1", 2, "error: --budget must be positive, got -1", ""),
+    ("verify quasiplanar --in {coloring} --k 3 --budget 0", 2, "error: --budget must be positive, got 0", ""),
+    ("verify kplanar --in {coloring} --k 1 --budget -1", 2, "error: --budget must be positive, got -1", ""),
+    ("verify quasiplanar --in {coloring} --k 3 --budget 1", 2, "error: existence search for 3 pairwise", ""),
+    ("partition slope --in {convex} --s {e30} --out {coloring}", 0, "", "coloring mode=slope n=8 colors=1 out={coloring}"),
+    ("verify kplanar --in {coloring} --k {e29}", 0, "", "verified kplanar k={e29} n=8 classes=3"),
+    ("verify quasiplanar --in {coloring} --k {e29} --budget {e29}", 0, "", "verified quasiplanar k={e29} n=8 classes=3"),
+    ("bounds --n 100000 --k {e32}", 0, "", "kplanar-colors           n=100000 k={e32}         [1, 1]              - ok"),
 ]
 
 
 class TestCliBoundary:
-    @pytest.mark.parametrize("command, rc, err", FLAG_VALUES)
-    def test_flag_values(self, tmp_path, capsys, command, rc, err):
+    @pytest.mark.parametrize("command, rc, err, out", FLAG_VALUES, ids=[f"{c}-{r}-{e}" for c, r, e, _ in FLAG_VALUES])
+    def test_flag_values(self, tmp_path, capsys, command, rc, err, out):
         files = {name: str(tmp_path / f"{name}.txt") for name in ("convex", "random", "coloring")}
+        values = {**files, "e29": 10**29, "e30": 10**30, "e32": 10**32}
         for setup in (
             "gen convex --n 8 --out {convex}",
             "gen random --n 10 --seed 1 --out {random}",
@@ -230,9 +237,10 @@ class TestCliBoundary:
         ):
             assert cli_dispatch(setup.format(**files).split()) == 0
         capsys.readouterr()
-        assert cli_dispatch(command.format(**files).split()) == rc
-        stderr = capsys.readouterr().err
+        assert cli_dispatch(command.format(**values).split()) == rc
+        stdout, stderr = capsys.readouterr()
         assert stderr.startswith(err) and (stderr == "") == (err == "")
+        assert out == "" or out.format(**values) in stdout.splitlines()
 
     @given(cli_files(), st.data())
     @settings(max_examples=50, deadline=None)
