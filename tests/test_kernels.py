@@ -96,6 +96,24 @@ class TestMaxClique:
         size, members, proven, _ = kernel.max_clique(adj, floor_size=want - 1)
         assert proven and size == want and len(members) == want
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_floor_at_or_above_the_optimum_finds_nothing(self, kernel, seed):
+        adj = random_graph(12, 0.5, 200 + seed)
+        want, _ = naive_max_clique(adj)
+        for floor in (want, want + 2):
+            assert kernel.max_clique(adj, floor_size=floor)[:3] == (floor, [], True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_floor_below_the_optimum_keeps_the_answer(self, kernel, seed):
+        # Every subtree holding a clique above the floor is still searched,
+        # in the same order, so the same first maximum clique comes back.
+        adj = random_graph(12, 0.5, 200 + seed)
+        size, members, proven, nodes = kernel.max_clique(adj)
+        assert proven and size == naive_max_clique(adj)[0]
+        for floor in range(size):
+            got = kernel.max_clique(adj, floor_size=floor)
+            assert got[:3] == (size, members, True) and got[3] <= nodes
+
     def test_target_stops_early(self, kernel):
         adj = random_graph(14, 0.8, 7)
         size, members, proven, _ = kernel.max_clique(adj, target=3)
@@ -322,6 +340,26 @@ class TestMaxConflictBoundedSet:
         want = naive_max_conflict_bounded(conflicts, 1)
         size, _, proven, _ = kernel.max_conflict_bounded_set(conflicts, 1, cap=want)
         assert proven and size == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_cap_at_or_above_the_optimum_keeps_the_answer(self, kernel, seed, k):
+        conflicts = random_graph(10, 0.4, 200 + seed)
+        size, members, proven, nodes = kernel.max_conflict_bounded_set(conflicts, k)
+        assert proven and size == naive_max_conflict_bounded(conflicts, k)
+        for cap in (size, size + 1, size + 2, len(conflicts)):
+            got = kernel.max_conflict_bounded_set(conflicts, k, cap=cap)
+            assert got[:3] == (size, members, True) and got[3] <= nodes
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_cap_below_the_optimum_stops_at_the_first_subset_that_meets_it(self, kernel, seed, k):
+        conflicts = random_graph(10, 0.4, 200 + seed)
+        size, _, _, nodes = kernel.max_conflict_bounded_set(conflicts, k)
+        for cap in range(size):
+            got = kernel.max_conflict_bounded_set(conflicts, k, cap=cap)
+            assert got[:2] == naive_first_conflict_bounded(conflicts, k, cap) and got[2]
+            assert cap <= got[0] <= size and got[3] <= nodes
 
     def test_size_is_minus_one_when_no_leaf_is_reached(self, kernel):
         # A cap below 0 prunes the root, and a budget of 1 ends the search
