@@ -28,17 +28,16 @@ class Coloring:
         expected = all_edges(n)
         if len(amap) != len(expected):
             raise ValueError(f"coloring covers {len(amap)} edges, K_{n} has {len(expected)}")
-        ordered = {}  # the assignment in `all_edges` order
-        for e in expected:
-            c = amap.get(e)
-            if c is None:
-                raise ValueError(f"edge {tuple(e)} has no color")
-            if not 0 <= c < num_colors:
-                raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
-            ordered[e] = c
+        colors = [amap.get(e) for e in expected]
+        if None in colors or not 0 <= min(colors) <= max(colors) < num_colors:
+            for e, c in zip(expected, colors):  # the first bad edge in `all_edges` order
+                if c is None:
+                    raise ValueError(f"edge {tuple(e)} has no color")
+                if not 0 <= c < num_colors:
+                    raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
         self.n = n
         self.num_colors = num_colors
-        self._assignment = ordered
+        self._assignment = dict(zip(expected, colors))  # in `all_edges` order
 
     def classes(self) -> dict[int, list[Edge]]:
         """Edge lists of the colors in use, in color order, each sorted lexicographically.

@@ -135,16 +135,20 @@ def parse_coloring(text: str) -> Coloring:
     if n < 2 or c < 1:
         raise ParseError(line_no, f"invalid header n={quote_int(n)}, num_colors={quote_int(c)}")
 
-    assignment: dict[Edge, int] = {}
+    assignment: dict[tuple[int, int], int] = {}
     last = line_no
     for line_no, parts in stream:
         last = line_no
-        u, v, color = _expect_ints(line_no, parts, 3, "an edge line 'u v color'")
+        try:
+            u, v, color = map(int, parts)
+        except ValueError:
+            _expect_ints(line_no, parts, 3, "an edge line 'u v color'")  # raises with the reason
+            raise
         if u == v or not 0 <= u < n or not 0 <= v < n:
             raise ParseError(line_no, f"invalid edge ({quote_int(u)}, {quote_int(v)}) for n={quote_int(n)}")
-        e = Edge.of(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in assignment:
-            raise ParseError(line_no, f"duplicate line for edge ({quote_int(e.u)}, {quote_int(e.v)})")
+            raise ParseError(line_no, f"duplicate line for edge ({quote_int(e[0])}, {quote_int(e[1])})")
         if not 0 <= color < c:
             raise ParseError(line_no, f"color {quote_int(color)} outside 0..{quote_int(c - 1)}")
         assignment[e] = color

@@ -18,11 +18,18 @@ determinant is 1, where the sweep's integer key is closest to its
 exactness bound; in convex index order they are compared with the rule
 a < w < b. Runs that wrap past the end of their ring give the same rows.
 
+Convex point sets whose index order is not their clockwise order take
+one ring in hull order: their masks, side masks (the literal left side,
+not the mirror one) and depths are checked against the same oracles,
+and `max_crossing_family` against families, proven flags and node
+counts pinned from the angular sweep.
+
 The class-list verifiers, which take every class in one crossing pass,
 are compared with a loop of one-class calls: the same first failing
 class, witness, crossing count and budget stop.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -45,8 +52,9 @@ from beyondplanar.geometry import (
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
+    validate_pointset,
 )
-from beyondplanar.quasiplanar import SearchBudgetError, is_k_quasi_planar
+from beyondplanar.quasiplanar import SearchBudgetError, is_k_quasi_planar, max_crossing_family
 
 
 def random_subset(n, seed):
@@ -260,6 +268,98 @@ class TestCuts:
             assert crossing_masks(points, sub) == naive_crossing_masks(points, sub)
 
 
+def shuffled_convex_polygon(n, seed):
+    """A convex polygon whose index order is a random permutation of its clockwise order."""
+    points = list(gen_convex_polygon(n, seed=seed))
+    random.Random(f"shuffle:{n}:{seed}").shuffle(points)
+    return PointSet(points)
+
+
+# (family, proven, nodes) of `max_crossing_family` on a random, a convex and
+# a shuffled convex set for each n = 2..60, as the angular sweep gave them
+# before convex point sets took the one-ring path.
+FAMILIES_SHA256 = "b1ecb293f268913b9def3cdb8488cb086687019d022058ebd86c3d5f677eed97"
+
+
+class TestConvexRing:
+    """Convex point sets, in any index order, cut on one ring in clockwise hull order."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 29])
+    def test_index_order_is_not_clockwise(self, n):
+        points = shuffled_convex_polygon(n, seed=n)
+        order = validate_pointset(points)
+        assert order is not None and sorted(order) == list(range(n))
+        assert n == 3 or order != tuple(range(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 21, 29])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_masks_and_left_sides(self, n, seed):
+        points = shuffled_convex_polygon(n, seed=seed)
+        shuffled = all_edges(n)
+        random.Random(seed).shuffle(shuffled)
+        for edges in (all_edges(n), shuffled, random_subset(n, seed), _diagonals(n), all_edges(n)[:1]):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["clockwise", "counter-clockwise"])
+    def test_both_orientations_of_index_order(self, step):
+        points = PointSet(list(gen_convex_polygon(9, seed=4))[::step])
+        for edges in (all_edges(9), random_subset(9, 5)):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("used", [2, 3, 4, 7, 16])
+    def test_few_used_points(self, used):
+        n = 30
+        rng = random.Random(f"convex-few:{used}")
+        points = shuffled_convex_polygon(n, seed=used)
+        chosen = sorted(rng.sample(range(n), used))
+        among = [Edge(a, b) for a in chosen for b in chosen if a < b]
+        scattered = rng.sample(all_edges(n), used)
+        for edges in (among, among[::-1], scattered):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
+        edges, masks, depths = crossings_in_degree_order(points, among)
+        assert masks == naive_crossing_masks(points, edges)
+        assert dict(zip(edges, depths)) == dict(zip(among, naive_edge_depths(PointSet([points[w] for w in chosen]))))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 11, 20, 29])
+    def test_depths_match_the_pointwise_oracle(self, n):
+        points = shuffled_convex_polygon(n, seed=n + 1)
+        edges, masks, depths = crossings_in_degree_order(points, all_edges(n))
+        assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(points)))
+        assert masks == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("n", [5, 8, 17])
+    def test_one_ring_for_convex_sets_and_sweeps_otherwise(self, n):
+        points = shuffled_convex_polygon(n, seed=n)
+        edges = all_edges(n)
+        ((ring, cuts),) = _left_runs(points, edges)
+        assert tuple(ring) == validate_pointset(points)
+        assert sorted(i for i, _, _ in cuts) == list(range(len(edges)))
+        sub = [e for e in edges if 0 not in e]  # point 0 is left off the ring
+        ((ring, _),) = _left_runs(points, sub)
+        assert list(ring) == [w for w in validate_pointset(points) if w != 0]
+        ((ring, _),) = _left_runs(n, edges[::-1])
+        assert list(ring) == list(range(n))
+        random_set = gen_random_pointset(n, seed=1)
+        assert validate_pointset(random_set) is None
+        runs = _left_runs(random_set, edges)
+        assert len(runs) == n - 1  # one sweep per lower end
+        assert all(len(ring) == n - 1 for ring, _ in runs)
+
+    def test_max_crossing_family_is_unchanged(self):
+        rows = []
+        for n in range(2, 61):
+            sets = [gen_random_pointset(n, seed=n)]
+            if n >= 3:
+                sets += [gen_convex_polygon(n, seed=n), shuffled_convex_polygon(n, n)]
+            for points in sets:
+                family = max_crossing_family(points)
+                rows.append((n, [tuple(e) for e in family.edges], family.proven_maximum, family.nodes))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == FAMILIES_SHA256
+
+
 class TestFewUsedPoints:
     """Edge lists that touch only some of the points: rings hold the used points alone."""
 
@@ -433,3 +533,26 @@ class TestCanonicalEdges:
     def test_degenerate_edge(self):
         with pytest.raises(ValueError, match="degenerate"):
             canonical_edges(6, [(2, 2)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 9), (2, 2)], "edge (0, 9) out of range for n=6"),
+            ([(2, 2), (0, 9)], "degenerate edge (2, 2)"),
+            ([(1, 2), (7, 3), (-1, 0), (4, 4)], "edge (3, 7) out of range for n=6"),
+            ([(5, 5), (0, 1), (-2, -2)], "degenerate edge (5, 5)"),
+            ([(3, 4), (0, 1), (4, 3), (6, 0)], "edge (0, 6) out of range for n=6"),
+        ],
+    )
+    def test_first_bad_edge_in_caller_order_is_named(self, edges, message):
+        for instance in (6, gen_convex_polygon(6)):
+            for given in (edges, iter(edges), tuple(edges)):
+                with pytest.raises(ValueError) as err:
+                    canonical_edges(instance, given)
+                assert str(err.value) == message
+
+    def test_iterators_are_read_once(self):
+        edges = [(3, 0), (1, 4), (0, 3), (5, 2)]
+        assert canonical_edges(6, iter(edges)) == canonical_edges(6, edges) == [Edge(0, 3), Edge(1, 4), Edge(2, 5)]
+        assert canonical_edges(6, (e for e in edges)) == [Edge(0, 3), Edge(1, 4), Edge(2, 5)]
+        assert all(type(e) is Edge for e in canonical_edges(6, edges))

@@ -193,6 +193,34 @@ class TestColoringFormat:
         assert all(type(e) is Edge for e, _ in coloring.items())
         assert coloring.classes() == {c: [e for e in edges if (e.u * e.v) % 3 == c] for c in range(3)}
 
+    @pytest.mark.parametrize(
+        "missing, colors, message",
+        [
+            ([(1, 3), (0, 2)], {(4, 5): 0}, "edge (0, 2) has no color"),
+            ([], {(2, 3): 3, (0, 4): -1}, "edge (0, 4) has color -1 outside 0..2"),
+            ([(1, 2)], {(3, 4): 7}, "edge (1, 2) has no color"),
+            ([], {(0, 1): 3}, "edge (0, 1) has color 3 outside 0..2"),
+            ([], {(4, 5): 2, (1, 5): 0}, None),
+        ],
+    )
+    def test_constructor_names_the_first_bad_edge_in_edge_order(self, missing, colors, message):
+        # Each missing edge is replaced by a key outside K_6, so the edge
+        # count still matches.
+        assignment = {e: (e.u + e.v) % 3 for e in all_edges(6) if e not in missing}
+        assignment.update({(6 + i, 7 + i): 0 for i in range(len(missing))})
+        assignment.update(colors)
+        if message is None:
+            assert list(Coloring(6, 3, assignment).items()) == [(e, assignment[e]) for e in all_edges(6)]
+            return
+        with pytest.raises(ValueError) as err:
+            Coloring(6, 3, assignment)
+        assert str(err.value) == message
+
+    def test_constructor_checks_the_edge_count_first(self):
+        assignment = {e: 5 for e in all_edges(6)[1:]}
+        with pytest.raises(ValueError, match=r"^coloring covers 14 edges, K_6 has 15$"):
+            Coloring(6, 3, assignment)
+
 
 def imported_names(path):
     """Every dotted part of every module a file imports, at any depth."""
