@@ -9,15 +9,18 @@ kernels are timed when built (`python3 setup.py build_ext --inplace`).
 
 A second table times the crossing layer, `crossing_masks` on the complete
 graph of random n = 24, 32, 40 (the benchmark's sizes) and 60 points (and
-100 under --heavy), where the angular sweep's O(n^2 log n) cuts part
-from O(n^3) point-by-point signs, and of n = 24, 32, 40 and 60 points in
-convex index order; then `crossings_in_degree_order`, which assembles the
-rows twice, on random n = 40 and 60 (and 100 under --heavy). It has no
-compiled twin. Outside the timing, each random `crossing_masks` row
-checks its crossing count against a count made pair by pair with
-`segments_cross`, each convex row against C(n, 4), and each degree-order
-row its masks against `crossing_masks` of the reordered edges and its
-order against the degrees those masks give.
+100 under --heavy), where one rotational sweep over the C(n, 2) pairs,
+O(n^2 log n) for the sort, replaces O(n^3) point-by-point signs; on a
+star, one centre with n - 1 edges, on random n = 40 and 100 points, the
+one shape where the sweep's C(n, 2) steps outweigh the few edges; and on
+n = 24, 32, 40 and 60 points in convex index order; then
+`crossings_in_degree_order`, which assembles the rows twice, on random
+n = 40 and 60 (and 100 under --heavy). It has no compiled twin. Outside
+the timing, each random and star `crossing_masks` row checks its crossing
+count against a count made pair by pair with `segments_cross`, each
+convex row against C(n, 4), and each degree-order row its masks against
+`crossing_masks` of the reordered edges and its order against the
+degrees those masks give.
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the nodes of its one subset search, and
@@ -44,7 +47,7 @@ from math import comb
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
 from beyondplanar.crossings import crossing_masks, crossings_in_degree_order
-from beyondplanar.geometry import all_edges, gen_random_pointset, segments_cross
+from beyondplanar.geometry import Edge, all_edges, gen_random_pointset, segments_cross
 from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
@@ -128,8 +131,10 @@ def main() -> None:
     header = f"{'crossing layer':<38} {'crossings':>9} {'python':>9}"
     print(header)
     print("-" * len(header))
-    for n in (24, 32, 40, 60) + ((100,) if args.heavy else ()):
-        points, edges = gen_random_pointset(n, seed=n), all_edges(n)
+    complete = [(n, "random", all_edges(n)) for n in (24, 32, 40, 60) + ((100,) if args.heavy else ())]
+    stars = [(n, "star", [Edge(0, w) for w in range(1, n)]) for n in (40, 100)]
+    for n, shape, edges in complete + stars:
+        points = gen_random_pointset(n, seed=n)
         p = points.points
         want = sum(
             segments_cross(p[e.u], p[e.v], p[f.u], p[f.v]) for i, e in enumerate(edges) for f in edges[i + 1 :]
@@ -137,8 +142,8 @@ def main() -> None:
         masks, t = run_one(crossing_masks, (points, edges), {}, args.repeat)
         got = sum(m.bit_count() for m in masks) // 2
         if got != want:
-            raise SystemExit(f"crossing_masks counts {got} crossings on random n={n}, segments_cross {want}")
-        print(f"{f'crossing masks random n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+            raise SystemExit(f"crossing_masks counts {got} crossings on {shape} n={n}, segments_cross {want}")
+        print(f"{f'crossing masks {shape} n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
     for n in (24, 32, 40, 60):
         edges = all_edges(n)
         masks, t = run_one(crossing_masks, (n, edges), {}, args.repeat)

@@ -7,53 +7,62 @@ from `crossings_in_degree_order` when the edges are to be reordered by
 their crossing counts.
 
 It never tests a pair of edges. It uses the order-type view of Goodman
-and Pollack: which points lie strictly left of each edge ab, that is,
-where the exact integer det(b - a, w - a) is positive. That left side is
-always a run of a ring, cut at two points (lo, hi): ring[lo:hi], read
-cyclically. A convex instance, an int n or a PointSet that
-`validate_pointset` finds in convex position, has one ring: the used
-points in clockwise order (index order for an int n, the hull order for
-a PointSet). The left side of chord ab is then the arc from a to b, so
-edge (a, b) is cut just after a and just before b, and the run wraps
-past the ring's end when b comes first. Any other PointSet cuts each
-edge a < b on the ring of its lower end a: the other used points in
-angular order around a.
+and Pollack: which points lie on each side of each edge ab, that is, the
+sign of the exact integer det(b - a, w - a). With inc[w] the mask of the
+edges ending at w, the XOR of inc over the points on one side of ab's
+line keeps exactly the edges with one end on each side of it, once the
+edges at a and b are masked out: an edge with both ends on that side
+cancels. Either side gives the same row: each edge has two ends, so the
+XOR of inc over every used point is 0, and the XORs over the two sides
+differ by inc[a] ^ inc[b], which is masked out. Two edges properly cross
+iff each one's line separates the other's ends; an edge that shares an
+endpoint with ab has that end on its line and drops out. General position
+makes every other sign nonzero. An edge's depth is the fewer used points
+on either side of its line.
 
-With inc[w] the mask of the edges ending at w, the XOR of inc over the
-points left of ab keeps exactly the edges with one end on each side of
-ab's line, once the edges at a and b are masked out: an edge with both
-ends on the left cancels. Over one ring that is one difference of prefix
-XORs. Two edges properly cross iff each one's line separates the other's
-ends; an edge that shares an endpoint with ab has that end on its line
-and drops out. General position makes every other sign nonzero. On the
-convex ring the first test implies the second, since chords whose ends
-alternate around the ring cross. Off it, toggling each edge's bit at
-both cuts of a difference list gives, in one running XOR, left_of[w],
-the edges point w lies left of.
+A convex instance, an int n or a PointSet that `validate_pointset` finds
+in convex position, has one ring: the used points in clockwise order
+(index order for an int n, the hull order for a PointSet). The left side
+of chord ab is the arc from a to b, ring[lo:hi] read cyclically, cut just
+after a and just before b; the run wraps past the ring's end when b comes
+first, and is then read from hi mod len(ring) to lo, the other side. Over
+the ring each side is one difference of prefix XORs, and chords whose
+ends alternate around the ring cross, so the first test implies the
+second. The depth is min(run, touched - 2 - run), with run = hi - lo and
+touched the number of used points.
 
-Either side of a cut gives the same rows, so a run that wraps past the
-ring's end is read from hi mod len(ring) to lo with no branch. The ring
-holds every used point but a (on the convex ring, every used point), and
-each edge has two ends, so the XORs of inc over the two sides differ by
-inc[a] (on the convex ring, not at all), which is masked out. Reading
-the other side flips edge i's bit in left_of at every ring point, which
-leaves left_of[c] ^ left_of[d] unchanged for every edge cd without an
-end at a; the edges at a are masked out of edge i's crossings anyway.
-An edge's depth, the fewer points on either side of its line, is
-min(run, touched - 2 - run), with run = hi - lo the length of its left
-side and touched the number of used points: the two ends lie on the
-line, whichever ring the edge is cut on.
+Any other PointSet takes one rotational sweep over its u used points:
+the allowable sequence of Goodman and Pollack. Order the points by their
+projection onto the normal (-sin t, cos t) of a direction t. Just below
+t = 0 that is the order by (y, x). As t turns through [0, pi), two points
+p and q meet when t passes the direction q - p of their pair, oriented
+into [0, pi). There they have the same projection and no third point
+does, since no three points are collinear, so they sit next to each
+other, at positions lo and lo + 1, and swap. Every pair swaps once, and
+at t = pi the order is reversed. Just before the swap, order[:lo] are the
+points whose projection is below theirs, det(q - p, w - p) < 0: the
+points strictly right of p -> q, one side of the pair's line. So a pass
+over the C(u, 2) pairs in the order of their directions gives every
+edge's side at its swap:
 
-On any other PointSet one angular sweep per apex finds every run, in
-O(n^2 log n) for K_n instead of O(n^3) signs, and K_n costs n - 1 sorts.
-Around an apex the other used points are sorted by an exact integer
-key: the half plane, then floor(-dx * 2^64 / dy). Coordinates within
-COORD_LIMIT = 2^30 bound |dx| and |dy| by 2^31, so two distinct slopes
-differ by at least 2^-62 and their keys by at least 3; one exact cross
-product per adjacent pair certifies the order anyway. The points
-strictly left of a -> b are the run that follows b in the cyclic order
-up to the first point at an angle of pi or more, and a two-pointer
-advance on exact cross products finds every run around the apex.
+* its split edges are prefix[lo], a prefix XOR of inc over the order,
+  kept current with one XOR per swap;
+* its depth is min(lo, u - 2 - lo);
+* below[w], the edges whose swap found w before them, comes from a lazy
+  array over positions: an edge's bits go on marks[lo] for every
+  position under lo, a swap hands marks[lo + 1] to both its points, so
+  each keeps what it had collected, and one suffix pass at the end (over
+  the reversed order) deals the marks out. An edge j's line separates c
+  and d iff bit j of below[c] ^ below[d] is set, for c and d off it.
+
+The pairs are sorted by an exact integer key: floor(-dx * 2^64 / dy) for
+dy > 0, which rises with the angle, and _ON_AXIS below all of them for a
+horizontal pair. Coordinates within COORD_LIMIT = 2^30 bound |dx| and
+|dy| by 2^31, so two distinct slopes differ by at least 2^-62 and their
+keys by at least 3, while parallel pairs share a key: they lie on
+distinct lines, so their swaps are disjoint and may come in any order.
+One exact cross product per consecutive pair of directions certifies the
+order anyway, and each swap asserts that its two points are adjacent.
 
 `segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
 `check_pairwise_crossing` decide one pair at a time and stay independent
@@ -62,18 +71,14 @@ of this layer, so they can re-check it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, starmap
-from operator import gt, itemgetter, lt, mul, xor
+from operator import ge, itemgetter, lt, mul, xor
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import Edge, PointSet, validate_pointset
 
-# Sweep keys: a slope key floor(-dx * 2^64 / dy) lies within +/-2^95, the
-# direction with dy = 0 that opens each half plane takes _ON_AXIS below all of
-# them, and _HALF puts the upper half plane (angles in [0, pi)) below 0 and
-# the lower one above.
-_HALF = 1 << 97
+# Sweep key of a horizontal pair: a slope key floor(-dx * 2^64 / dy) lies
+# within +/-2^95, and direction 0 comes before every other.
 _ON_AXIS = -(1 << 96)
 
 
@@ -103,7 +108,10 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
     The edges keep the caller's order and must already be in `Edge.of`
     form and in range, as `canonical_edges` and `all_edges` give them.
     """
-    return _rows(edges, _left_runs(instance, edges))
+    convex = _convex_cuts(instance, edges)
+    if convex is None:
+        return _swept_rows(edges, *_swaps(instance, edges))[0]
+    return _ring_rows(edges, *convex)
 
 
 def class_crossing_masks(
@@ -129,120 +137,123 @@ def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[
 
     Ties keep the given order. masks is `crossing_masks` of the reordered
     edges, and depths[i] is the smaller number of touched points on either
-    side of edges[i]'s line. The cuts are found once: the rows are
-    assembled from them in the given order for the degrees, and again,
-    with the cuts renumbered, in the new order.
+    side of edges[i]'s line. The cuts or the swaps are found once: the
+    rows are assembled from them in the given order for the degrees, and
+    again in the new order.
     """
-    runs = _left_runs(points, edges)
-    degree = [row.bit_count() for row in _rows(edges, runs)]
+    convex = _convex_cuts(points, edges)
+    if convex is None:
+        swaps = _swaps(points, edges)
+        degree = [row.bit_count() for row in _swept_rows(edges, *swaps)[0]]
+    else:
+        ring, cuts = convex
+        degree = [row.bit_count() for row in _ring_rows(edges, ring, cuts)]
     order = sorted(range(len(edges)), key=lambda i: -degree[i])
-    rank = {i: k for k, i in enumerate(order)}
-    runs = [(ring, [(rank[i], lo, hi) for i, lo, hi in cuts]) for ring, cuts in runs]
-    other = len({w for e in edges for w in e}) - 2  # the touched points off an edge's line
-    depths = [0] * len(edges)
-    for ring, cuts in runs:
-        for i, lo, hi in cuts:
-            depths[i] = min(hi - lo, other - (hi - lo))
     edges = [edges[i] for i in order]
-    return edges, _rows(edges, runs), depths
+    if convex is None:
+        return edges, *_swept_rows(edges, *swaps)
+    cuts = [cuts[i] for i in order]
+    other = len(ring) - 2  # the touched points off an edge's line
+    return edges, _ring_rows(edges, ring, cuts), [min(hi - lo, other - (hi - lo)) for lo, hi in cuts]
 
 
-def _left_runs(
-    instance: PointSet | int, edges: Sequence[Edge]
-) -> list[tuple[Sequence[int], list[tuple[int, int, int]]]]:
-    """(ring, cuts) per ring: the cut (i, lo, hi) of each edge on it.
+def _convex_cuts(instance: PointSet | int, edges: Sequence[Edge]) -> tuple[list[int], list[tuple[int, int]]] | None:
+    """(ring, cuts) of an int n or a convex PointSet, else None.
 
-    The points strictly left of edges[i] are ring[lo:hi], read cyclically,
-    so hi may pass len(ring). An int n and a convex PointSet take one
-    ring, the used points in clockwise order, with edge (a, b) cut just
-    after a and just before b, wrapping when b comes first. Any other
-    PointSet cuts each edge on the ring of its lower end, one sweep per
-    such end for all its edges.
+    The ring is the used points in clockwise order, and the points
+    strictly left of edges[i] are ring[lo:hi] for its cut (lo, hi), read
+    cyclically, so hi may pass len(ring): edge (a, b) is cut just after a
+    and just before b, wrapping when b comes first.
     """
     used = {w for e in edges for w in e}
     if isinstance(instance, PointSet):
         order = validate_pointset(instance) if instance.n >= 3 else range(instance.n)
+        if order is None:
+            return None
     else:
         order = sorted(used)
-    if order is not None:
-        ring = [w for w in order if w in used]
-        at = {w: j for j, w in enumerate(ring)}
-        m = len(ring)
-        return [(ring, [(i, at[a] + 1, at[b] if at[a] < at[b] else at[b] + m) for i, (a, b) in enumerate(edges)])]
-    swept: dict[int, list[int]] = {}  # lower end -> the edges swept from it
-    for i, e in enumerate(edges):
-        swept.setdefault(e.u, []).append(i)
-    xy = [(instance[w].x, instance[w].y, w) for w in used]
-    runs = []
-    for apex, ids in swept.items():
-        ax, ay = instance[apex].x, instance[apex].y
-        ring, cut = _sweep([(x - ax, y - ay, w) for x, y, w in xy if w != apex], {edges[i].v for i in ids})
-        runs.append((ring, [(i, *cut[edges[i].v]) for i in ids]))
-    return runs
+    ring = [w for w in order if w in used]
+    at = {w: j for j, w in enumerate(ring)}
+    m = len(ring)
+    return ring, [(at[a] + 1, at[b] if at[a] < at[b] else at[b] + m) for a, b in edges]
 
 
-def _sweep(ring: list[tuple[int, int, int]], ends: set[int]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """(order, cut): the ring's points by angle, and for each end b the run (lo, hi) strictly left of the apex -> b.
+def _ring_rows(edges: Sequence[Edge], ring: Sequence[int], cuts: list[tuple[int, int]]) -> list[int]:
+    """`crossing_masks` from every edge's cut on the convex ring, as `_convex_cuts` gives them.
 
-    The ring holds (dx, dy, w) of every used point but the apex, dx and
-    dy taken from the apex. The run is order[lo:hi], read cyclically.
+    Row i: the edges split by edge i's line. On the ring an edge split by
+    edge i's line always splits edge i.
     """
-    # The half plane ((dy or dx) < 0 in the lower one), then floor(-dx * 2^64 / dy),
-    # which rises with the angle.
-    ring = sorted(
-        [
-            (((-dx << 64) // dy if dy else _ON_AXIS) + (_HALF if (dy or dx) < 0 else -_HALF), dx, dy, w)
-            for dx, dy, w in ring
-        ]
-    )
-    keys, xs, ys, order = zip(*ring)
-    m, upper = len(keys), bisect_left(keys, 0)
-    for lo, hi in ((0, upper), (upper, m)):  # one half plane each: every step turns left
-        if not all(map(gt, map(mul, xs[lo : hi - 1], ys[lo + 1 : hi]), map(mul, ys[lo : hi - 1], xs[lo + 1 : hi]))):
-            raise AssertionError("angular order around a point fails its cross-product check")
-    xs, ys = xs + xs, ys + ys
-    cut = {}
-    j = 0  # end of the run left of the last end swept; it only moves forward
-    for p, b in enumerate(order):
-        if b in ends:
-            bx, by = xs[p], ys[p]
-            if j <= p:
-                j = p + 1
-            while j < p + m and bx * ys[j] > by * xs[j]:
-                j += 1
-            cut[b] = (p + 1, j)
-    return order, cut
-
-
-def _rows(edges: Sequence[Edge], runs: list[tuple[Sequence[int], list[tuple[int, int, int]]]]) -> list[int]:
-    """`crossing_masks` from every edge's cut on its ring, as `_left_runs` gives them.
-
-    Row i: the edges split by edge i's line whose own line splits edge i.
-    A ring that holds every used point is their convex order, where an
-    edge split by edge i's line always splits edge i, so the second test
-    is left out.
-    """
-    inc: dict[int, int] = {}  # inc[w] = the mask of the edges ending at w
+    inc = dict.fromkeys(ring, 0)  # inc[w] = the mask of the edges ending at w
     for i, (a, b) in enumerate(edges):
         bit = 1 << i
-        inc[a] = inc.get(a, 0) | bit
-        inc[b] = inc.get(b, 0) | bit
-    split = [0] * len(edges)  # split[i] = the edges with one end on each side of edge i's line
-    for ring, cuts in runs:
-        m = len(ring)
-        prefix = list(accumulate([inc[w] for w in ring], xor, initial=0))
-        for i, lo, hi in cuts:
-            split[i] = prefix[hi % m] ^ prefix[lo]  # either side of a cut gives the same row
-    if len(runs) == 1 and len(runs[0][0]) == len(inc):
-        return [split[i] & ~(inc[a] | inc[b]) for i, (a, b) in enumerate(edges)]
-    left_of = dict.fromkeys(inc, 0)  # left_of[w] = the edges point w lies left of
-    for ring, cuts in runs:
-        m = len(ring)
-        diff = [0] * (m + 1)
-        for i, lo, hi in cuts:
-            bit = 1 << i
-            diff[lo] ^= bit
-            diff[hi % m] ^= bit
-        for w, side in zip(ring, accumulate(diff, xor)):
-            left_of[w] ^= side
-    return [split[i] & ~(inc[a] | inc[b]) & (left_of[a] ^ left_of[b]) for i, (a, b) in enumerate(edges)]
+        inc[a] |= bit
+        inc[b] |= bit
+    m = len(ring)
+    prefix = list(accumulate([inc[w] for w in ring], xor, initial=0))
+    # Either side of a cut gives the same row.
+    return [(prefix[hi % m] ^ prefix[lo]) & ~(inc[a] | inc[b]) for (a, b), (lo, hi) in zip(edges, cuts)]
+
+
+def _swaps(points: PointSet, edges: Sequence[Edge]) -> tuple[list[int], list[tuple[int, int]]]:
+    """(order, swaps): the used points by (y, x), and each pair (p, q) of them in sweep order.
+
+    p comes before q by (y, x), so q - p points into [0, pi), and the
+    pairs come by that direction's angle, certified with one exact cross
+    product per consecutive pair.
+    """
+    start = sorted([(points[w].y, points[w].x, w) for w in {w for e in edges for w in e}])
+    pairs = [(qx - px, qy - py, p, q) for k, (py, px, p) in enumerate(start) for qy, qx, q in start[k + 1 :]]
+    pairs.sort(key=lambda pair: (-pair[0] << 64) // pair[1] if pair[1] else _ON_AXIS)
+    xs, ys, ps, qs = list(zip(*pairs)) or [()] * 4
+    if not all(map(ge, map(mul, xs[:-1], ys[1:]), map(mul, ys[:-1], xs[1:]))):
+        raise AssertionError("pair directions fail their cross-product check")
+    return [w for _, _, w in start], list(zip(ps, qs))
+
+
+def _swept_rows(edges: Sequence[Edge], order: list[int], swaps: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """(rows, depths) of the edges from one pass over the swaps that `_swaps` gives.
+
+    Row i: the edges split by edge i's line whose own line splits edge i.
+    """
+    u, size = len(order), max(order, default=-1) + 1
+    pos = [0] * size  # pos[w] = w's position in the order
+    for k, w in enumerate(order):
+        pos[w] = k
+    pairs = [(a, b) if pos[a] < pos[b] else (b, a) for a, b in edges]  # each edge as its swap names it
+    inc = [0] * size  # inc[w] = the mask of the edges ending at w
+    at: dict[tuple[int, int], int] = {}  # (p, q) -> the bits of the edges joining p and q
+    for i, pair in enumerate(pairs):
+        bit = 1 << i
+        inc[pair[0]] |= bit
+        inc[pair[1]] |= bit
+        at[pair] = at.get(pair, 0) | bit
+    prefix = list(accumulate([inc[w] for w in order], xor, initial=0))
+    marks = [0] * (u + 1)  # the bits of marks[k] go to every point at a position under k
+    below = [0] * size  # below[w] ^ the marks above its position = the edges that found w before them
+    cut: dict[tuple[int, int], tuple[int, int]] = {}  # (p, q) -> (split edges, lo) at its swap
+    for pair in swaps:
+        p, q = pair
+        lo = pos[p]
+        if pos[q] != lo + 1:
+            raise AssertionError(f"points {p} and {q} swap but are not adjacent")
+        bits = at.get(pair)
+        if bits:
+            cut[pair] = prefix[lo], lo
+            marks[lo] ^= bits
+        pos[p] = lo + 1
+        pos[q] = lo
+        prefix[lo + 1] = prefix[lo] ^ inc[q]
+        bits = marks[lo + 1]
+        below[p] ^= bits
+        below[q] ^= bits
+    side = 0
+    for k, w in zip(range(u, 0, -1), order):  # every pair has swapped: order[j] is now at u - 1 - j
+        side ^= marks[k]
+        below[w] ^= side
+    rows, depths = [], []
+    for (a, b), pair in zip(edges, pairs):
+        split, lo = cut[pair]
+        rows.append(split & ~(inc[a] | inc[b]) & (below[a] ^ below[b]))
+        depths.append(min(lo, u - 2 - lo))
+    return rows, depths

@@ -166,8 +166,9 @@ def naive_side_masks(points, edges):
 
     Bit j of masks[i] is set iff the j-th smallest point that the edges
     touch lies strictly left of edges[i] = (a, b): det(b - a, w - a) > 0.
-    This is the per-point loop the crossing layer ran before its angular
-    sweep, kept here to check the sweep.
+    This is the per-point loop the crossing layer ran before it read the
+    sides from a sweep, kept here to check the sides that its convex ring
+    and its rotational sweep give.
     """
     xy = [(p.x, p.y) for p in points.points]
     rev_xy = [xy[w] for w in sorted({w for e in edges for w in e}, reverse=True)]

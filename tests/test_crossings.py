@@ -9,14 +9,22 @@ subsets that leave most points unused, and coordinates at the limit.
 Masks and depths are also checked on edge lists that touch 7, 8, 9, 16,
 17 and 25 of 40 points, and on lists that avoid the first eight points.
 
-Each edge's left side is a run of a ring, cut at two points. Side masks
-rebuilt from those cuts are compared with `naive_side_masks`, one
-determinant per edge and used point, on random, convex and
+On a convex ring each edge's left side is a run, cut at two points; on
+any other point set it is read from the rotational sweep, the points
+before the edge's pair when the pair swaps, or the rest. Side masks
+rebuilt from those cuts and swaps are compared with `naive_side_masks`,
+one determinant per edge and used point, on random, convex and
 crossing-family sets, the smallest sets, single edges, stars at every
 center, matchings, and directions at the coordinate limit whose
 determinant is 1, where the sweep's integer key is closest to its
 exactness bound; in convex index order they are compared with the rule
-a < w < b. Runs that wrap past the end of their ring give the same rows.
+a < w < b. Runs that wrap past the end of the ring, and swaps whose
+prefix is the right side of the edge, give the same rows.
+
+Point sets (x, x^2 mod p) have many parallel pairs, whose swaps share a
+sort key, and horizontal pairs; one more set has horizontal and vertical
+pairs. Their masks, depths, side masks and class rows are checked
+against the same oracles.
 
 Convex point sets whose index order is not their clockwise order take
 one ring in hull order: their masks, side masks (the literal left side,
@@ -30,6 +38,7 @@ class, witness, crossing count and budget stop.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -38,7 +47,8 @@ from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_en
 from beyondplanar.bounds import _diagonals
 from beyondplanar.convex import verify_k_planar
 from beyondplanar.crossings import (
-    _left_runs,
+    _convex_cuts,
+    _swaps,
     canonical_edges,
     class_crossing_masks,
     crossing_masks,
@@ -79,15 +89,36 @@ def extreme_pointset(n, seed):
             continue
 
 
+def replayed_swaps(points, edges):
+    """(p, q, lo, prefix) per swap of the sweep, replayed on a list: p and q sit at lo and lo + 1, after order[:lo]."""
+    order, swaps = _swaps(points, edges)
+    for p, q in swaps:
+        lo = order.index(p)
+        assert order[lo + 1] == q
+        yield p, q, lo, order[:lo]
+        order[lo : lo + 2] = q, p
+
+
 def side_masks(instance, edges):
-    """Side masks from the cuts: bit j of masks[i] is set iff the j-th smallest used point is in edges[i]'s run."""
-    bit = {w: 1 << j for j, w in enumerate(sorted({w for e in edges for w in e}))}
-    masks = [0] * len(edges)
-    for ring, cuts in _left_runs(instance, edges):
-        for i, lo, hi in cuts:
-            for k in range(lo, hi):
-                masks[i] |= bit[ring[k % len(ring)]]
-    return masks
+    """Left sides from the crossing layer: bit j of masks[i] is set iff the j-th smallest used point is left of edges[i].
+
+    On a convex ring the left side is the run of the edge's cut. Any other
+    point set replays the sweep: the prefix before p and q at their swap
+    lies right of p -> q, so it is the left side of q -> p, and the other
+    used points are the left side of p -> q.
+    """
+    used = sorted({w for e in edges for w in e})
+    bit = {w: 1 << j for j, w in enumerate(used)}
+    convex = _convex_cuts(instance, edges)
+    if convex is not None:
+        ring, cuts = convex
+        return [sum(bit[ring[k % len(ring)]] for k in range(lo, hi)) for lo, hi in cuts]
+    left = {}
+    for p, q, _, prefix in replayed_swaps(instance, edges):
+        right = sum(bit[w] for w in prefix)
+        left[q, p] = right
+        left[p, q] = ((1 << len(used)) - 1) ^ right ^ bit[p] ^ bit[q]
+    return [left[e] for e in edges]
 
 
 def naive_convex_side_masks(edges):
@@ -157,17 +188,46 @@ def near_parallel_pointset():
     in directions whose determinant is -1 and 1, with every |dx| and |dy|
     within 2 of 2^31: their slopes differ by about 2^-62, the bound the
     sweep's integer key is exact to. Point 5 lies straight right of point
-    0, where the upper half plane of point 0's sweep begins, and point 0
-    straight left of point 5, where the lower one of point 5's begins.
-    Point 6 lies straight above point 0.
+    0, a horizontal pair, whose direction the sweep meets first, and
+    point 6 straight above point 0, a vertical one, with key 0.
     """
     lim = COORD_LIMIT
     near = [(lim, lim - 1), (lim - 1, lim - 2), (lim - 1, lim), (lim - 2, lim - 1)]
     return PointSet([(-lim, -lim)] + near + [(lim, -lim), (-lim, lim), (2, 3 - lim)])
 
 
+def parabola_mod(p):
+    """The points (x, x^2 mod p), x < p, for a prime p.
+
+    No three are collinear: three points collinear over the integers
+    would be collinear mod p, and a line meets the parabola mod p at most
+    twice. x and p - x give a horizontal pair, and many pairs are
+    parallel, so their swaps share a sort key.
+    """
+    return PointSet([(x, x * x % p) for x in range(p)])
+
+
+# 11 points in general position with 5 horizontal and 5 vertical pairs.
+AXIS_PAIRS = PointSet([(1, 2), (1, 4), (2, 4), (2, 5), (3, 0), (3, 7), (5, 3), (5, 5), (6, 2), (6, 7), (7, 0)])
+
+PARALLEL_SETS = [parabola_mod(7), parabola_mod(13), parabola_mod(31), AXIS_PAIRS]
+PARALLEL_IDS = ["mod7", "mod13", "mod31", "axis"]
+
+
+def directions(points):
+    """The direction of every pair, reduced to lowest terms and oriented into [0, pi)."""
+    found = []
+    for a, b in all_edges(points.n):
+        dx, dy = points[b].x - points[a].x, points[b].y - points[a].y
+        if dy < 0 or (dy == 0 and dx < 0):
+            dx, dy = -dx, -dy
+        g = math.gcd(dx, dy)
+        found.append((dx // g, dy // g))
+    return found
+
+
 class TestAngularSweep:
-    """Cuts from one angular sweep per apex against one determinant per point."""
+    """Sides from the rotational sweep, or from the convex ring, against one determinant per point."""
 
     @pytest.mark.parametrize("n", [4, 9, 17, 40])
     @pytest.mark.parametrize("make", [gen_random_pointset, gen_convex_polygon])
@@ -197,8 +257,7 @@ class TestAngularSweep:
 
     @pytest.mark.parametrize("n", [5, 12])
     def test_stars_at_every_center(self, n):
-        # The center sweeps its edges to higher points; each edge to a lower
-        # point is swept from that point, its lower end.
+        # The center is one end of every swap that finds an edge.
         points = gen_random_pointset(n, seed=n)
         for center in range(n):
             star = [Edge.of(center, w) for w in range(n) if w != center]
@@ -208,7 +267,7 @@ class TestAngularSweep:
 
     @pytest.mark.parametrize("n", [6, 13, 40])
     def test_matchings(self, n):
-        # Every end has one edge, so every lower end sorts for a single edge.
+        # Every end has one edge, so most swaps find no edge.
         rng = random.Random(f"matching:{n}")
         order = list(range(n))
         rng.shuffle(order)
@@ -237,8 +296,9 @@ class TestAngularSweep:
 
     @pytest.mark.parametrize(
         "points",
-        [gen_random_pointset(13, seed=2), gen_convex_polygon(10, seed=1), gen_perfect_crossing_family_pointset(6)[0]],
-        ids=["random", "convex", "family"],
+        [gen_random_pointset(13, seed=2), gen_convex_polygon(10, seed=1), gen_perfect_crossing_family_pointset(6)[0]]
+        + PARALLEL_SETS,
+        ids=["random", "convex", "family"] + PARALLEL_IDS,
     )
     def test_depths_match_the_pointwise_oracle(self, points):
         edges, masks, depths = crossings_in_degree_order(points, all_edges(points.n))
@@ -247,7 +307,7 @@ class TestAngularSweep:
 
 
 class TestCuts:
-    """Runs in convex index order, and runs that wrap past the end of their ring."""
+    """Runs in convex index order, and rows read from the other side of an edge."""
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_convex_index_order(self, n):
@@ -255,17 +315,25 @@ class TestCuts:
             assert side_masks(n, edges) == naive_convex_side_masks(edges)
 
     @pytest.mark.parametrize("n", [5, 9, 14])
-    def test_runs_that_wrap_give_the_same_rows(self, n):
-        points = gen_random_pointset(n, seed=3)
+    def test_either_side_gives_the_same_rows(self, n):
+        # A swap reads the points before its pair, the right side of edge
+        # (a, b) when a comes first by (y, x), and an empty side at either
+        # end of the order. A convex ring reads a run that wraps past its
+        # end from the other side; a hull edge has an empty side there too.
+        random_set, convex_set = gen_random_pointset(n, seed=3), shuffled_convex_polygon(n, seed=3)
         edges = all_edges(n)
-        runs = _left_runs(points, edges)
-        wrapping = [edges[i] for ring, cuts in runs for i, lo, hi in cuts if hi > len(ring)]
-        at_the_end = [edges[i] for ring, cuts in runs for i, lo, hi in cuts if len(ring) in (lo, hi)]
-        assert wrapping and at_the_end
-        assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
-        for sub in (wrapping, wrapping[::-1], at_the_end, wrapping[:1] + at_the_end[:1]):
-            assert side_masks(points, sub) == naive_side_masks(points, sub)
-            assert crossing_masks(points, sub) == naive_crossing_masks(points, sub)
+        swapped = {(p, q): lo for p, q, lo, _ in replayed_swaps(random_set, edges)}
+        right_side = [e for e in edges if e in swapped]
+        at_the_end = [e for e in edges if swapped.get(e, swapped.get(e[::-1])) in (0, n - 2)]
+        _, cuts = _convex_cuts(convex_set, edges)
+        wrapping = [e for e, (lo, hi) in zip(edges, cuts) if hi > n]
+        empty_side = [e for e, (lo, hi) in zip(edges, cuts) if n in (lo, hi) or hi - lo in (0, n - 2)]
+        for points, other, ends in ((random_set, right_side, at_the_end), (convex_set, wrapping, empty_side)):
+            assert other and ends
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            for sub in (other, other[::-1], ends, other[:1] + ends[:1]):
+                assert side_masks(points, sub) == naive_side_masks(points, sub)
+                assert crossing_masks(points, sub) == naive_crossing_masks(points, sub)
 
 
 def shuffled_convex_polygon(n, seed):
@@ -334,19 +402,20 @@ class TestConvexRing:
     def test_one_ring_for_convex_sets_and_sweeps_otherwise(self, n):
         points = shuffled_convex_polygon(n, seed=n)
         edges = all_edges(n)
-        ((ring, cuts),) = _left_runs(points, edges)
+        ring, cuts = _convex_cuts(points, edges)
         assert tuple(ring) == validate_pointset(points)
-        assert sorted(i for i, _, _ in cuts) == list(range(len(edges)))
+        assert len(cuts) == len(edges)
         sub = [e for e in edges if 0 not in e]  # point 0 is left off the ring
-        ((ring, _),) = _left_runs(points, sub)
+        ring, _ = _convex_cuts(points, sub)
         assert list(ring) == [w for w in validate_pointset(points) if w != 0]
-        ((ring, _),) = _left_runs(n, edges[::-1])
+        ring, _ = _convex_cuts(n, edges[::-1])
         assert list(ring) == list(range(n))
         random_set = gen_random_pointset(n, seed=1)
         assert validate_pointset(random_set) is None
-        runs = _left_runs(random_set, edges)
-        assert len(runs) == n - 1  # one sweep per lower end
-        assert all(len(ring) == n - 1 for ring, _ in runs)
+        assert _convex_cuts(random_set, edges) is None
+        order, swaps = _swaps(random_set, edges)
+        assert order == sorted(range(n), key=lambda w: (random_set[w].y, random_set[w].x))
+        assert sorted(Edge.of(p, q) for p, q in swaps) == edges  # one sweep: every pair swaps once
 
     def test_max_crossing_family_is_unchanged(self):
         rows = []
@@ -394,6 +463,42 @@ class TestFewUsedPoints:
         for edges in (nine, late, late[::-1]):
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
             assert crossing_masks(n, edges) == naive_crossing_masks(n, edges)
+
+
+class TestParallelPairs:
+    """Sets whose pairs fall in parallel groups, or lie on the axes, against the pair-by-pair oracles.
+
+    `TestAngularSweep.test_depths_match_the_pointwise_oracle` checks their
+    degree-order rows and depths.
+    """
+
+    @pytest.mark.parametrize("points", PARALLEL_SETS, ids=PARALLEL_IDS)
+    def test_the_sets_sweep_with_parallel_and_axis_pairs(self, points):
+        assert validate_pointset(points) is None
+        found = directions(points)
+        shared = [d for d in found if found.count(d) > 1]
+        assert len(shared) >= len(found) // 3
+        assert (1, 0) in found
+        assert points is not AXIS_PAIRS or found.count((1, 0)) == found.count((0, 1)) == 5
+
+    @pytest.mark.parametrize("points", PARALLEL_SETS, ids=PARALLEL_IDS)
+    def test_masks_and_left_sides(self, points):
+        n = points.n
+        shuffled = all_edges(n)
+        random.Random(n).shuffle(shuffled)
+        for edges in (all_edges(n), all_edges(n)[::-1], shuffled, random_subset(n, 0), _diagonals(n)):
+            assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
+            assert side_masks(points, edges) == naive_side_masks(points, edges)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("points", PARALLEL_SETS, ids=PARALLEL_IDS)
+    def test_class_rows_with_an_edge_in_two_classes(self, points, seed):
+        classes = random_classes(points.n, seed)
+        got = list(class_crossing_masks(points, classes))
+        want = [canonical_edges(points, edges) for edges in classes]
+        assert len({e for edges in want for e in edges}) < sum(map(len, want))  # an edge in two classes
+        assert [edges for edges, _ in got] == want
+        assert [masks for _, masks in got] == [naive_crossing_masks(points, edges) for edges in want]
 
 
 def random_classes(n, seed):
