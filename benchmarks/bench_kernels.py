@@ -14,10 +14,10 @@ O(n^2 log n) for the sort, replaces O(n^3) point-by-point signs; on a
 star, one centre with n - 1 edges, on random n = 40 and 100 points, the
 one shape where the sweep's C(n, 2) steps outweigh the few edges; and on
 n = 24, 32, 40 and 60 points in convex index order; then
-`crossings_in_degree_order`, which assembles the rows twice, on random
+`build_crossing_graph`, which assembles the rows of K_n twice, on random
 n = 40 and 60 (and 100 under --heavy). It has no compiled twin. Outside
 the timing, each random and star `crossing_masks` row checks its crossing
-count against a count made pair by pair with `segments_cross`, each
+count against a count made pair by pair with `PointSet.edges_cross`, each
 convex row against C(n, 4), and each degree-order row its masks against
 `crossing_masks` of the reordered edges and its order against the
 degrees those masks give.
@@ -46,9 +46,9 @@ from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
-from beyondplanar.crossings import crossing_masks, crossings_in_degree_order
-from beyondplanar.geometry import Edge, all_edges, gen_random_pointset, segments_cross
-from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
+from beyondplanar.geometry import Edge, all_edges, gen_random_pointset
+from beyondplanar.quasiplanar import max_crossing_family
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
 
@@ -69,8 +69,8 @@ def diagonal_conflicts(n: int) -> list[int]:
 
 
 def clique_workloads(heavy: bool):
-    crossing = build_crossing_graph(gen_random_pointset(22, seed=1))
-    yield f"clique crossing-graph n=22 V={len(crossing.masks)}", "max_clique", (list(crossing.masks),), {}
+    _, masks, _ = build_crossing_graph(gen_random_pointset(22, seed=1))
+    yield f"clique crossing-graph n=22 V={len(masks)}", "max_clique", (masks,), {}
     yield "clique random V=120 p=0.8", "max_clique", (random_graph(120, 0.8, seed=7),), {}
     yield "clique random V=150 p=0.7", "max_clique", (random_graph(150, 0.7, seed=7),), {}
     if heavy:
@@ -135,14 +135,11 @@ def main() -> None:
     stars = [(n, "star", [Edge(0, w) for w in range(1, n)]) for n in (40, 100)]
     for n, shape, edges in complete + stars:
         points = gen_random_pointset(n, seed=n)
-        p = points.points
-        want = sum(
-            segments_cross(p[e.u], p[e.v], p[f.u], p[f.v]) for i, e in enumerate(edges) for f in edges[i + 1 :]
-        )
+        want = sum(points.edges_cross(e, f) for i, e in enumerate(edges) for f in edges[i + 1 :])
         masks, t = run_one(crossing_masks, (points, edges), {}, args.repeat)
         got = sum(m.bit_count() for m in masks) // 2
         if got != want:
-            raise SystemExit(f"crossing_masks counts {got} crossings on {shape} n={n}, segments_cross {want}")
+            raise SystemExit(f"crossing_masks counts {got} crossings on {shape} n={n}, edges_cross {want}")
         print(f"{f'crossing masks {shape} n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
     for n in (24, 32, 40, 60):
         edges = all_edges(n)
@@ -153,14 +150,14 @@ def main() -> None:
         print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
     for n in (40, 60) + ((100,) if args.heavy else ()):
         points = gen_random_pointset(n, seed=n)
-        (edges, masks, _), t = run_one(crossings_in_degree_order, (points, all_edges(n)), {}, args.repeat)
+        (edges, masks, _), t = run_one(build_crossing_graph, (points,), {}, args.repeat)
         degree = {e: m.bit_count() for e, m in zip(edges, masks)}
         if masks != crossing_masks(points, edges):
-            raise SystemExit(f"crossings_in_degree_order on random n={n}: masks differ from crossing_masks")
+            raise SystemExit(f"build_crossing_graph on random n={n}: masks differ from crossing_masks")
         if edges != sorted(all_edges(n), key=lambda e: (-degree[e], e)):
-            raise SystemExit(f"crossings_in_degree_order on random n={n}: edges not in descending degree order")
+            raise SystemExit(f"build_crossing_graph on random n={n}: edges not in descending degree order")
         got = sum(degree.values()) // 2
-        print(f"{f'crossings in degree order random n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
+        print(f"{f'crossing graph random n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
 
     print()
     header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"
@@ -179,9 +176,9 @@ def main() -> None:
         family, t = run_one(max_crossing_family, (points,), {}, args.repeat)
         if not family.proven_maximum or family.size != want:
             raise SystemExit(f"max_crossing_family on random n={n} seed={seed}: {family}, expected {want} proven")
-        graph = build_crossing_graph(points)
-        members = _native.max_clique(list(graph.masks), target=want, floor_size=want - 1)[1]
-        if family.edges != tuple(sorted(graph.edge_list[i] for i in members)):
+        edges, masks, _ = build_crossing_graph(points)
+        members = _native.max_clique(masks, target=want, floor_size=want - 1)[1]
+        if family.edges != tuple(sorted(edges[i] for i in members)):
             raise SystemExit(f"max_crossing_family on random n={n} seed={seed} differs from the unrestricted search")
         label = f"max_crossing_family random n={n} s={seed}"
         print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {t * 1000:7.1f}ms")

@@ -3,7 +3,7 @@
 An instance is a PointSet or an int n for n points in convex position in
 index order. Every crossing graph, and every crossing count that is not
 the closed form C(n, 4) of convex K_n, comes from `crossing_masks`, or
-from `crossings_in_degree_order` when the edges are to be reordered by
+from `build_crossing_graph` for all of K(P) with its edges reordered by
 their crossing counts.
 
 It never tests a pair of edges. It uses the order-type view of Goodman
@@ -75,7 +75,7 @@ from itertools import accumulate, starmap
 from operator import ge, itemgetter, lt, mul, xor
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Edge, PointSet, validate_pointset
+from .geometry import Edge, PointSet, all_edges, validate_pointset
 
 # Sweep key of a horizontal pair: a slope key floor(-dx * 2^64 / dy) lies
 # within +/-2^95, and direction 0 comes before every other.
@@ -132,15 +132,16 @@ def class_crossing_masks(
         lo += len(edges)
 
 
-def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[list[Edge], list[int], list[int]]:
-    """(edges, masks, depths), the edges reordered by descending crossing degree.
+def build_crossing_graph(points: PointSet) -> tuple[list[Edge], list[int], list[int]]:
+    """(edges, masks, depths) of K(P), the edges in descending crossing degree.
 
-    Ties keep the given order. masks is `crossing_masks` of the reordered
-    edges, and depths[i] is the smaller number of touched points on either
-    side of edges[i]'s line. The cuts or the swaps are found once: the
-    rows are assembled from them in the given order for the degrees, and
-    again in the new order.
+    Ties keep lexicographic order. masks is `crossing_masks` of the
+    reordered edges, and depths[i] is the smaller number of points on
+    either side of edges[i]'s line. The cuts or the swaps are found once:
+    the rows are assembled from them in lexicographic order for the
+    degrees, and again in the new order.
     """
+    edges = all_edges(points.n)
     convex = _convex_cuts(points, edges)
     if convex is None:
         swaps = _swaps(points, edges)
@@ -153,7 +154,7 @@ def crossings_in_degree_order(points: PointSet, edges: Sequence[Edge]) -> tuple[
     if convex is None:
         return edges, *_swept_rows(edges, *swaps)
     cuts = [cuts[i] for i in order]
-    other = len(ring) - 2  # the touched points off an edge's line
+    other = len(ring) - 2  # the points off an edge's line
     return edges, _ring_rows(edges, ring, cuts), [min(hi - lo, other - (hi - lo)) for lo, hi in cuts]
 
 

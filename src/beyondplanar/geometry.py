@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Coordinates are capped so orientation determinants stay far inside the
 # exact range of 64-bit products (Python ints are unbounded anyway; the cap
@@ -149,16 +149,16 @@ def find_collinear_triple(points: Sequence[Point]) -> tuple[int, int, int] | Non
     return None
 
 
-class PointSet(Sequence[Point]):
-    """Ordered point set in general position.
+class PointSet(tuple[Point, ...]):
+    """Ordered point set in general position: a tuple of Points.
 
     Construction rejects duplicate points and collinear triples outright:
     degenerate inputs are a caller error, never a downstream special case.
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ()
 
-    def __init__(self, points: Iterable):
+    def __new__(cls, points: Iterable):
         pts = _as_points(points)
         if not pts:
             raise ValueError("a point set needs at least one point")
@@ -168,37 +168,17 @@ class PointSet(Sequence[Point]):
         bad = find_collinear_triple(pts)
         if bad is not None:
             raise ValueError(f"collinear triple at indices {bad[0]}, {bad[1]}, {bad[2]}")
-        self._points = pts
+        return super().__new__(cls, pts)
 
     @property
     def n(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __getitem__(self, i):
-        return self._points[i]
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet) and self._points == other._points
-
-    def __hash__(self) -> int:
-        return hash(self._points)
+        return len(self)
 
     def __repr__(self) -> str:
-        return f"PointSet({list(self._points)!r})"
+        return f"PointSet({list(self)!r})"
 
     def edges_cross(self, e: Edge, f: Edge) -> bool:
-        p = self._points
-        return segments_cross(p[e.u], p[e.v], p[f.u], p[f.v])
+        return segments_cross(self[e.u], self[e.v], self[f.u], self[f.v])
 
 
 def convex_hull_indices(points: Sequence[Point]) -> list[int]:
@@ -233,7 +213,7 @@ def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
     """
     if points.n < 3:
         raise ValueError(f"validation needs at least 3 points, got {points.n}")
-    hull = convex_hull_indices(points.points)
+    hull = convex_hull_indices(points)
     if len(hull) != points.n:
         return None
     cw = list(reversed(hull))

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import canonical_edge, class_crossing_masks, crossings_in_degree_order
+from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks
 from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -30,24 +30,6 @@ DEFAULT_BUDGET = 10**8
 
 class SearchBudgetError(RuntimeError):
     """An exact search gave up before proving optimality."""
-
-
-@dataclass(frozen=True)
-class CrossingGraph:
-    """Graph whose vertices are the edges of K(P), adjacent iff they cross.
-
-    The edges are in the clique kernel's degree order: most crossings
-    first, ties in lexicographic order.
-    """
-
-    edge_list: tuple[Edge, ...]
-    masks: tuple[int, ...]  # masks[i] = bitmask of edge indices crossing edge i
-    depths: tuple[int, ...]  # depths[i] = fewer points on either side of edge i's line
-
-
-def build_crossing_graph(points: PointSet) -> CrossingGraph:
-    edges, masks, depths = crossings_in_degree_order(points, all_edges(points.n))
-    return CrossingGraph(tuple(edges), tuple(masks), tuple(depths))
 
 
 @dataclass(frozen=True)
@@ -83,16 +65,16 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
     The certificate is re-verified on `points` with the exact segment
     predicate instead of being trusted from the graph.
     """
-    graph = build_crossing_graph(points)
+    edges, masks, depths = build_crossing_graph(points)
     best: list[int] = []  # edge indices of the largest family found so far
     nodes = 0
 
-    def search(masks: list[int], target: int, floor_size: int, allowed: int | None = None) -> tuple[list[int], bool]:
+    def search(rows: list[int], target: int, floor_size: int, allowed: int | None = None) -> tuple[list[int], bool]:
         nonlocal nodes
         if nodes >= budget:
             return [], False
         size, members, proven, spent = _native.max_clique(
-            masks, budget=budget - nodes, target=target, floor_size=floor_size, allowed=allowed
+            rows, budget=budget - nodes, target=target, floor_size=floor_size, allowed=allowed
         )
         nodes += spent
         if len(members) != (size if size > floor_size else 0):
@@ -101,37 +83,30 @@ def max_crossing_family(points: PointSet, budget: int = DEFAULT_BUDGET) -> Cross
 
     # Every search gets its rows already in the kernel's degree order, so
     # the kernel searches the same relabelled graph without relabelling it.
+    proven = True
     t = points.n // 2
-    while t > len(best):
-        keep = [i for i, depth in enumerate(graph.depths) if depth >= t - 1]
+    while proven and t > len(best):
+        keep = [i for i, depth in enumerate(depths) if depth >= t - 1]
         if len(keep) >= t:  # fewer edges than t hold no family of t
             kept = sum(1 << i for i in keep)
-            keep.sort(key=lambda i: (-(graph.masks[i] & kept).bit_count(), graph.edge_list[i]))
-            members, proven = search(_kernels_py.induced(graph.masks, keep), t, len(best))
+            keep.sort(key=lambda i: (-(masks[i] & kept).bit_count(), edges[i]))
+            members, proven = search(_kernels_py.induced(masks, keep), t, len(best))
             if members:
                 best = [keep[i] for i in members]
-            if not proven:
-                return _certified(graph, points, best, False, nodes)
         t -= 1
-    if best:
+    if proven and best:
         m = len(best)
-        deep = sum(1 << i for i, depth in enumerate(graph.depths) if depth >= m - 1)
-        members, proven = search(list(graph.masks), m, m - 1, allowed=deep)
-        if not proven:
-            return _certified(graph, points, best, False, nodes)
-        best = members
-    return _certified(graph, points, best, True, nodes)
-
-
-def _certified(graph: CrossingGraph, points: PointSet, members: list[int], proven: bool, nodes: int) -> CrossingFamily:
-    """The family on edge indices `members`, after re-checking that its edges cross pairwise."""
-    chosen = sum(1 << i for i in set(members))
-    if chosen.bit_count() != len(members) or any((graph.masks[i] | 1 << i) & chosen != chosen for i in members):
+        deep = sum(1 << i for i, depth in enumerate(depths) if depth >= m - 1)
+        members, proven = search(masks, m, m - 1, allowed=deep)
+        if proven:
+            best = members
+    chosen = sum(1 << i for i in set(best))
+    if chosen.bit_count() != len(best) or any((masks[i] | 1 << i) & chosen != chosen for i in best):
         raise AssertionError("clique certificate is not a crossing family")
-    edges = tuple(sorted(graph.edge_list[i] for i in members))
-    if not check_pairwise_crossing(points, edges):
+    family = tuple(sorted(edges[i] for i in best))
+    if not check_pairwise_crossing(points, family):
         raise AssertionError("crossing family certificate fails exact re-verification")
-    return CrossingFamily(edges, proven_maximum=proven, nodes=nodes)
+    return CrossingFamily(family, proven_maximum=proven, nodes=nodes)
 
 
 @dataclass(frozen=True)

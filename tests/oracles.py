@@ -142,7 +142,7 @@ def naive_crossing_masks(instance, edges):
     from beyondplanar.geometry import PointSet, segments_cross
 
     if isinstance(instance, PointSet):
-        p = instance.points
+        p = instance
 
         def cross(e, f):
             return segments_cross(p[e[0]], p[e[1]], p[f[0]], p[f[1]])
@@ -170,7 +170,7 @@ def naive_side_masks(points, edges):
     sides from a sweep, kept here to check the sides that its convex ring
     and its rotational sweep give.
     """
-    xy = [(p.x, p.y) for p in points.points]
+    xy = [(p.x, p.y) for p in points]
     rev_xy = [xy[w] for w in sorted({w for e in edges for w in e}, reverse=True)]
     strings = []
     for a, b in edges:
@@ -190,7 +190,7 @@ def naive_edge_depths(points):
     """
     from beyondplanar.geometry import all_edges, orientation
 
-    p = points.points
+    p = points
     depths = []
     for u, v in all_edges(points.n):
         signs = [orientation(p[u], p[v], p[w]) for w in range(points.n) if w not in (u, v)]
@@ -211,7 +211,7 @@ def naive_halving_lines(points, family):
 
     from beyondplanar.geometry import Edge, orientation
 
-    p = points.points
+    p = points
     ends = {v for e in family for v in e}
     lines = []
     for rear, fwd in family:

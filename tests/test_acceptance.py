@@ -22,7 +22,7 @@ from beyondplanar.bounds import (
     quasi_color_bounds,
 )
 from beyondplanar.convex import slope_partition, verify_k_planar
-from beyondplanar.crossings import crossing_masks
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
 from beyondplanar.geometry import (
     all_edges,
     gen_convex_polygon,
@@ -30,7 +30,6 @@ from beyondplanar.geometry import (
     gen_random_pointset,
 )
 from beyondplanar.quasiplanar import (
-    build_crossing_graph,
     crossing_family_partition,
     double_star_partition,
     halving_line_partition,
@@ -192,9 +191,9 @@ def test_criterion_09_family_oracle_cross_check():
     started = time.monotonic()
     for n in range(4, 9):
         points = gen_convex_polygon(n, seed=0)
-        graph = build_crossing_graph(points)
+        _, masks, _ = build_crossing_graph(points)
         found = max_crossing_family(points)
-        naive = naive_max_clique_enum(lambda i, j: bool(graph.masks[i] >> j & 1), len(graph.masks))
+        naive = naive_max_clique_enum(lambda i, j: bool(masks[i] >> j & 1), len(masks))
         assert found.proven_maximum
         assert found.size == naive == n // 2
     _done(9, "clique search equals naive enumeration: floor(n/2) on convex sets", started, 30.0)

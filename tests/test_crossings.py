@@ -6,8 +6,10 @@ convex point sets and on convex index order: complete graphs up to the
 benchmark's n = 40, random edge subsets, the extremal oracle's diagonal
 lists in its branch order, reversed and shuffled caller orders,
 subsets that leave most points unused, and coordinates at the limit.
-Masks and depths are also checked on edge lists that touch 7, 8, 9, 16,
-17 and 25 of 40 points, and on lists that avoid the first eight points.
+Masks are also checked on edge lists that touch 7, 8, 9, 16, 17 and 25
+of 40 points, and on lists that avoid the first eight points; the
+crossing graph of the sub-PointSet on those points, lifted back, has the
+masks and depths of the same edges among the 40.
 
 On a convex ring each edge's left side is a run, cut at two points; on
 any other point set it is read from the rotational sweep, the points
@@ -49,10 +51,10 @@ from beyondplanar.convex import verify_k_planar
 from beyondplanar.crossings import (
     _convex_cuts,
     _swaps,
+    build_crossing_graph,
     canonical_edges,
     class_crossing_masks,
     crossing_masks,
-    crossings_in_degree_order,
 )
 from beyondplanar.geometry import (
     COORD_LIMIT,
@@ -301,7 +303,7 @@ class TestAngularSweep:
         ids=["random", "convex", "family"] + PARALLEL_IDS,
     )
     def test_depths_match_the_pointwise_oracle(self, points):
-        edges, masks, depths = crossings_in_degree_order(points, all_edges(points.n))
+        edges, masks, depths = build_crossing_graph(points)
         assert dict(zip(edges, depths)) == dict(zip(all_edges(points.n), naive_edge_depths(points)))
         assert masks == naive_crossing_masks(points, edges)
 
@@ -387,14 +389,18 @@ class TestConvexRing:
         for edges in (among, among[::-1], scattered):
             assert crossing_masks(points, edges) == naive_crossing_masks(points, edges)
             assert side_masks(points, edges) == naive_side_masks(points, edges)
-        edges, masks, depths = crossings_in_degree_order(points, among)
-        assert masks == naive_crossing_masks(points, edges)
-        assert dict(zip(edges, depths)) == dict(zip(among, naive_edge_depths(PointSet([points[w] for w in chosen]))))
+        # The sub-PointSet keeps the chosen points in order, so its edges
+        # lifted back are among, in the same lexicographic order.
+        sub = PointSet([points[w] for w in chosen])
+        edges, masks, depths = build_crossing_graph(sub)
+        lifted = [Edge(chosen[a], chosen[b]) for a, b in edges]
+        assert masks == naive_crossing_masks(points, lifted)
+        assert dict(zip(lifted, depths)) == dict(zip(among, naive_edge_depths(sub)))
 
     @pytest.mark.parametrize("n", [3, 4, 6, 11, 20, 29])
     def test_depths_match_the_pointwise_oracle(self, n):
         points = shuffled_convex_polygon(n, seed=n + 1)
-        edges, masks, depths = crossings_in_degree_order(points, all_edges(n))
+        edges, masks, depths = build_crossing_graph(points)
         assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(points)))
         assert masks == naive_crossing_masks(points, edges)
 
@@ -445,11 +451,13 @@ class TestFewUsedPoints:
         for instance in (points, n):
             assert crossing_masks(instance, among) == naive_crossing_masks(instance, among)
             assert crossing_masks(instance, sparse) == naive_crossing_masks(instance, sparse)
-        # The chosen points keep their order, so depths among them are those
-        # of the sub-PointSet.
-        edges, masks, depths = crossings_in_degree_order(points, among)
-        assert masks == naive_crossing_masks(points, edges)
-        assert dict(zip(edges, depths)) == dict(zip(among, naive_edge_depths(PointSet([points[w] for w in chosen]))))
+        # The sub-PointSet keeps the chosen points in order, so its edges
+        # lifted back are among, in the same lexicographic order.
+        sub = PointSet([points[w] for w in chosen])
+        edges, masks, depths = build_crossing_graph(sub)
+        lifted = [Edge(chosen[a], chosen[b]) for a, b in edges]
+        assert masks == naive_crossing_masks(points, lifted)
+        assert dict(zip(lifted, depths)) == dict(zip(among, naive_edge_depths(sub)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_edge_at_the_first_eight_points(self, seed):

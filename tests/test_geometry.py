@@ -1,5 +1,8 @@
 """Exact predicates, validation, and generator determinism."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +164,31 @@ class TestPointSet:
         assert ps.edges_cross(Edge(0, 2), Edge(1, 3))
         assert not ps.edges_cross(Edge(0, 1), Edge(2, 3))
 
+    def test_pickle_and_deepcopy_round_trips(self):
+        ps = gen_random_pointset(9, seed=4)
+        for back in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps)):
+            assert type(back) is PointSet and back == ps and back.n == 9
+
+    def test_equals_and_hashes_as_the_tuple_of_its_points(self):
+        ps = PointSet([(0, 0), (4, 0), (1, 3)])
+        points = (P(0, 0), P(4, 0), P(1, 3))
+        assert ps == points and hash(ps) == hash(points)
+        assert ps != points[::-1]
+        assert repr(ps) == f"PointSet({list(points)!r})"
+
+    def test_slice_is_a_plain_tuple(self):
+        ps = PointSet([(0, 0), (4, 0), (1, 3), (5, 5)])
+        assert type(ps[1:3]) is tuple and ps[1:3] == (P(4, 0), P(1, 3))
+
+    def test_rebuilding_gives_an_equal_set(self):
+        ps = gen_random_pointset(7, seed=1)
+        assert PointSet(ps) == ps
+
+    def test_items_cannot_be_assigned(self):
+        ps = PointSet([(0, 0), (4, 0), (1, 3)])
+        with pytest.raises(TypeError):
+            ps[0] = P(1, 1)
+
 
 class TestValidatePointset:
     def test_square(self):
@@ -188,7 +216,7 @@ class TestConvexHull:
     @settings(max_examples=30, deadline=None)
     def test_hull_of_convex_polygon_is_everything(self, n, seed):
         ps = gen_convex_polygon(n, seed)
-        assert sorted(convex_hull_indices(ps.points)) == list(range(n))
+        assert sorted(convex_hull_indices(ps)) == list(range(n))
 
 
 class TestGenConvexPolygon:

@@ -8,9 +8,9 @@ from oracles import naive_first_conflict_bounded, naive_max_conflict_bounded
 
 from beyondplanar import _kernels_py
 from beyondplanar.bounds import _diagonals
-from beyondplanar.crossings import crossing_masks
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
-from beyondplanar.quasiplanar import build_crossing_graph, max_crossing_family
+from beyondplanar.quasiplanar import max_crossing_family
 
 
 def random_graph(v, p, seed):
@@ -188,11 +188,11 @@ class TestMaxCliqueAllowed:
     @pytest.mark.parametrize("n, seed", [(24, 0), (32, 1), (40, 2)])
     def test_same_clique_on_deep_crossing_edges(self, kernel, n, seed):
         points = gen_random_pointset(n, seed=seed)
-        graph = build_crossing_graph(points)
+        _, masks, depths = build_crossing_graph(points)
         m = max_crossing_family(points).size
-        deep = sum(1 << i for i, depth in enumerate(graph.depths) if depth >= m - 1)
-        full = kernel.max_clique(list(graph.masks), target=m, floor_size=m - 1)
-        got = kernel.max_clique(list(graph.masks), target=m, floor_size=m - 1, allowed=deep)
+        deep = sum(1 << i for i, depth in enumerate(depths) if depth >= m - 1)
+        full = kernel.max_clique(masks, target=m, floor_size=m - 1)
+        got = kernel.max_clique(masks, target=m, floor_size=m - 1, allowed=deep)
         assert got[:3] == full[:3] and got[3] < full[3]
 
     @pytest.mark.parametrize("v", [20, 63, 64, 65, 100, 140])

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from beyondplanar import _native
-from beyondplanar.crossings import crossing_masks
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
 
 from beyondplanar.geometry import (
     Edge,
@@ -28,7 +28,6 @@ from beyondplanar.geometry import (
 from beyondplanar.quasiplanar import (
     CrossingFamily,
     SearchBudgetError,
-    build_crossing_graph,
     check_pairwise_crossing,
     crossing_family_partition,
     double_star_partition,
@@ -38,58 +37,58 @@ from beyondplanar.quasiplanar import (
 )
 
 
-def naive_max_crossing_family_size(graph):
+def naive_max_crossing_family_size(masks):
     """Exhaustive clique enumeration over the crossing graph."""
-    return naive_max_clique_enum(lambda i, j: bool(graph.masks[i] >> j & 1), len(graph.masks))
+    return naive_max_clique_enum(lambda i, j: bool(masks[i] >> j & 1), len(masks))
 
 
-def crossing_pairs(graph):
-    return sum(m.bit_count() for m in graph.masks) // 2
+def crossing_pairs(masks):
+    return sum(m.bit_count() for m in masks) // 2
 
 
 class TestBuildCrossingGraph:
     def test_triangle_has_no_crossings(self):
-        g = build_crossing_graph(gen_convex_polygon(3, 0))
-        assert len(g.edge_list) == 3 and crossing_pairs(g) == 0
+        edges, masks, _ = build_crossing_graph(gen_convex_polygon(3, 0))
+        assert len(edges) == 3 and crossing_pairs(masks) == 0
 
     def test_convex_quad_has_one(self):
-        g = build_crossing_graph(gen_convex_polygon(4, 0))
-        assert crossing_pairs(g) == 1
+        _, masks, _ = build_crossing_graph(gen_convex_polygon(4, 0))
+        assert crossing_pairs(masks) == 1
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_convex_adjacency_count_is_choose4(self, n):
-        g = build_crossing_graph(gen_convex_polygon(n, 1))
-        assert crossing_pairs(g) == comb(n, 4)
+        _, masks, _ = build_crossing_graph(gen_convex_polygon(n, 1))
+        assert crossing_pairs(masks) == comb(n, 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 20, 31])
     @pytest.mark.parametrize("seed", range(3))
     def test_depths_match_the_pointwise_oracle(self, n, seed):
         ps = gen_random_pointset(n, seed)
-        g = build_crossing_graph(ps)
-        assert dict(zip(g.edge_list, g.depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
+        edges, _, depths = build_crossing_graph(ps)
+        assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_convex_depths_are_the_shorter_arc(self, n):
         ps = gen_convex_polygon(n, 0)
-        g = build_crossing_graph(ps)
-        assert dict(zip(g.edge_list, g.depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
+        edges, _, depths = build_crossing_graph(ps)
+        assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(ps)))
         # Index order is the convex order, so v-u-1 points lie on one side.
-        assert list(g.depths) == [min(e.v - e.u - 1, n - 1 - e.v + e.u) for e in g.edge_list]
+        assert depths == [min(e.v - e.u - 1, n - 1 - e.v + e.u) for e in edges]
 
     @pytest.mark.parametrize("n", [2, 5, 13, 31])
     def test_edges_in_degree_order(self, n):
         # Most crossings first, ties in lexicographic order: the order the
         # clique kernel relabels by, so it searches these rows as given.
         ps = gen_random_pointset(n, seed=n)
-        g = build_crossing_graph(ps)
+        edges, masks, _ = build_crossing_graph(ps)
         lex = dict(zip(all_edges(n), crossing_masks(ps, all_edges(n))))
-        assert list(g.edge_list) == sorted(lex, key=lambda e: (-lex[e].bit_count(), e))
-        assert list(g.masks) == crossing_masks(ps, list(g.edge_list))
+        assert edges == sorted(lex, key=lambda e: (-lex[e].bit_count(), e))
+        assert masks == crossing_masks(ps, edges)
 
     def test_perfect_family_edges_are_halving(self):
         ps, family = gen_perfect_crossing_family_pointset(5, 0)
-        g = build_crossing_graph(ps)
-        depth = dict(zip(g.edge_list, g.depths))
+        edges, _, depths = build_crossing_graph(ps)
+        depth = dict(zip(edges, depths))
         assert all(depth[Edge.of(*e)] == 4 for e in family)
 
 
@@ -112,9 +111,9 @@ class TestMaxCrossingFamily:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_matches_naive_enumeration_on_convex(self, n):
         ps = gen_convex_polygon(n, 2)
-        g = build_crossing_graph(ps)
+        _, masks, _ = build_crossing_graph(ps)
         fam = max_crossing_family(ps)
-        assert fam.size == naive_max_crossing_family_size(g) == n // 2
+        assert fam.size == naive_max_crossing_family_size(masks) == n // 2
 
     @pytest.mark.parametrize("n", [6, 9, 12, 17, 24, 31, 40, 44, 48])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -125,11 +124,11 @@ class TestMaxCrossingFamily:
         # Its floor of m-1 only skips families smaller than the one found:
         # a proven size of m still rules out every larger family.
         ps = gen_random_pointset(n, seed)
-        g = build_crossing_graph(ps)
+        edges, masks, _ = build_crossing_graph(ps)
         fam = max_crossing_family(ps)
-        size, members, proven, _ = _native.max_clique(list(g.masks), target=n // 2, floor_size=fam.size - 1)
+        size, members, proven, _ = _native.max_clique(masks, target=n // 2, floor_size=fam.size - 1)
         assert proven and fam.proven_maximum and size == fam.size
-        assert fam.edges == tuple(sorted(g.edge_list[i] for i in members))
+        assert fam.edges == tuple(sorted(edges[i] for i in members))
 
     @pytest.mark.parametrize("n, seed, nodes", [(40, 0, 52), (40, 1, 86), (40, 2, 178), (40, 3, 833), (48, 0, 418)])
     def test_depth_searches_keep_their_node_counts(self, n, seed, nodes):
@@ -138,10 +137,10 @@ class TestMaxCrossingFamily:
         # so it takes the nodes it took on a graph in lexicographic order.
         # The other nodes are the replay's.
         ps = gen_random_pointset(n, seed)
-        g = build_crossing_graph(ps)
+        _, masks, depths = build_crossing_graph(ps)
         fam = max_crossing_family(ps)
-        deep = sum(1 << i for i, depth in enumerate(g.depths) if depth >= fam.size - 1)
-        replay = _native.max_clique(list(g.masks), target=fam.size, floor_size=fam.size - 1, allowed=deep)[3]
+        deep = sum(1 << i for i, depth in enumerate(depths) if depth >= fam.size - 1)
+        replay = _native.max_clique(masks, target=fam.size, floor_size=fam.size - 1, allowed=deep)[3]
         assert fam.nodes - replay == nodes
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -149,7 +148,7 @@ class TestMaxCrossingFamily:
     def test_size_matches_brute_force(self, n, seed):
         ps = gen_random_pointset(n, seed)
         fam = max_crossing_family(ps)
-        assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(build_crossing_graph(ps))
+        assert fam.proven_maximum and fam.size == naive_max_crossing_family_size(build_crossing_graph(ps)[1])
 
     def test_works_without_points_and_on_tiny_sets(self):
         for n in range(1, 4):
@@ -159,10 +158,10 @@ class TestMaxCrossingFamily:
 
     def test_budget_stop_in_the_last_search_keeps_the_size_unproven(self):
         ps = gen_random_pointset(40, seed=0)
-        g = build_crossing_graph(ps)
+        _, masks, depths = build_crossing_graph(ps)
         full = max_crossing_family(ps)
-        deep = sum(1 << i for i, depth in enumerate(g.depths) if depth >= full.size - 1)
-        replay = _native.max_clique(list(g.masks), target=full.size, floor_size=full.size - 1, allowed=deep)[3]
+        deep = sum(1 << i for i, depth in enumerate(depths) if depth >= full.size - 1)
+        replay = _native.max_clique(masks, target=full.size, floor_size=full.size - 1, allowed=deep)[3]
         budget = full.nodes - replay // 2  # the depth searches finish, the last one does not
         fam = max_crossing_family(ps, budget=budget)
         assert not fam.proven_maximum and fam.nodes <= budget
@@ -267,7 +266,7 @@ class TestDoubleStarPartition:
     def test_shuffled_convex_set_matches_oracle(self, n2):
         # Convex position with the index order scrambled, so ranks and
         # indices disagree.
-        pts = list(gen_convex_polygon(n2, n2).points)
+        pts = list(gen_convex_polygon(n2, n2))
         random.Random(n2).shuffle(pts)
         ps = PointSet(pts)
         assert double_star_partition(ps) == naive_double_star_partition(ps)
