@@ -14,13 +14,15 @@ O(n^2 log n) for the sort, replaces O(n^3) point-by-point signs; on a
 star, one centre with n - 1 edges, on random n = 40 and 100 points, the
 one shape where the sweep's C(n, 2) steps outweigh the few edges; and on
 n = 24, 32, 40 and 60 points in convex index order; then
-`build_crossing_graph`, which assembles the rows of K_n twice, on random
-n = 40 and 60 (and 100 under --heavy). It has no compiled twin. Outside
+`build_crossing_graph`, which sweeps once and assembles the rows of K_n
+twice, on random n = 40 and 60 (and 100 under --heavy) and on convex
+polygons of n = 40 and 60 points, which it sweeps too, where
+`crossing_masks` cuts one ring. It has no compiled twin. Outside
 the timing, each random and star `crossing_masks` row checks its crossing
 count against a count made pair by pair with `PointSet.edges_cross`, each
-convex row against C(n, 4), and each degree-order row its masks against
-`crossing_masks` of the reordered edges and its order against the
-degrees those masks give.
+convex row against C(n, 4), and each crossing-graph row its masks
+against `crossing_masks` of the reordered edges and its order against
+the degrees those masks give.
 
 A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
 on the kernel in use: its size, the nodes of its one subset search, and
@@ -47,7 +49,7 @@ from math import comb
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
 from beyondplanar.crossings import build_crossing_graph, crossing_masks
-from beyondplanar.geometry import Edge, all_edges, gen_random_pointset
+from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon, gen_random_pointset
 from beyondplanar.quasiplanar import max_crossing_family
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
@@ -148,16 +150,17 @@ def main() -> None:
         if got != comb(n, 4):
             raise SystemExit(f"crossing_masks counts {got} crossings on convex n={n}, C(n, 4) = {comb(n, 4)}")
         print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
-    for n in (40, 60) + ((100,) if args.heavy else ()):
-        points = gen_random_pointset(n, seed=n)
+    graphs = [(n, "random", gen_random_pointset(n, seed=n)) for n in (40, 60) + ((100,) if args.heavy else ())]
+    graphs += [(n, "convex", gen_convex_polygon(n, seed=n)) for n in (40, 60)]
+    for n, shape, points in graphs:
         (edges, masks, _), t = run_one(build_crossing_graph, (points,), {}, args.repeat)
         degree = {e: m.bit_count() for e, m in zip(edges, masks)}
         if masks != crossing_masks(points, edges):
-            raise SystemExit(f"build_crossing_graph on random n={n}: masks differ from crossing_masks")
+            raise SystemExit(f"build_crossing_graph on {shape} n={n}: masks differ from crossing_masks")
         if edges != sorted(all_edges(n), key=lambda e: (-degree[e], e)):
-            raise SystemExit(f"build_crossing_graph on random n={n}: edges not in descending degree order")
+            raise SystemExit(f"build_crossing_graph on {shape} n={n}: edges not in descending degree order")
         got = sum(degree.values()) // 2
-        print(f"{f'crossing graph random n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
+        print(f"{f'crossing graph {shape} n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
 
     print()
     header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"

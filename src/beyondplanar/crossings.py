@@ -21,29 +21,29 @@ makes every other sign nonzero. An edge's depth is the fewer used points
 on either side of its line.
 
 A convex instance, an int n or a PointSet that `validate_pointset` finds
-in convex position, has one ring: the used points in clockwise order
-(index order for an int n, the hull order for a PointSet). The left side
-of chord ab is the arc from a to b, ring[lo:hi] read cyclically, cut just
-after a and just before b; the run wraps past the ring's end when b comes
-first, and is then read from hi mod len(ring) to lo, the other side. Over
-the ring each side is one difference of prefix XORs, and chords whose
-ends alternate around the ring cross, so the first test implies the
-second. The depth is min(run, touched - 2 - run), with run = hi - lo and
-touched the number of used points.
+in convex position, gives `crossing_masks` its rows from one ring: the
+used points in clockwise order (index order for an int n, the hull order
+for a PointSet). The left side of chord ab is the arc from a to b,
+ring[lo:hi] read cyclically, cut just after a and just before b; the run
+wraps past the ring's end when b comes first, and is then read from
+hi mod len(ring) to lo, the other side. Over the ring each side is one
+difference of prefix XORs, and chords whose ends alternate around the
+ring cross, so the first test implies the second.
 
-Any other PointSet takes one rotational sweep over its u used points:
-the allowable sequence of Goodman and Pollack. Order the points by their
-projection onto the normal (-sin t, cos t) of a direction t. Just below
-t = 0 that is the order by (y, x). As t turns through [0, pi), two points
-p and q meet when t passes the direction q - p of their pair, oriented
-into [0, pi). There they have the same projection and no third point
-does, since no three points are collinear, so they sit next to each
-other, at positions lo and lo + 1, and swap. Every pair swaps once, and
-at t = pi the order is reversed. Just before the swap, order[:lo] are the
-points whose projection is below theirs, det(q - p, w - p) < 0: the
-points strictly right of p -> q, one side of the pair's line. So a pass
-over the C(u, 2) pairs in the order of their directions gives every
-edge's side at its swap:
+Any other PointSet takes one rotational sweep over its u used points,
+the allowable sequence of Goodman and Pollack, and so does every
+PointSet in `build_crossing_graph`: the ring gives rows only. Order the
+points by their projection onto the normal (-sin t, cos t) of a
+direction t. Just below t = 0 that is the order by (y, x). As t turns
+through [0, pi), two points p and q meet when t passes the direction
+q - p of their pair, oriented into [0, pi). There they have the same
+projection and no third point does, since no three points are collinear,
+so they sit next to each other, at positions lo and lo + 1, and swap.
+Every pair swaps once, and at t = pi the order is reversed. Just before
+the swap, order[:lo] are the points whose projection is below theirs,
+det(q - p, w - p) < 0: the points strictly right of p -> q, one side of
+the pair's line. So a pass over the C(u, 2) pairs in the order of their
+directions gives every edge's side at its swap:
 
 * its split edges are prefix[lo], a prefix XOR of inc over the order,
   kept current with one XOR per swap;
@@ -55,14 +55,16 @@ edge's side at its swap:
   the reversed order) deals the marks out. An edge j's line separates c
   and d iff bit j of below[c] ^ below[d] is set, for c and d off it.
 
-The pairs are sorted by an exact integer key: floor(-dx * 2^64 / dy) for
-dy > 0, which rises with the angle, and _ON_AXIS below all of them for a
-horizontal pair. Coordinates within COORD_LIMIT = 2^30 bound |dx| and
-|dy| by 2^31, so two distinct slopes differ by at least 2^-62 and their
-keys by at least 3, while parallel pairs share a key: they lie on
-distinct lines, so their swaps are disjoint and may come in any order.
-One exact cross product per consecutive pair of directions certifies the
-order anyway, and each swap asserts that its two points are adjacent.
+The pairs are sorted by `direction_key`, exact on integer coordinates
+within COORD_LIMIT. Parallel pairs share a key: they lie on distinct
+lines, so their swaps are disjoint and may come in any order. One exact
+cross product per consecutive pair of directions certifies the order
+anyway, and each swap asserts that its two points are adjacent.
+
+The sweep is exact on every set in general position, so the crossing
+graph has one path and its depths one formula. The ring would give a
+convex set's graph in about half the time, but only `max_crossing_family`
+on a convex set asks for it.
 
 `segments_cross`, `PointSet.edges_cross`, `convex_edges_cross` and
 `check_pairwise_crossing` decide one pair at a time and stay independent
@@ -76,10 +78,6 @@ from operator import ge, itemgetter, lt, mul, xor
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import Edge, PointSet, all_edges, validate_pointset
-
-# Sweep key of a horizontal pair: a slope key floor(-dx * 2^64 / dy) lies
-# within +/-2^95, and direction 0 comes before every other.
-_ON_AXIS = -(1 << 96)
 
 
 def canonical_edge(n: int, e) -> Edge:
@@ -137,25 +135,31 @@ def build_crossing_graph(points: PointSet) -> tuple[list[Edge], list[int], list[
 
     Ties keep lexicographic order. masks is `crossing_masks` of the
     reordered edges, and depths[i] is the smaller number of points on
-    either side of edges[i]'s line. The cuts or the swaps are found once:
-    the rows are assembled from them in lexicographic order for the
-    degrees, and again in the new order.
+    either side of edges[i]'s line. The swaps of one rotational sweep are
+    sorted once, for every PointSet, convex or not: the rows are assembled
+    from them in lexicographic order for the degrees, and again in the
+    new order.
     """
     edges = all_edges(points.n)
-    convex = _convex_cuts(points, edges)
-    if convex is None:
-        swaps = _swaps(points, edges)
-        degree = [row.bit_count() for row in _swept_rows(edges, *swaps)[0]]
-    else:
-        ring, cuts = convex
-        degree = [row.bit_count() for row in _ring_rows(edges, ring, cuts)]
-    order = sorted(range(len(edges)), key=lambda i: -degree[i])
-    edges = [edges[i] for i in order]
-    if convex is None:
-        return edges, *_swept_rows(edges, *swaps)
-    cuts = [cuts[i] for i in order]
-    other = len(ring) - 2  # the points off an edge's line
-    return edges, _ring_rows(edges, ring, cuts), [min(hi - lo, other - (hi - lo)) for lo, hi in cuts]
+    swaps = _swaps(points, edges)
+    degree = [row.bit_count() for row in _swept_rows(edges, *swaps)[0]]
+    edges = [edges[i] for i in sorted(range(len(edges)), key=lambda i: -degree[i])]
+    return edges, *_swept_rows(edges, *swaps)
+
+
+def direction_key(d: Sequence[int]) -> int:
+    """An exact sort key of the direction (dx, dy) = d[:2] by its angle in [0, pi).
+
+    The direction must have dy > 0, or dy = 0 < dx. The key is
+    floor(-dx * 2^64 / dy), which rises with the angle, and -2^96 for a
+    horizontal direction, below every other key, which lies within
+    +/-2^95. Coordinates within COORD_LIMIT = 2^30 bound |dx| and |dy| by
+    2^31, so two directions of distinct slopes differ in -dx/dy by at
+    least 2^-62 and their keys by at least 3, while parallel directions
+    share a key. It reads only d[:2], so tuples (dx, dy, ...) sort by it
+    directly.
+    """
+    return (-d[0] << 64) // d[1] if d[1] else -(1 << 96)
 
 
 def _convex_cuts(instance: PointSet | int, edges: Sequence[Edge]) -> tuple[list[int], list[tuple[int, int]]] | None:
@@ -200,12 +204,12 @@ def _swaps(points: PointSet, edges: Sequence[Edge]) -> tuple[list[int], list[tup
     """(order, swaps): the used points by (y, x), and each pair (p, q) of them in sweep order.
 
     p comes before q by (y, x), so q - p points into [0, pi), and the
-    pairs come by that direction's angle, certified with one exact cross
-    product per consecutive pair.
+    pairs come by that direction's `direction_key`, certified with one
+    exact cross product per consecutive pair.
     """
     start = sorted([(points[w].y, points[w].x, w) for w in {w for e in edges for w in e}])
     pairs = [(qx - px, qy - py, p, q) for k, (py, px, p) in enumerate(start) for qy, qx, q in start[k + 1 :]]
-    pairs.sort(key=lambda pair: (-pair[0] << 64) // pair[1] if pair[1] else _ON_AXIS)
+    pairs.sort(key=direction_key)
     xs, ys, ps, qs = list(zip(*pairs)) or [()] * 4
     if not all(map(ge, map(mul, xs[:-1], ys[1:]), map(mul, ys[:-1], xs[1:]))):
         raise AssertionError("pair directions fail their cross-product check")

@@ -17,12 +17,11 @@ properties with the exact segment predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks
+from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks, direction_key
 from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -172,10 +171,10 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     The family has m pairwise crossing edges, which also makes them a
     matching; X is its 2m endpoints. Each family edge runs from its rear
     to its forward endpoint, the one with the larger (y, x), so its
-    direction lies in the upper half plane (angle in [0, pi)). The other
-    m-1 family edges cross its line, one endpoint per side, so the line
-    halves X once the forward endpoint counts as left and the rear one as
-    right. Points outside X are not counted on either side.
+    direction lies in [0, pi), where `direction_key` orders it by angle.
+    The other m-1 family edges cross its line, one endpoint per side, so
+    the line halves X once the forward endpoint counts as left and the
+    rear one as right. Points outside X are not counted on either side.
 
     Consecutive lines in angle order are grouped k-1 at a time. Group l
     covers the complete graph on its 2(k-1) endpoints X_l plus the two
@@ -203,19 +202,12 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     if not check_pairwise_crossing(points, edges):
         raise ValueError("family edges do not pairwise cross")
     ends = {v for e in edges for v in e}
-    lines = [sorted(e, key=lambda v: (points[v].y, points[v].x)) for e in edges]  # [rear, forward]
-
-    def direction(line: list[int]) -> tuple[int, int]:
-        rear, fwd = line
-        return points[fwd].x - points[rear].x, points[fwd].y - points[rear].y
-
-    # Two crossing segments are never parallel, so cross products give a
-    # strict angular order on [0, pi).
-    def angle_cmp(a: list[int], b: list[int]) -> int:
-        (ax, ay), (bx, by) = direction(a), direction(b)
-        return -1 if ax * by - ay * bx > 0 else 1
-
-    lines.sort(key=cmp_to_key(angle_cmp))
+    lines = []  # (dx, dy, rear, forward) of each family edge
+    for e in edges:
+        rear, fwd = sorted(e, key=lambda v: (points[v].y, points[v].x))
+        lines.append((points[fwd].x - points[rear].x, points[fwd].y - points[rear].y, rear, fwd))
+    # Two crossing segments are never parallel, so the key orders the lines strictly.
+    lines = [line[2:] for line in sorted(lines, key=direction_key)]
     c = -(-len(lines) // (k - 1))
     group_of = {v: i // (k - 1) for i, line in enumerate(lines) for v in line}
     rest = [v for v in range(points.n) if v not in group_of]

@@ -28,11 +28,20 @@ sort key, and horizontal pairs; one more set has horizontal and vertical
 pairs. Their masks, depths, side masks and class rows are checked
 against the same oracles.
 
-Convex point sets whose index order is not their clockwise order take
-one ring in hull order: their masks, side masks (the literal left side,
-not the mirror one) and depths are checked against the same oracles,
-and `max_crossing_family` against families, proven flags and node
-counts pinned from the angular sweep.
+Convex point sets whose index order is not their clockwise order give
+`crossing_masks` one ring in hull order: their masks and side masks (the
+literal left side, not the mirror one) are checked against the same
+oracles. `build_crossing_graph` sweeps every point set, convex or not,
+so on convex sets in clockwise, counter-clockwise and shuffled index
+order, n = 3..40, its masks are checked against `crossing_masks` of its
+own edges, the two assemblies against each other, and its depths
+against `naive_edge_depths`; `max_crossing_family` is checked against
+families, proven flags and node counts pinned from the angular sweep.
+
+`direction_key`, which orders the sweep's pairs, is compared with one
+cross product per pair of directions: random ones, horizontal and
+vertical ones, and neighbours of determinant 1 at the coordinate limit.
+Parallel directions share a key.
 
 The class-list verifiers, which take every class in one crossing pass,
 are compared with a loop of one-class calls: the same first failing
@@ -55,6 +64,7 @@ from beyondplanar.crossings import (
     canonical_edges,
     class_crossing_masks,
     crossing_masks,
+    direction_key,
 )
 from beyondplanar.geometry import (
     COORD_LIMIT,
@@ -352,7 +362,7 @@ FAMILIES_SHA256 = "b1ecb293f268913b9def3cdb8488cb086687019d022058ebd86c3d5f677ee
 
 
 class TestConvexRing:
-    """Convex point sets, in any index order, cut on one ring in clockwise hull order."""
+    """Convex point sets in any index order: ring rows in clockwise hull order, and the swept crossing graph."""
 
     @pytest.mark.parametrize("n", [3, 4, 7, 12, 29])
     def test_index_order_is_not_clockwise(self, n):
@@ -403,6 +413,19 @@ class TestConvexRing:
         edges, masks, depths = build_crossing_graph(points)
         assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(points)))
         assert masks == naive_crossing_masks(points, edges)
+
+    @pytest.mark.parametrize("order", ["clockwise", "counter-clockwise", "shuffled"])
+    def test_crossing_graph_agrees_with_the_ring(self, order):
+        # The crossing graph sweeps and `crossing_masks` cuts the ring, so
+        # each assembly checks the other.
+        for n in range(3, 41):
+            if order == "shuffled":
+                points = shuffled_convex_polygon(n, seed=n)
+            else:
+                points = PointSet(list(gen_convex_polygon(n, seed=n))[:: 1 if order == "clockwise" else -1])
+            edges, masks, depths = build_crossing_graph(points)
+            assert masks == crossing_masks(points, edges)
+            assert dict(zip(edges, depths)) == dict(zip(all_edges(n), naive_edge_depths(points)))
 
     @pytest.mark.parametrize("n", [5, 8, 17])
     def test_one_ring_for_convex_sets_and_sweeps_otherwise(self, n):
@@ -507,6 +530,76 @@ class TestParallelPairs:
         assert len({e for edges in want for e in edges}) < sum(map(len, want))  # an edge in two classes
         assert [edges for edges, _ in got] == want
         assert [masks for _, masks in got] == [naive_crossing_masks(points, edges) for edges in want]
+
+
+def cross_cmp(a, b):
+    """-1, 0 or 1 as direction a's angle in [0, pi) is below, equal to or above b's, by one cross product."""
+    det = a[0] * b[1] - a[1] * b[0]
+    return (det < 0) - (det > 0)
+
+
+def oriented(dx, dy):
+    """The direction (dx, dy), or its opposite, in [0, pi)."""
+    return (dx, dy) if dy > 0 or (dy == 0 and dx > 0) else (-dx, -dy)
+
+
+# The largest |dx| and |dy| between two points within COORD_LIMIT.
+SPAN = 2 * COORD_LIMIT
+
+
+class TestDirectionKey:
+    """`direction_key`, which orders the sweep's pairs and the halving lines, against one cross product per pair."""
+
+    def assert_orders_like_the_cross_product(self, found):
+        assert all(0 <= dy <= SPAN and abs(dx) <= SPAN and (dy or dx > 0) for dx, dy in found)
+        keys = [direction_key(d) for d in found]
+        for a, ka in zip(found, keys):
+            for b, kb in zip(found, keys):
+                assert (ka > kb) - (ka < kb) == cross_cmp(a, b), (a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_directions(self, seed):
+        rng = random.Random(f"directions:{seed}")
+        found = [(1, 0), (0, 1)]
+        for limit in [SPAN] * 150 + [9] * 60:  # wide directions, then small ones with many parallels
+            dx, dy = rng.randint(-limit, limit), rng.randint(-limit, limit)
+            if dx or dy:
+                found.append(oriented(dx, dy))
+        self.assert_orders_like_the_cross_product(found)
+
+    def test_horizontal_and_vertical_directions(self):
+        found = [(1, 0), (2, 0), (SPAN, 0), (0, 1), (0, SPAN), (SPAN, 1), (-SPAN, 1), (1, SPAN), (-1, SPAN)]
+        self.assert_orders_like_the_cross_product(found)
+        assert direction_key((1, 0)) == direction_key((SPAN, 0)) < min(direction_key(d) for d in found[3:])
+
+    def test_near_parallel_directions_at_the_coordinate_limit(self):
+        # Neighbours of determinant 1 with components at SPAN: their
+        # directions are about 2^-62 apart, the bound the key is exact to.
+        m = SPAN
+        pairs = [
+            ((m, m - 1), (m - 1, m - 2)),
+            ((-m, m - 1), (-(m - 1), m - 2)),
+            ((m - 1, m), (m - 2, m - 1)),
+            ((-(m - 1), m), (-(m - 2), m - 1)),
+            ((m, 1), (m - 1, 1)),
+            ((-m, 1), (-(m - 1), 1)),
+            ((1, m), (1, m - 1)),
+            ((-1, m), (-1, m - 1)),
+        ]
+        for a, b in pairs:
+            assert abs(a[0] * b[1] - a[1] * b[0]) == 1
+        self.assert_orders_like_the_cross_product([d for pair in pairs for d in pair])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parallel_directions_share_a_key(self, seed):
+        rng = random.Random(f"parallel:{seed}")
+        for _ in range(200):
+            dx, dy = oriented(rng.randint(-999, 999), rng.randint(-999, 999))
+            if (dx, dy) == (0, 0):
+                continue
+            scale = rng.randint(1, SPAN // max(abs(dx), dy))
+            assert direction_key((dx, dy)) == direction_key((dx * scale, dy * scale))
+            assert cross_cmp((dx, dy), (dx * scale, dy * scale)) == 0
 
 
 def random_classes(n, seed):
