@@ -36,6 +36,15 @@ search over the whole crossing graph proved for that instance, and
 return the same edges as the unrestricted search of the whole crossing
 graph for a family of that size, run outside the timing.
 
+A fifth table times the colorings and their files, none of which has a
+compiled twin: `slope_partition` (s = 3) on convex n = 40, 100 and 200
+and `double_star_partition` on random n = 40 and 100, then
+`write_coloring` and `parse_coloring` on the slope colorings and
+`write_instance` and `parse_instance` on the random point sets of
+n = 40 and 100. Each file row checks that the text parses back to the
+value it was written from, and each double-star row that it has n/2
+classes of n - 1 edges.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -48,9 +57,11 @@ from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
+from beyondplanar.convex import slope_partition
 from beyondplanar.crossings import build_crossing_graph, crossing_masks
+from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon, gen_random_pointset
-from beyondplanar.quasiplanar import max_crossing_family
+from beyondplanar.quasiplanar import double_star_partition, max_crossing_family
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
 
@@ -185,6 +196,36 @@ def main() -> None:
             raise SystemExit(f"max_crossing_family on random n={n} seed={seed} differs from the unrestricted search")
         label = f"max_crossing_family random n={n} s={seed}"
         print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {t * 1000:7.1f}ms")
+
+    print()
+    header = f"{'colorings and file I/O':<38} {'bytes':>9} {'python':>9}"
+    print(header)
+    print("-" * len(header))
+    slopes = {}
+    for n in (40, 100, 200):
+        slopes[n], t = run_one(slope_partition, (n, 3), {}, args.repeat)
+        print(f"{f'slope_partition convex n={n} s=3':<38} {'-':>9} {t * 1000:7.1f}ms")
+    for n in (40, 100):
+        coloring, t = run_one(double_star_partition, (gen_random_pointset(n, seed=n),), {}, args.repeat)
+        sizes = [len(edges) for edges in coloring.classes().values()]
+        if coloring.num_colors != n // 2 or sizes != [n - 1] * (n // 2):
+            raise SystemExit(f"double_star_partition on random n={n}: class sizes {sizes}")
+        print(f"{f'double_star_partition random n={n}':<38} {'-':>9} {t * 1000:7.1f}ms")
+    for n, coloring in slopes.items():
+        text, t_write = run_one(write_coloring, (coloring,), {}, args.repeat)
+        parsed, t_parse = run_one(parse_coloring, (text,), {}, args.repeat)
+        if parsed != coloring or write_coloring(parsed) != text:
+            raise SystemExit(f"coloring of slope n={n} does not survive its round trip")
+        print(f"{f'write_coloring slope n={n}':<38} {len(text):>9} {t_write * 1000:7.1f}ms")
+        print(f"{f'parse_coloring slope n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
+    for n in (40, 100):
+        instance = Instance(gen_random_pointset(n, seed=n))
+        text, t_write = run_one(write_instance, (instance,), {}, args.repeat)
+        parsed, t_parse = run_one(parse_instance, (text,), {}, args.repeat)
+        if parsed != instance or write_instance(parsed) != text:
+            raise SystemExit(f"instance of random n={n} does not survive its round trip")
+        print(f"{f'write_instance random n={n}':<38} {len(text):>9} {t_write * 1000:7.1f}ms")
+        print(f"{f'parse_instance random n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
 
 
 if __name__ == "__main__":

@@ -9,35 +9,48 @@ may be empty (a parsed file may declare any count).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .geometry import Edge, all_edges
 
 
 class Coloring:
-    """Total map from the edges of K_n to colors 0..num_colors-1."""
+    """Total map from the edges of K_n to colors 0..num_colors-1.
 
-    __slots__ = ("n", "num_colors", "_assignment")
+    It keeps `all_edges(n)` and one list of colors in that order. The
+    colors come either as a Mapping from edges, keyed by `Edge`s or plain
+    (u, v) tuples with u < v in any order, or as a sequence of colors in
+    `all_edges(n)` order, as the partition constructors and the file
+    parser give them. Both forms are checked the same way: the edge count
+    first, then the first edge in `all_edges` order with no color or a
+    color out of range.
+    """
 
-    def __init__(self, n: int, num_colors: int, assignment: Mapping[Edge, int]):
+    __slots__ = ("n", "num_colors", "_edges", "_colors")
+
+    def __init__(self, n: int, num_colors: int, colors: Mapping[Edge, int] | Sequence[int]):
         if n < 2:
             raise ValueError(f"a coloring needs n >= 2 vertices, got {n}")
         if num_colors < 1:
             raise ValueError(f"num_colors >= 1 required, got {num_colors}")
-        amap = dict(assignment)
-        expected = all_edges(n)
-        if len(amap) != len(expected):
-            raise ValueError(f"coloring covers {len(amap)} edges, K_{n} has {len(expected)}")
-        colors = [amap.get(e) for e in expected]
+        keyed = isinstance(colors, Mapping)
+        colors = dict(colors) if keyed else list(colors)
+        size = n * (n - 1) // 2
+        if len(colors) != size:
+            raise ValueError(f"coloring covers {len(colors)} edges, K_{n} has {size}")
+        edges = all_edges(n)
+        if keyed:
+            colors = [colors.get(e) for e in edges]
         if None in colors or not 0 <= min(colors) <= max(colors) < num_colors:
-            for e, c in zip(expected, colors):  # the first bad edge in `all_edges` order
+            for e, c in zip(edges, colors):  # the first bad edge in `all_edges` order
                 if c is None:
                     raise ValueError(f"edge {tuple(e)} has no color")
                 if not 0 <= c < num_colors:
                     raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
         self.n = n
         self.num_colors = num_colors
-        self._assignment = dict(zip(expected, colors))  # in `all_edges` order
+        self._edges = edges
+        self._colors = colors
 
     def classes(self) -> dict[int, list[Edge]]:
         """Edge lists of the colors in use, in color order, each sorted lexicographically.
@@ -46,22 +59,21 @@ class Coloring:
         declared color count.
         """
         out: dict[int, list[Edge]] = {}
-        for e, color in self.items():
+        for e, color in zip(self._edges, self._colors):
             out.setdefault(color, []).append(e)
         return dict(sorted(out.items()))
 
     def items(self) -> Iterator[tuple[Edge, int]]:
         """(edge, color) for every edge, in `all_edges` order."""
-        return iter(self._assignment.items())
+        return zip(self._edges, self._colors)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Coloring)
             and self.n == other.n
             and self.num_colors == other.num_colors
-            and self._assignment == other._assignment
+            and self._colors == other._colors
         )
 
     def __repr__(self) -> str:
         return f"Coloring(n={self.n}, num_colors={self.num_colors})"
-

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .coloring import Coloring
 from .crossings import canonical_edge, class_crossing_masks
-from .geometry import Edge, PointSet, all_edges, validate_pointset
+from .geometry import Edge, PointSet, validate_pointset
 
 
 def convex_edges_cross(n: int, e: Edge, f: Edge) -> bool:
@@ -56,8 +56,8 @@ def slope_partition(instance: PointSet | int, s: int) -> Coloring:
         raise ValueError(f"s >= 1 required, got {s}")
     n = len(order)
     pos = {v: p for p, v in enumerate(order)}
-    assignment = {e: ((pos[e.u] + pos[e.v]) % n) // s for e in all_edges(n)}
-    return Coloring(n, -(-n // s), assignment)
+    colors = [((pos[u] + pos[v]) % n) // s for u in range(n) for v in range(u + 1, n)]
+    return Coloring(n, -(-n // s), colors)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,16 @@ def canonical_edge(n: int, e) -> Edge:
 
 
 def canonical_edges(instance: PointSet | int, edges: Iterable) -> list[Edge]:
-    """The edges in `Edge.of` form, range-checked, without duplicates, sorted."""
+    """The edges in `Edge.of` form, range-checked, without duplicates, sorted.
+
+    In-range `Edge`s that are already strictly increasing, as
+    `Coloring.classes()` gives them, come back in a new list as they are.
+    """
     n = instance.n if isinstance(instance, PointSet) else instance
     edges = list(edges)
+    if set(map(type, edges)) <= {Edge} and all(starmap(lt, edges)) and all(map(lt, edges, edges[1:])):
+        if not edges or (edges[0].u >= 0 and max(map(itemgetter(1), edges)) < n):
+            return edges
     # Sorted before the duplicates go, so edges already in order sort in one pass.
     pairs = list(dict.fromkeys(sorted([(a, b) if a < b else (b, a) for a, b in edges])))
     if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= n or not all(starmap(lt, pairs))):

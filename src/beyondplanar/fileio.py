@@ -5,12 +5,22 @@ section ("family <count>" followed by one "u v" per line) whose edges must
 pairwise cross. Coloring file: "n c" header, then one "u v color" line per
 edge of K_n in lexicographic order. Writers are byte-stable; parsers
 report 1-based line numbers on every error.
+
+A coloring file in the writer's exact form, which is what every
+`partition` command writes, is read in one bulk pass (`_writer_form`):
+its separators, its token count against the header's n before anything
+of size C(n, 2) is built, its (u, v) tokens against K_n's lexicographic
+order, and the range of its colors. Any other text, with comments,
+blank lines, CRLF, tabs, other line orders, signs, underscores or an
+error, goes to the line loop, which is the only author of error
+messages. Both read the same text to the same coloring.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .coloring import Coloring
 from .geometry import Edge, Point, PointSet, check_pairwise_crossing, quote_int
@@ -125,7 +135,47 @@ def write_coloring(coloring: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _writer_form(text: str) -> tuple[int, int, list[int]] | None:
+    """(n, c, colors) of a coloring file exactly as `write_coloring` writes it, else None.
+
+    Checked in bulk, with no Python loop over the lines: the separators
+    must be the writer's " " and "\\n" between ASCII digit tokens, the
+    token count must be the header's 3 C(n, 2) + 2 before anything of
+    size C(n, 2) is built, and the (u, v) tokens must spell K_n's edges
+    in lexicographic order as str() writes them. Only the header and the
+    colors go through int(), which reads a leading zero as the line loop
+    does. None sends the text to the loop.
+    """
+    if not text.isascii():
+        return None
+    seps = text.encode().translate(None, b"0123456789")
+    if seps[:2] != b" \n" or seps[2:] != b"  \n" * ((len(seps) - 2) // 3):
+        return None
+    tokens = text.split()
+    if len(tokens) != len(seps):  # an empty token between two separators
+        return None
+    try:
+        n, c = int(tokens[0]), int(tokens[1])
+        if n < 2 or c < 1 or len(tokens) != 2 + 3 * (n * (n - 1) // 2):
+            return None
+        colors = list(map(int, tokens[4::3]))
+    except ValueError:  # a token past int()'s digit limit
+        return None
+    names = list(map(str, range(n)))
+    if tokens[2::3] != list(chain.from_iterable(map(repeat, names, range(n - 1, -1, -1)))):
+        return None
+    if tokens[3::3] != list(chain.from_iterable(names[u + 1 :] for u in range(n))):
+        return None
+    if max(colors) >= c:  # digits only, so no color is negative
+        return None
+    return n, c, colors
+
+
 def parse_coloring(text: str) -> Coloring:
+    bulk = _writer_form(text)
+    if bulk is not None:
+        return Coloring(*bulk)
+    # Any other text, and every error, takes the line loop.
     stream = _tokens(text)
     try:
         line_no, parts = next(stream)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 # Coordinates are capped so orientation determinants stay far inside the
@@ -69,7 +70,10 @@ class Edge(NamedTuple):
 
 def all_edges(n: int) -> list[Edge]:
     """Every edge of the complete graph on n vertices, lexicographic."""
-    return [Edge(u, v) for u in range(n) for v in range(u + 1, n)]
+    us = chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1)))  # u, n - 1 - u times
+    vs = chain.from_iterable(map(range, range(1, n + 1), repeat(n)))  # u + 1 .. n - 1, for each u
+    # tuple.__new__ builds each Edge in C, without the namedtuple's Python-level __new__.
+    return list(map(tuple.__new__, repeat(Edge), zip(us, vs)))
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:

@@ -22,7 +22,7 @@ from typing import Iterable
 from . import _kernels_py, _native
 from .coloring import Coloring
 from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks, direction_key
-from .geometry import Edge, PointSet, all_edges, check_pairwise_crossing, orientation
+from .geometry import Edge, PointSet, check_pairwise_crossing, orientation
 
 DEFAULT_BUDGET = 10**8
 
@@ -160,9 +160,14 @@ def double_star_partition(points: PointSet) -> Coloring:
     """
     if points.n % 2 != 0:
         raise ValueError(f"double-star partition requires an even point count, got {points.n}")
-    rank = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
-    assignment = {Edge.of(rank[p], rank[q]): (q if (p + q) % 2 else p) // 2 for q in range(points.n) for p in range(q)}
-    return Coloring(points.n, points.n // 2, assignment)
+    at = [0] * points.n  # at[v] = the rank of v
+    for r, v in enumerate(sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))):
+        at[v] = r
+    colors = []  # in `all_edges` order: the larger rank's tree when the sum is odd, else the smaller's
+    for u in range(points.n):
+        p = at[u]
+        colors += [((p if p > q else q) if (p + q) % 2 else (p if p < q else q)) // 2 for q in at[u + 1 :]]
+    return Coloring(points.n, points.n // 2, colors)
 
 
 def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
@@ -221,18 +226,19 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
             raise AssertionError(f"line of {tuple(Edge.of(rear, fwd))} does not halve the family's endpoints")
         left.append(side)
 
-    assignment: dict[Edge, int] = {}
-    for e in all_edges(points.n):
-        a, b = sorted((group_of[e.u], group_of[e.v]))
-        if b >= c:  # a star group: the first one among the endpoints
-            assignment[e] = a if a >= c else b
-        elif a == b or (e.u in left[a]) == (e.v in left[a]):
-            assignment[e] = a
-        elif (e.u in left[b]) == (e.v in left[b]):
-            assignment[e] = b
-        else:
-            raise AssertionError(f"halving groups leave edge {tuple(e)} uncovered")
-    return Coloring(points.n, c + -(-len(rest) // (k - 1)), assignment)
+    colors = []  # in `all_edges` order
+    for u in range(points.n):
+        for v in range(u + 1, points.n):
+            a, b = sorted((group_of[u], group_of[v]))
+            if b >= c:  # a star group: the first one among the endpoints
+                colors.append(a if a >= c else b)
+            elif a == b or (u in left[a]) == (v in left[a]):
+                colors.append(a)
+            elif (u in left[b]) == (v in left[b]):
+                colors.append(b)
+            else:
+                raise AssertionError(f"halving groups leave edge {(u, v)} uncovered")
+    return Coloring(points.n, c + -(-len(rest) // (k - 1)), colors)
 
 
 def crossing_family_partition(
@@ -254,5 +260,5 @@ def crossing_family_partition(
             f" (largest found: {family.size} edges); color guarantee would be unsound"
         )
     if family.size < k:
-        return Coloring(points.n, 1, {e: 0 for e in all_edges(points.n)}), family
+        return Coloring(points.n, 1, [0] * (points.n * (points.n - 1) // 2)), family
     return halving_line_partition(points, family.edges, k), family

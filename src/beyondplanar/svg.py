@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coloring import Coloring
-from .geometry import PointSet, all_edges
+from .geometry import PointSet
 
 PALETTE = (
     "#1f77b4",
@@ -92,7 +92,7 @@ def render_svg(
             raise ValueError(f"n >= 1 required, got {n}")
         pos = _circle_layout(n)
     if coloring is None:
-        coloring = Coloring(n, 1, {e: 0 for e in all_edges(n)}) if n >= 2 else None
+        coloring = Coloring(n, 1, [0] * (n * (n - 1) // 2)) if n >= 2 else None
     elif coloring.n != n:
         raise ValueError(f"coloring is over n={coloring.n}, instance has n={n}")
 

@@ -241,6 +241,12 @@ class TestExitCodes:
         assert run("verify", "kplanar", "--k", "1", "--in", str(col)) == 2
         err = capsys.readouterr().err
         assert err == "error: line 1: missing edge (0, 1) (4999950000 edges absent)\n"
+        # With a body in the writer's form, too: the token count is
+        # checked against the header before anything of size C(n, 2).
+        col.write_text("100000 1\n0 1 0\n")
+        assert run("verify", "kplanar", "--k", "1", "--in", str(col)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: missing edge (0, 2) (4999949999 edges absent)\n"
 
     def test_bounds_reports_ok(self, capsys):
         assert run("bounds", "--n", "20", "--k", "1") == 0

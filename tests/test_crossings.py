@@ -56,6 +56,7 @@ import pytest
 from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_enum, naive_side_masks
 
 from beyondplanar.bounds import _diagonals
+from beyondplanar.coloring import Coloring
 from beyondplanar.convex import verify_k_planar
 from beyondplanar.crossings import (
     _convex_cuts,
@@ -756,6 +757,46 @@ class TestCanonicalEdges:
                 with pytest.raises(ValueError) as err:
                     canonical_edges(instance, given)
                 assert str(err.value) == message
+
+    def test_class_lists_come_back_as_they_are(self):
+        # `Coloring.classes()` gives in-range `Edge`s in increasing order:
+        # a new list of the same objects, none rebuilt.
+        classes = Coloring(9, 4, [(e.u * e.v) % 4 for e in all_edges(9)]).classes()
+        for instance in (9, gen_convex_polygon(9)):
+            for edges in classes.values():
+                got = canonical_edges(instance, edges)
+                assert got == edges and got is not edges
+                assert all(g is e for g, e in zip(got, edges))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (0, 2), (3, 5)],
+            [Edge(0, 1), Edge(4, 2)],
+            [Edge(0, 1), Edge(0, 1), Edge(2, 3)],
+            [Edge(0, 2), Edge(0, 1)],
+            [Edge(1, 2), (0, 3)],
+        ],
+        ids=["plain-tuples", "reversed-pair", "duplicate", "decreasing", "mixed"],
+    )
+    def test_other_lists_come_back_as_new_sorted_edges(self, edges):
+        got = canonical_edges(6, edges)
+        assert got == sorted({Edge.of(*e) for e in edges})
+        assert all(type(g) is Edge and g.u < g.v for g in got)
+        assert not any(g is e for g in got for e in edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([Edge(-1, 2), Edge(0, 1)], "edge (-1, 2) out of range for n=6"),
+            ([Edge(0, 1), Edge(0, 6)], "edge (0, 6) out of range for n=6"),
+            ([Edge(0, 1), Edge(6, 3)], "edge (3, 6) out of range for n=6"),
+        ],
+    )
+    def test_increasing_edges_out_of_range_are_named(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            canonical_edges(6, edges)
+        assert str(err.value) == message
 
     def test_iterators_are_read_once(self):
         edges = [(3, 0), (1, 4), (0, 3), (5, 2)]

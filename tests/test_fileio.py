@@ -1,6 +1,11 @@
-"""Instance and coloring file formats: round trips and line-numbered errors."""
+"""Instance and coloring file formats: round trips and line-numbered errors.
+
+The coloring reader's bulk pass is checked against its line loop: the
+same coloring from the written text and from every other spelling.
+"""
 
 import ast
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +19,7 @@ from beyondplanar.convex import slope_partition
 from beyondplanar.fileio import (
     Instance,
     ParseError,
+    _writer_form,
     parse_coloring,
     parse_instance,
     write_coloring,
@@ -220,6 +226,115 @@ class TestColoringFormat:
         assignment = {e: 5 for e in all_edges(6)[1:]}
         with pytest.raises(ValueError, match=r"^coloring covers 14 edges, K_6 has 15$"):
             Coloring(6, 3, assignment)
+
+    def test_sequence_form_equals_the_mapping_form(self):
+        assignment = {e: (e.u * e.v) % 3 for e in reversed(all_edges(7))}
+        colors = [assignment[e] for e in all_edges(7)]
+        coloring = Coloring(7, 3, assignment)
+        for form in (list, tuple, iter):
+            got = Coloring(7, 3, form(colors))
+            assert got == coloring and list(got.items()) == list(coloring.items())
+        assert Coloring(7, 4, colors) != coloring and Coloring(7, 3, colors[::-1]) != coloring
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ([0] * 14, "coloring covers 14 edges, K_6 has 15"),
+            ([0] * 16, "coloring covers 16 edges, K_6 has 15"),
+            ([9] * 14, "coloring covers 14 edges, K_6 has 15"),
+            ([0, 1, 2, 3, -1] + [0] * 10, "edge (0, 4) has color 3 outside 0..2"),
+            ([0] * 3 + [-1] + [7] * 11, "edge (0, 4) has color -1 outside 0..2"),
+            ([2] * 14 + [3], "edge (4, 5) has color 3 outside 0..2"),
+        ],
+    )
+    def test_sequence_form_gives_the_mapping_forms_messages(self, colors, message):
+        # The mapping pairs the colors with K_6's edges and then with keys
+        # outside K_6, so both forms cover the same count.
+        assignment = dict(zip(all_edges(6), colors))
+        assignment.update({(6 + i, 7 + i): c for i, c in enumerate(colors[15:])})
+        for given in (colors, assignment):
+            with pytest.raises(ValueError) as err:
+                Coloring(6, 3, given)
+            assert str(err.value) == message
+
+
+def _written_colorings():
+    """Written colorings for n = 2..12 with random colors; every first line is "0 1 10"."""
+    rng = random.Random(24)
+    for n in range(2, 13):
+        c = rng.randint(11, 14)
+        yield Coloring(n, c, [10] + [rng.randrange(c) for _ in range(n * (n - 1) // 2 - 1)])
+
+
+def _shuffled(head, body):
+    rng = random.Random(len(body))
+    return "\n".join([head, *rng.sample(body, len(body))]) + "\n"
+
+
+# Texts that do not take `_writer_form`'s bulk pass, as functions of the
+# written header line and body lines; each must read as the written text.
+SPELLINGS = {
+    "comment-and-blank-lines": lambda head, body: "# colors\n\n" + head + " # n c\n" + "\n\n".join(body) + "\n#\n",
+    "crlf": lambda head, body: "\r\n".join([head, *body]) + "\r\n",
+    "tabs-and-trailing-spaces": lambda head, body: "".join(ln.replace(" ", "\t", 1) + " \t \n" for ln in [head, *body]),
+    "no-final-newline": lambda head, body: "\n".join([head, *body]),
+    "shuffled-lines": _shuffled,
+    "plus-sign": lambda head, body: "\n".join([head, "0 +1 10", *body[1:]]) + "\n",
+    "leading-zero": lambda head, body: "\n".join([head, "0 01 10", *body[1:]]) + "\n",
+    "underscore": lambda head, body: "\n".join([head, "0 1 1_0", *body[1:]]) + "\n",
+}
+
+
+class TestBulkPassAgreesWithTheLineLoop:
+    def test_written_text_takes_the_bulk_pass(self):
+        for coloring in _written_colorings():
+            text = write_coloring(coloring)
+            assert _writer_form(text) == (coloring.n, coloring.num_colors, [c for _, c in coloring.items()])
+            assert parse_coloring(text) == coloring
+            # A leading comment line sends the same lines to the line loop.
+            assert _writer_form("#\n" + text) is None and parse_coloring("#\n" + text) == coloring
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_other_spellings_read_the_same_coloring(self, spelling):
+        for coloring in _written_colorings():
+            head, *body = write_coloring(coloring).splitlines()
+            text = SPELLINGS[spelling](head, body)
+            if coloring.n > 2 or spelling != "shuffled-lines":  # one edge line has one order
+                assert _writer_form(text) is None
+            assert parse_coloring(text) == coloring
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2\n0 1 0\n0 2 01\n1 2 001\n",
+            "03 2\n0 1 0\n0 2 1\n1 2 1\n",
+            "3 0002\n0 1 0\n0 2 1\n1 2 1\n",
+        ],
+    )
+    def test_leading_zeros_in_the_header_and_colors_read_as_in_the_line_loop(self, text):
+        # The bulk pass reads these tokens with int(), as the loop does.
+        assert parse_coloring(text) == parse_coloring("#\n" + text) == Coloring(3, 2, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "3 1\n",
+            "3 1\n0 1 0\n0 2 0\n",
+            "3 1\n0 1 0\n0 2 0\n1 2 0\n1 2 0\n",
+            "3 1\n0 1 0\n0 2\n0 1 2 0\n",
+            "3 1\n0 1 0\n0 2 0\n1 2 1\n",
+            "3 1\n0 1 0\n0 2 0\n2 1 0\n",
+            "3 1\n0 1 0\n0  2 0\n1 2 0\n",
+            "1 1\n",
+            "3 0\n0 1 0\n0 2 0\n1 2 0\n",
+            "100000 1\n0 1 0\n",
+        ],
+    )
+    def test_texts_the_bulk_pass_refuses_go_to_the_line_loop(self, text):
+        # Errors, a short or long body, misaligned lines, a reversed pair,
+        # a double space, and a header whose K_n the body cannot hold.
+        assert _writer_form(text) is None
 
 
 def imported_names(path):
