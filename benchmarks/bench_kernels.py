@@ -45,6 +45,14 @@ n = 40 and 100. Each file row checks that the text parses back to the
 value it was written from, and each double-star row that it has n/2
 classes of n - 1 edges.
 
+A sixth table times the existence checks of `verify quasiplanar`,
+`is_k_quasi_planar(points, classes, 3)`, on the double-star classes of
+random n = 40 and 100 and the family classes (k = 3) of random n = 40
+and 60 (and 100 under --heavy, whose maximum family takes about a
+minute to find with the pure kernels): its total search nodes, one per
+class when every search ends at its root, and its wall time on each
+kernel. Every verdict must be True.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -53,15 +61,21 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from contextlib import contextmanager
 from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
 from beyondplanar.convex import slope_partition
-from beyondplanar.crossings import build_crossing_graph, crossing_masks
+from beyondplanar.crossings import build_crossing_graph, class_crossing_masks, crossing_masks
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon, gen_random_pointset
-from beyondplanar.quasiplanar import double_star_partition, max_crossing_family
+from beyondplanar.quasiplanar import (
+    crossing_family_partition,
+    double_star_partition,
+    is_k_quasi_planar,
+    max_crossing_family,
+)
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
 
@@ -105,6 +119,24 @@ def family_workloads(heavy: bool):
     yield from ((40, 2, 17), (48, 2, 22), (60, 2, 26))
     if heavy:
         yield 60, 1, 26
+
+
+def existence_workloads(heavy: bool):
+    for n in (40, 100):
+        yield f"double-star classes random n={n}", gen_random_pointset(n, seed=n), double_star_partition
+    for n in (40, 60) + ((100,) if heavy else ()):
+        yield f"family classes random n={n}", gen_random_pointset(n, seed=n), lambda p: crossing_family_partition(p, 3)[0]
+
+
+@contextmanager
+def clique_kernel(kernels):
+    """`_native.max_clique`, which the verifiers call, set to the kernels' one for the block."""
+    saved = _native.max_clique
+    _native.max_clique = kernels.max_clique
+    try:
+        yield
+    finally:
+        _native.max_clique = saved
 
 
 def run_one(fn, args, kwargs, repeat: int) -> tuple:
@@ -226,6 +258,25 @@ def main() -> None:
             raise SystemExit(f"instance of random n={n} does not survive its round trip")
         print(f"{f'write_instance random n={n}':<38} {len(text):>9} {t_write * 1000:7.1f}ms")
         print(f"{f'parse_instance random n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
+
+    print()
+    header = f"{'existence checks k=3':<38} {'nodes':>9} {'python':>9} {'compiled':>9}"
+    print(header)
+    print("-" * len(header))
+    for label, points, partition in existence_workloads(args.heavy):
+        classes = list(partition(points).classes().values())
+        rows = [masks for _, masks in class_crossing_masks(points, classes)]
+        nodes = sum(_native.max_clique(masks, target=3, floor_size=2)[3] for masks in rows)
+        times = []
+        for kernels in (_kernels_py, compiled) if compiled is not None else (_kernels_py,):
+            with clique_kernel(kernels):
+                verdict, t = run_one(is_k_quasi_planar, (points, classes, 3), {}, args.repeat)
+            if not verdict:
+                raise SystemExit(f"is_k_quasi_planar on {label} found {verdict.witness} in class {verdict.index}")
+            times.append(f"{t * 1000:7.1f}ms")
+        if compiled is None:
+            times.append(f"{'-':>9}")
+        print(f"{label:<38} {nodes:>9} {' '.join(times)}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """ctypes binding of the compiled search kernels built from _kernels.c.
 
 Same entry points and results as _kernels_py, whose input checks and
-relabelling it reuses. Masks are packed into little-endian uint64 words,
-W = ceil(n / 64) per mask, and every buffer the C code touches is
-allocated here, zeroed. Arguments are clamped to ranges that fit the C
-types without changing the result.
+relabelling it reuses, `clique_order` included: a clique search that it
+finds ending at its root is answered before its rows are relabelled or
+packed, and the C code does not run. Masks are packed into little-endian
+uint64 words, W = ceil(n / 64) per mask, and every buffer the C code
+touches is allocated here, zeroed. Arguments are clamped to ranges that
+fit the C types without changing the result.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ class CompiledKernels:
         allowed: int | None = None,
     ) -> tuple[int, list[int], bool, int]:
         """Largest clique of the graph given as per-vertex neighbor bitmasks; see _kernels_py."""
-        order, radj = _kernels_py.degree_order(adj)
+        relabelled = _kernels_py.clique_order(adj, budget, floor_size)
+        if relabelled is None:
+            return floor_size, [], True, 1
+        order, radj = relabelled
         n = len(adj)
         w = max(1, -(-n // 64))
         floor = _clamp(floor_size, -1, n)

@@ -13,6 +13,16 @@ Result convention shared by both kernels: (size, members, proven, nodes).
 solution found so far is still returned. When a `target` is given, the
 search stops as soon as a solution of that size is found; if the caller
 knows `target` is a valid upper bound, such a result is the exact optimum.
+
+The clique search colors only what it can branch on. Before it relabels
+a graph (`clique_order`), it colors the root on the caller's rows, and
+when no color class above the floor opens there, the search would end
+at its root, so it returns that result without relabelling. Rows that
+arrive already in degree order, as the family search's do, skip that
+step: they are not relabelled anyway, and the search's own bitwise
+coloring of the root is cheaper than the list-form one. Inside the
+search, the color classes that cannot beat the best clique are colored
+but not stored as branches.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
     return [int("".join(pick(format(masks[v], width))), 2) for v in keep]
 
 
+def _sorted_by_degree(adj: list[int]) -> list[int]:
+    _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
+    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+
+
 def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     """Check the adjacency masks, then relabel by descending degree.
 
@@ -60,8 +75,42 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     relabelled graph radj. Greedy coloring is tighter when dense vertices
     are colored first. Rows already in that order come back as given.
     """
-    _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
-    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    order = _sorted_by_degree(adj)
+    return order, induced(adj, order)
+
+
+def clique_order(adj: list[int], budget: int, floor_size: int) -> tuple[list[int], list[int]] | None:
+    """`degree_order` for a clique search, or None when that search ends at its root.
+
+    With budget > 1 the search colors its root, and with no color class
+    above floor_size it branches nowhere: it returns (floor_size, [],
+    True, 1), whatever `target` and `allowed` are, since the root is then
+    no leaf that beats the floor either. That coloring is made here on the
+    input rows over the degree order, and stops at the first class above
+    the floor. Rows already in degree order skip it and come back as
+    given: there is no relabelling to save, and the search's bitwise
+    coloring of its root costs less than this one.
+    """
+    order = _sorted_by_degree(adj)
+    if order == list(range(len(order))):
+        return order, list(adj)
+    if budget > 1:
+        # First fit, one class at a time: a vertex joins the class unless a
+        # member's row holds it, as in the search's coloring of the
+        # relabelled rows, so these are the search's root classes.
+        rest = order
+        for _ in range(floor_size):
+            if not rest:
+                break
+            near, later = 0, []
+            for v in rest:
+                if near >> v & 1:
+                    later.append(v)
+                else:
+                    near |= adj[v]
+            rest = later
+        if not rest:
+            return None
     return order, induced(adj, order)
 
 
@@ -89,7 +138,8 @@ def max_clique(
     `floor_size` are ignored (size comes back as floor_size with empty
     members), which turns the search into an existence test for cliques
     larger than the floor. When the budget runs out, the clique on the
-    current search path counts as found.
+    current search path counts as found. A search that ends at its root is
+    answered before the graph is relabelled (`clique_order`).
 
     `allowed` is a bitmask of the vertices a clique may use (default: all).
     A vertex outside it is still colored, but when it comes up as a
@@ -99,7 +149,10 @@ def max_clique(
     inside `allowed`, the search takes every other branch of the
     unrestricted search, and finds the same first clique.
     """
-    order, radj = degree_order(adj)
+    relabelled = clique_order(adj, budget, floor_size)
+    if relabelled is None:
+        return floor_size, [], True, 1
+    order, radj = relabelled
     n = len(adj)
     allow = relabel_set(allowed, order)
     best_size = floor_size
@@ -110,7 +163,9 @@ def max_clique(
     # A node is (r_size, r_mask, cand): the clique so far and the vertices
     # adjacent to all of it. stack[t] is the open node at depth t with its
     # untried branches: (vertex, color) pairs in coloring order, colors
-    # non-decreasing, tried from the end.
+    # non-decreasing, tried from the end. A node's classes up to
+    # best_size - r_size are colored but not stored: the best only rises
+    # while the node is open, so they could never beat it.
     stack: list[list] = []
     r_size, r_mask, cand = 0, 0, (1 << n) - 1
     while True:
@@ -128,6 +183,12 @@ def max_clique(
             while uncolored:
                 color += 1
                 avail = uncolored
+                if r_size + color <= best_size:
+                    while avail:
+                        b = avail & -avail
+                        uncolored ^= b
+                        avail &= ~radj[b.bit_length() - 1] & uncolored
+                    continue
                 while avail:
                     b = avail & -avail
                     v = b.bit_length() - 1

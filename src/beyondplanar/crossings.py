@@ -77,7 +77,7 @@ from itertools import accumulate, starmap
 from operator import ge, itemgetter, lt, mul, xor
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Edge, PointSet, all_edges, validate_pointset
+from .geometry import Edge, PointSet, all_edges, direction_key, validate_pointset
 
 
 def canonical_edge(n: int, e) -> Edge:
@@ -152,21 +152,6 @@ def build_crossing_graph(points: PointSet) -> tuple[list[Edge], list[int], list[
     degree = [row.bit_count() for row in _swept_rows(edges, *swaps)[0]]
     edges = [edges[i] for i in sorted(range(len(edges)), key=lambda i: -degree[i])]
     return edges, *_swept_rows(edges, *swaps)
-
-
-def direction_key(d: Sequence[int]) -> int:
-    """An exact sort key of the direction (dx, dy) = d[:2] by its angle in [0, pi).
-
-    The direction must have dy > 0, or dy = 0 < dx. The key is
-    floor(-dx * 2^64 / dy), which rises with the angle, and -2^96 for a
-    horizontal direction, below every other key, which lies within
-    +/-2^95. Coordinates within COORD_LIMIT = 2^30 bound |dx| and |dy| by
-    2^31, so two directions of distinct slopes differ in -dx/dy by at
-    least 2^-62 and their keys by at least 3, while parallel directions
-    share a key. It reads only d[:2], so tuples (dx, dy, ...) sort by it
-    directly.
-    """
-    return (-d[0] << 64) // d[1] if d[1] else -(1 << 96)
 
 
 def _convex_cuts(instance: PointSet | int, edges: Sequence[Edge]) -> tuple[list[int], list[tuple[int, int]]] | None:

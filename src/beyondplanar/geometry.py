@@ -114,16 +114,23 @@ def _as_points(points: Iterable) -> tuple[Point, ...]:
     return tuple(out)
 
 
-def _reduced_direction(p: Point, q: Point) -> tuple[int, int]:
-    # Canonical line direction: divided by gcd, sign-normalized so that a
-    # direction and its negation coincide.
-    dx, dy = q.x - p.x, q.y - p.y
-    g = math.gcd(dx, dy)
-    dx //= g
-    dy //= g
-    if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-    return dx, dy
+def direction_key(d: Sequence[int]) -> int:
+    """An exact sort key of the direction (dx, dy) = d[:2] by its angle in [0, pi).
+
+    The direction must have dy > 0, or dy = 0 < dx. The key is
+    floor(-dx * 2^64 / dy), which rises with the angle, and -2^96 for a
+    horizontal direction, below every other key, which lies within
+    +/-2^95. Coordinates within COORD_LIMIT = 2^30 bound |dx| and |dy| by
+    2^31, so two directions of distinct slopes differ in -dx/dy by at
+    least 2^-62 and their keys by at least 3, while parallel directions
+    share a key. It reads only d[:2], so tuples (dx, dy, ...) sort by it
+    directly.
+
+    As an equality key it takes any nonzero direction: -dx/dy, and so the
+    key, is the same for d and -d. Two differences of points within
+    COORD_LIMIT share a key iff they are parallel.
+    """
+    return (-d[0] << 64) // d[1] if d[1] else -(1 << 96)
 
 
 def find_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
@@ -136,20 +143,23 @@ def find_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
 
 
 def find_collinear_triple(points: Sequence[Point]) -> tuple[int, int, int] | None:
-    """Indices of some collinear triple, or None. Points must be distinct.
+    """Indices (i, j, k), i < j < k, of a collinear triple, or None. Points must be distinct.
 
-    Per-anchor direction hashing: a triple (i, j, k) is collinear iff the
-    reduced directions i->j and i->k coincide, so one dict per anchor finds
-    a witness in O(n^2) instead of O(n^3).
+    Per-anchor direction keys: a triple (i, j, k) is collinear iff the
+    directions i->j and i->k are parallel, that is, share a
+    `direction_key`, so one set per anchor finds a repeat in O(n^2)
+    instead of O(n^3). Only an anchor with a repeat is scanned again, in
+    order, for the witness: the first anchor i with a collinear pair, the
+    first k on the line through i of an earlier j, and the first such j.
     """
-    n = len(points)
-    for i in range(n):
-        seen: dict[tuple[int, int], int] = {}
-        for j in range(i + 1, n):
-            d = _reduced_direction(points[i], points[j])
-            if d in seen:
-                return i, seen[d], j
-            seen[d] = j
+    for i, p in enumerate(points):
+        keys = [direction_key((q.x - p.x, q.y - p.y)) for q in points[i + 1 :]]
+        if len(set(keys)) < len(keys):
+            seen: dict[int, int] = {}
+            for k, key in enumerate(keys, i + 1):
+                if key in seen:
+                    return i, seen[key], k
+                seen[key] = k
     return None
 
 
@@ -259,13 +269,13 @@ def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
         raise ValueError(f"n >= 1 required, got {n}")
     rng = random.Random(f"random:{n}:{seed}")
     pts: list[Point] = []
-    directions: list[set[tuple[int, int]]] = []  # per anchor: reduced directions to later points
+    directions: list[set[int]] = []  # per anchor: the direction keys of the lines to later points
     for _ in range(n):
         for _attempt in range(_GEN_ATTEMPTS_PER_POINT):
             cand = Point(rng.randrange(0, _GEN_BOX + 1), rng.randrange(0, _GEN_BOX + 1))
             if any(cand == p for p in pts):
                 continue
-            dirs = [_reduced_direction(p, cand) for p in pts]
+            dirs = [direction_key((cand.x - p.x, cand.y - p.y)) for p in pts]
             if any(d in directions[i] for i, d in enumerate(dirs)):
                 continue
             for i, d in enumerate(dirs):

@@ -21,8 +21,8 @@ from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks, direction_key
-from .geometry import Edge, PointSet, check_pairwise_crossing, orientation
+from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks
+from .geometry import Edge, PointSet, check_pairwise_crossing, direction_key, orientation
 
 DEFAULT_BUDGET = 10**8
 

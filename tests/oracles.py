@@ -161,6 +161,31 @@ def naive_crossing_masks(instance, edges):
     return masks
 
 
+def naive_collinear_triple(points):
+    """The first collinear triple (i, j, k), i < j < k, by gcd-reduced directions, or None.
+
+    Anchors i in order; for each, the later points k in order, each
+    direction i->k divided by the gcd of its components and turned to
+    point up, or right when horizontal, so that parallel directions
+    coincide. The first k whose direction an earlier j had gives (i, j, k)
+    with the first such j. Points must be distinct.
+    """
+    from math import gcd
+
+    for i, p in enumerate(points):
+        seen = {}
+        for k in range(i + 1, len(points)):
+            dx, dy = points[k].x - p.x, points[k].y - p.y
+            g = gcd(dx, dy)
+            dx, dy = dx // g, dy // g
+            if dy < 0 or (dy == 0 and dx < 0):
+                dx, dy = -dx, -dy
+            if (dx, dy) in seen:
+                return i, seen[dx, dy], k
+            seen[dx, dy] = k
+    return None
+
+
 def naive_side_masks(points, edges):
     """Side masks of an edge list, one determinant per edge and used point.
 

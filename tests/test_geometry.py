@@ -2,10 +2,12 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_collinear_triple
 
 from beyondplanar.geometry import (
     COORD_LIMIT,
@@ -15,6 +17,7 @@ from beyondplanar.geometry import (
     PointSet,
     all_edges,
     convex_hull_indices,
+    find_collinear_triple,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
@@ -190,6 +193,72 @@ class TestPointSet:
             ps[0] = P(1, 1)
 
 
+class TestFindCollinearTriple:
+    """`find_collinear_triple` against the gcd-reduced direction scan, witness included."""
+
+    def assert_matches_the_oracle(self, points):
+        points = [P(x, y) for x, y in points]
+        assert find_collinear_triple(points) == naive_collinear_triple(points)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_grids(self, seed):
+        # Points of a 7 x 7 grid: most sets hold collinear triples, and
+        # the rest many parallel pairs on distinct lines.
+        rng = random.Random(f"grid:{seed}")
+        cells = [(x, y) for x in range(7) for y in range(7)]
+        self.assert_matches_the_oracle(rng.sample(cells, rng.randrange(1, 9)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_planted_triples(self, seed):
+        rng = random.Random(f"planted:{seed}")
+        points = [(p.x, p.y) for p in gen_random_pointset(12, seed=seed)]
+        (ax, ay), (bx, by) = rng.sample(points, 2)
+        t = rng.choice((-2, 2, 3))  # beyond b, or beyond a
+        points.insert(rng.randrange(len(points) + 1), (ax + t * (bx - ax), ay + t * (by - ay)))
+        assert find_collinear_triple([P(x, y) for x, y in points]) is not None
+        self.assert_matches_the_oracle(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (0, 5), (3, 1), (0, -7)],  # vertical
+            [(2, 4), (9, 4), (1, 1), (-3, 4)],  # horizontal
+            [(5, 5), (1, 2), (5, -1), (8, 2), (5, 0)],  # vertical from a later anchor
+        ],
+    )
+    def test_axis_parallel_lines(self, points):
+        self.assert_matches_the_oracle(points)
+        assert find_collinear_triple([P(x, y) for x, y in points]) is not None
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (1, 1), (5, 0), (6, 1)],  # a parallelogram
+            [(0, 0), (2, 0), (0, 1), (2, 1), (1, 5)],  # horizontal parallels
+            [(0, 0), (0, 3), (1, 0), (1, 3), (4, 7)],  # vertical parallels
+            [(0, 0), (3, 6), (1, 0), (3, 4), (0, 1), (5, 11)],  # slope 2, three lines
+        ],
+    )
+    def test_parallel_pairs_on_distinct_lines(self, points):
+        self.assert_matches_the_oracle(points)
+        assert find_collinear_triple([P(x, y) for x, y in points]) is None
+
+    def test_coordinates_at_the_limit(self):
+        m = COORD_LIMIT
+        corners = [(-m, -m), (m, m), (m, -m), (-m, m)]
+        self.assert_matches_the_oracle(corners + [(0, 0)])  # on a diagonal
+        self.assert_matches_the_oracle(corners + [(m - 1, m), (1, 0)])  # near the diagonal, off it
+        self.assert_matches_the_oracle(corners + [(m, 0)])  # on the right side
+        # Slopes about 2^-62 apart, the closest that coordinates within
+        # the limit allow: not collinear.
+        self.assert_matches_the_oracle([(-m, -m), (m, m - 1), (m - 1, m - 2), (0, 1)])
+        rng = random.Random("limit")
+        for _ in range(30):
+            points = {(rng.choice((-1, 1)) * (m - rng.randrange(3)), rng.choice((-1, 1)) * (m - rng.randrange(3)))}
+            points |= {(rng.randint(-m, m), rng.randint(-m, m)) for _ in range(3)}
+            self.assert_matches_the_oracle(sorted(points))
+
+
 class TestValidatePointset:
     def test_square(self):
         order = validate_pointset(PointSet([P(0, 0), P(2, 0), P(2, 2), P(0, 2)]))
@@ -253,6 +322,10 @@ class TestGenRandomPointset:
 
     def test_distinct_seeds_differ(self):
         assert gen_random_pointset(10, 7) != gen_random_pointset(10, 8)
+
+    @pytest.mark.parametrize("n", [3, 20, 60])
+    def test_general_position_by_the_gcd_scan(self, n):
+        assert naive_collinear_triple(gen_random_pointset(n, seed=n)) is None
 
 
 class TestGenPerfectCrossingFamily:

@@ -6,11 +6,17 @@ import pytest
 from oracles import naive_max_clique_mask as naive_max_clique
 from oracles import naive_first_conflict_bounded, naive_max_conflict_bounded
 
-from beyondplanar import _kernels_py
+from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals
-from beyondplanar.crossings import build_crossing_graph, crossing_masks
+from beyondplanar.crossings import build_crossing_graph, class_crossing_masks, crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
-from beyondplanar.quasiplanar import max_crossing_family
+from beyondplanar.quasiplanar import (
+    QuasiPlanarResult,
+    crossing_family_partition,
+    double_star_partition,
+    is_k_quasi_planar,
+    max_crossing_family,
+)
 
 
 def random_graph(v, p, seed):
@@ -69,6 +75,18 @@ class TestMaxClique:
         got_size, got_members, got_proven, got_nodes = kernel.max_clique(rows)
         assert (got_size, got_proven, got_nodes) == (size, proven, nodes)
         assert sorted(edges[order[j]] for j in got_members) == [edges[i] for i in members]
+        # Unsorted rows, which a search that ends at its root never
+        # relabels, against the search of the relabelled rows.
+        rng = random.Random(f"degree-order:{seed}")
+        for v in range(21):
+            adj = random_graph(v, rng.random(), rng.randrange(10**6))
+            order, rows = _kernels_py.degree_order(adj)
+            for floor in range(-1, 5):
+                for target in (None, floor + 1):
+                    for budget in (1, 2, 10**8):
+                        size, members, proven, nodes = kernel.max_clique(rows, budget, target, floor)
+                        want = size, sorted(order[j] for j in members), proven, nodes
+                        assert kernel.max_clique(adj, budget, target, floor) == want, (v, floor, target, budget)
 
     @pytest.mark.parametrize("v", [63, 64, 65, 100, 140])
     def test_implementations_agree_beyond_64_vertices(self, compiled_kernels, v):
@@ -141,6 +159,41 @@ class TestMaxClique:
     def test_rejects_out_of_range_bits(self, kernel):
         with pytest.raises(ValueError):
             kernel.max_clique([2, 1 | 4])
+
+
+class TestExistenceAtTheRoot:
+    """The class searches of `verify quasiplanar`: one existence test for k = 3 pairwise crossing edges."""
+
+    @staticmethod
+    def class_rows(n):
+        points = gen_random_pointset(n, seed=0)
+        colorings = double_star_partition(points), crossing_family_partition(points, 3)[0]
+        return [rows for coloring in colorings for _, rows in class_crossing_masks(points, coloring.classes().values())]
+
+    @pytest.mark.parametrize("n", [24, 32, 40])
+    def test_quasi_planar_classes_close_at_the_root_unrelabelled(self, kernel, monkeypatch, n):
+        # Every class colors in two classes at the root, so its search ends
+        # there; on rows not in degree order it ends before any relabelling.
+        def no_relabel(masks, keep):
+            raise AssertionError("a search that ends at its root relabelled its graph")
+
+        classes = self.class_rows(n)
+        monkeypatch.setattr(_kernels_py, "induced", no_relabel)
+        for rows in classes:
+            assert kernel.max_clique(rows, target=3, floor_size=2) == (2, [], True, 1)
+
+    @pytest.mark.parametrize(
+        "n, witness",
+        [(24, ((3, 16), (5, 17), (13, 20))), (40, ((9, 38), (23, 29), (30, 32)))],
+    )
+    def test_a_class_with_k_crossing_edges_keeps_its_witness(self, kernel, monkeypatch, n, witness):
+        # The family partition for k = 4 holds three pairwise crossing
+        # edges in its first class; the witness is pinned from the search
+        # that relabelled every class.
+        points = gen_random_pointset(n, seed=0)
+        classes = crossing_family_partition(points, 4)[0].classes().values()
+        monkeypatch.setattr(_native, "max_clique", kernel.max_clique)
+        assert is_k_quasi_planar(points, classes, 3) == QuasiPlanarResult(False, witness, 0)
 
 
 def is_clique(adj, members):
