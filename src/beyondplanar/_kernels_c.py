@@ -1,9 +1,10 @@
 """ctypes binding of the compiled search kernels built from _kernels.c.
 
-Same entry points and results as _kernels_py, whose input checks and
-relabelling it reuses, `clique_order` included: a clique search that it
-finds ending at its root is answered before its rows are relabelled or
-packed, and the C code does not run. Masks are packed into little-endian
+Same entry points and results as _kernels_py, whose input checks it
+reuses. The clique kernel makes one call to `_kernels_py.clique_order`
+for its checks, relabelled rows and `allowed` mask; a search that it
+finds ending at its root is answered there, before anything is packed,
+and the C code does not run. Masks are packed into little-endian
 uint64 words, W = ceil(n / 64) per mask, and every buffer the C code
 touches is allocated here, zeroed. Arguments are clamped to ranges that
 fit the C types without changing the result.
@@ -64,17 +65,17 @@ class CompiledKernels:
         allowed: int | None = None,
     ) -> tuple[int, list[int], bool, int]:
         """Largest clique of the graph given as per-vertex neighbor bitmasks; see _kernels_py."""
-        relabelled = _kernels_py.clique_order(adj, budget, floor_size)
+        relabelled = _kernels_py.clique_order(adj, budget, floor_size, allowed)
         if relabelled is None:
             return floor_size, [], True, 1
-        order, radj = relabelled
+        order, radj, allow = relabelled
         n = len(adj)
         w = max(1, -(-n // 64))
         floor = _clamp(floor_size, -1, n)
         best, exhausted = _ll(floor), _int(0)
         members = _zeros(_int, n)
         nodes = self._clique(
-            n, w, _words(radj, w), _words([_kernels_py.relabel_set(allowed, order)], w),
+            n, w, _words(radj, w), _words([allow], w),
             _clamp(budget, 0, 2**62), n + 1 if target is None else _clamp(target, -1, n + 1),
             _zeros(_u64, (n + 1) * w), _zeros(_u64, 2 * w),
             _zeros(_int, n * (n + 1)), _zeros(_int, n + 1), _zeros(_int, n), members,

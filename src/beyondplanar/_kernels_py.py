@@ -2,11 +2,12 @@
 
 Reference implementations of the two hot exact-search loops. The compiled
 kernels in _kernels.c are preferred when built (see _native); they share
-this module's input checks and relabelling and follow the same branch
-order, so both return identical results, node counts included. These
-versions use arbitrary-width int bitmasks, so they have no size limit and
-serve as the correctness baseline. Both walk their search trees with
-explicit stacks, so input size is not bounded by the recursion limit.
+this module's input checks (`clique_order`, `check_conflicts`) and follow
+the same branch order, so both return identical results, node counts
+included. These versions use arbitrary-width int bitmasks, so they have
+no size limit and serve as the correctness baseline. Both walk their
+search trees with explicit stacks, so input size is not bounded by the
+recursion limit.
 
 Result convention shared by both kernels: (size, members, proven, nodes).
 `proven` is False only when the node budget was exhausted; the best
@@ -14,15 +15,16 @@ solution found so far is still returned. When a `target` is given, the
 search stops as soon as a solution of that size is found; if the caller
 knows `target` is a valid upper bound, such a result is the exact optimum.
 
-The clique search colors only what it can branch on. Before it relabels
-a graph (`clique_order`), it colors the root on the caller's rows, and
-when no color class above the floor opens there, the search would end
-at its root, so it returns that result without relabelling. Rows that
-arrive already in degree order, as the family search's do, skip that
-step: they are not relabelled anyway, and the search's own bitwise
-coloring of the root is cheaper than the list-form one. Inside the
-search, the color classes that cannot beat the best clique are colored
-but not stored as branches.
+Both clique kernels make one call to `clique_order`, their one
+preamble: it checks the rows, sorts the vertices by degree and, before
+it relabels the rows and the `allowed` mask, colors the root on the
+caller's rows. When no color class above the floor opens there, the
+search would end at its root, so it is answered without relabelling.
+Rows that arrive already in degree order, as the family search's do,
+skip that step: they are not relabelled anyway, and the search's own
+bitwise coloring of the root is cheaper than the list-form one. Inside
+the search, the color classes that cannot beat the best clique are
+colored but not stored as branches.
 """
 
 from __future__ import annotations
@@ -63,24 +65,17 @@ def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
     return [int("".join(pick(format(masks[v], width))), 2) for v in keep]
 
 
-def _sorted_by_degree(adj: list[int]) -> list[int]:
-    _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
-    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+def clique_order(
+    adj: list[int], budget: int, floor_size: int, allowed: int | None = None
+) -> tuple[list[int], list[int], int] | None:
+    """The clique search's preamble: (order, radj, allow), or None when that search ends at its root.
 
-
-def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
-    """Check the adjacency masks, then relabel by descending degree.
-
-    Returns (order, radj): vertex order[i] of the input is vertex i of the
-    relabelled graph radj. Greedy coloring is tighter when dense vertices
-    are colored first. Rows already in that order come back as given.
-    """
-    order = _sorted_by_degree(adj)
-    return order, induced(adj, order)
-
-
-def clique_order(adj: list[int], budget: int, floor_size: int) -> tuple[list[int], list[int]] | None:
-    """`degree_order` for a clique search, or None when that search ends at its root.
+    Checks the adjacency masks, then sorts the vertices by descending
+    degree: vertex order[i] of the input is vertex i of the relabelled
+    graph radj, and `allow` is the bitmask `allowed` under the same
+    relabelling (None is every vertex; bits at len(adj) and above are
+    ignored). Greedy coloring is tighter when dense vertices are colored
+    first.
 
     With budget > 1 the search colors its root, and with no color class
     above floor_size it branches nowhere: it returns (floor_size, [],
@@ -91,9 +86,13 @@ def clique_order(adj: list[int], budget: int, floor_size: int) -> tuple[list[int
     given: there is no relabelling to save, and the search's bitwise
     coloring of its root costs less than this one.
     """
-    order = _sorted_by_degree(adj)
-    if order == list(range(len(order))):
-        return order, list(adj)
+    _check_masks(adj, "adjacency mask of vertex {i} has bits >= {n}", "vertex {i} is self-adjacent")
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    if allowed is None:
+        allowed = (1 << n) - 1
+    if order == list(range(n)):
+        return order, list(adj), allowed & (1 << n) - 1
     if budget > 1:
         # First fit, one class at a time: a vertex joins the class unless a
         # member's row holds it, as in the search's coloring of the
@@ -111,17 +110,7 @@ def clique_order(adj: list[int], budget: int, floor_size: int) -> tuple[list[int
             rest = later
         if not rest:
             return None
-    return order, induced(adj, order)
-
-
-def relabel_set(vertices: int | None, order: list[int]) -> int:
-    """The vertex bitmask under `degree_order`'s relabelling; None is every vertex.
-
-    Bits at len(order) and above are ignored.
-    """
-    if vertices is None:
-        return (1 << len(order)) - 1
-    return sum(1 << i for i, v in enumerate(order) if vertices >> v & 1)
+    return order, induced(adj, order), sum(1 << i for i, v in enumerate(order) if allowed >> v & 1)
 
 
 def max_clique(
@@ -149,12 +138,11 @@ def max_clique(
     inside `allowed`, the search takes every other branch of the
     unrestricted search, and finds the same first clique.
     """
-    relabelled = clique_order(adj, budget, floor_size)
+    relabelled = clique_order(adj, budget, floor_size, allowed)
     if relabelled is None:
         return floor_size, [], True, 1
-    order, radj = relabelled
+    order, radj, allow = relabelled
     n = len(adj)
-    allow = relabel_set(allowed, order)
     best_size = floor_size
     best_mask = 0
     nodes = 0

@@ -1,15 +1,16 @@
 """Edge colorings of complete geometric graphs.
 
-A coloring assigns every edge of K_n to exactly one color class. Classes
-are dense integers 0..num_colors-1; partition constructors keep them
-nonempty (`halving_line_partition` names its one exception), but the
-container itself only requires assigned colors to be in range, so a class
-may be empty (a parsed file may declare any count).
+A coloring assigns every edge of K_n to exactly one color class, given
+as one list of colors in `all_edges(n)` order. Classes are dense integers
+0..num_colors-1; partition constructors keep them nonempty
+(`halving_line_partition` names its one exception), but the container
+itself only requires assigned colors to be plain ints in range, so a
+class may be empty (a parsed file may declare any count).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from .geometry import Edge, all_edges
 
@@ -17,36 +18,32 @@ from .geometry import Edge, all_edges
 class Coloring:
     """Total map from the edges of K_n to colors 0..num_colors-1.
 
-    It keeps `all_edges(n)` and one list of colors in that order. The
-    colors come either as a Mapping from edges, keyed by `Edge`s or plain
-    (u, v) tuples with u < v in any order, or as a sequence of colors in
-    `all_edges(n)` order, as the partition constructors and the file
-    parser give them. Both forms are checked the same way: the edge count
-    first, then the first edge in `all_edges` order with no color or a
-    color out of range.
+    It keeps `all_edges(n)` and one list of colors in that order, as the
+    partition constructors and the file parser give them. The colors are
+    checked in three passes: the edge count, then the first edge in
+    `all_edges` order whose color is not a plain `int` (a `TypeError`, so
+    that every accepted coloring writes a file that its parser reads),
+    then the first one whose color is out of range.
     """
 
     __slots__ = ("n", "num_colors", "_edges", "_colors")
 
-    def __init__(self, n: int, num_colors: int, colors: Mapping[Edge, int] | Sequence[int]):
+    def __init__(self, n: int, num_colors: int, colors: Iterable[int]):
         if n < 2:
             raise ValueError(f"a coloring needs n >= 2 vertices, got {n}")
         if num_colors < 1:
             raise ValueError(f"num_colors >= 1 required, got {num_colors}")
-        keyed = isinstance(colors, Mapping)
-        colors = dict(colors) if keyed else list(colors)
+        colors = list(colors)
         size = n * (n - 1) // 2
         if len(colors) != size:
             raise ValueError(f"coloring covers {len(colors)} edges, K_{n} has {size}")
         edges = all_edges(n)
-        if keyed:
-            colors = [colors.get(e) for e in edges]
-        if None in colors or not 0 <= min(colors) <= max(colors) < num_colors:
-            for e, c in zip(edges, colors):  # the first bad edge in `all_edges` order
-                if c is None:
-                    raise ValueError(f"edge {tuple(e)} has no color")
-                if not 0 <= c < num_colors:
-                    raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
+        if not set(map(type, colors)) <= {int}:
+            e, c = next((e, c) for e, c in zip(edges, colors) if type(c) is not int)
+            raise TypeError(f"edge {tuple(e)} has color {c!r}, not an int")
+        if not 0 <= min(colors) <= max(colors) < num_colors:
+            e, c = next((e, c) for e, c in zip(edges, colors) if not 0 <= c < num_colors)
+            raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
         self.n = n
         self.num_colors = num_colors
         self._edges = edges

@@ -44,17 +44,15 @@ def slope_partition(instance: PointSet | int, s: int) -> Coloring:
     consecutive intervals starting at 0 (the last may be short); edge
     color = slope // s. Every class is (s-1)(s-2)/2-planar.
     """
-    if isinstance(instance, PointSet):
-        order = validate_pointset(instance)
-        if order is None:
-            raise ValueError("slope partition requires points in convex position")
-    elif instance < 3:
-        raise ValueError(f"n >= 3 required, got {instance}")
-    else:
-        order = range(instance)
+    given_points = isinstance(instance, PointSet)
+    n = instance.n if given_points else instance
+    if n < 3:
+        raise ValueError(f"n >= 3 required, got {n}")
+    order = validate_pointset(instance) if given_points else range(n)
+    if order is None:
+        raise ValueError("slope partition requires points in convex position")
     if s < 1:
         raise ValueError(f"s >= 1 required, got {s}")
-    n = len(order)
     pos = {v: p for p, v in enumerate(order)}
     colors = [((pos[u] + pos[v]) % n) // s for u in range(n) for v in range(u + 1, n)]
     return Coloring(n, -(-n // s), colors)

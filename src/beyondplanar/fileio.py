@@ -207,4 +207,4 @@ def parse_coloring(text: str) -> Coloring:
         # Lazy: the header's n may be far larger than the file.
         u, v = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in assignment)
         raise ParseError(last, f"missing edge ({u}, {v}) ({quote_int(absent)} edges absent)")
-    return Coloring(n, c, assignment)
+    return Coloring(n, c, [color for _, color in sorted(assignment.items())])

@@ -62,35 +62,29 @@ def _coordinate_layout(points: PointSet) -> list[tuple[float, float]]:
 
 
 def render_svg(
-    instance: PointSet | int,
+    points: PointSet,
     coloring: Coloring | None = None,
     *,
     order: tuple[int, ...] | None = None,
 ) -> str:
     """Render the point set and its edge partition as an SVG document.
 
-    An integer instance means n points in convex position, laid out on a
-    circle; a PointSet is drawn to scale from its coordinates, or on a
-    circle when `order` gives its clockwise convex order. Without a
-    coloring, all edges form one class. Empty classes draw nothing, so
-    the output grows with the edges, not with the declared class count.
+    The points are drawn to scale from their coordinates, or on a circle
+    when `order` gives their clockwise convex order, which is how convex
+    position is drawn. Without a coloring, all edges form one class.
+    Empty classes draw nothing, so the output grows with the edges, not
+    with the declared class count.
     """
-    if isinstance(instance, PointSet):
-        n = instance.n
-        if order is not None:
-            if sorted(order) != list(range(n)):
-                raise ValueError("order must be a permutation of the point indices")
-            slots = _circle_layout(n)
-            pos = [(0.0, 0.0)] * n
-            for slot, orig in enumerate(order):
-                pos[orig] = slots[slot]
-        else:
-            pos = _coordinate_layout(instance)
+    n = points.n
+    if order is not None:
+        if sorted(order) != list(range(n)):
+            raise ValueError("order must be a permutation of the point indices")
+        slots = _circle_layout(n)
+        pos = [(0.0, 0.0)] * n
+        for slot, orig in enumerate(order):
+            pos[orig] = slots[slot]
     else:
-        n = int(instance)
-        if n < 1:
-            raise ValueError(f"n >= 1 required, got {n}")
-        pos = _circle_layout(n)
+        pos = _coordinate_layout(points)
     if coloring is None:
         coloring = Coloring(n, 1, [0] * (n * (n - 1) // 2)) if n >= 2 else None
     elif coloring.n != n:

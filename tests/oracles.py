@@ -292,7 +292,7 @@ def naive_halving_partition(points, family, k):
     m = len(family)
     num_groups = -(-m // (k - 1)) + -(-(points.n - 2 * m) // (k - 1))
     cover = naive_halving_cover(points, family, k)
-    return Coloring(points.n, num_groups, {e: covering[0] for e, covering in cover.items()})
+    return Coloring(points.n, num_groups, [covering[0] for covering in cover.values()])  # in all_edges order
 
 
 def naive_double_star_partition(points):
@@ -304,7 +304,7 @@ def naive_double_star_partition(points):
     rank 2j when j > i.
     """
     from beyondplanar.coloring import Coloring
-    from beyondplanar.geometry import Edge
+    from beyondplanar.geometry import Edge, all_edges
 
     n = points.n // 2
     order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
@@ -320,7 +320,7 @@ def naive_double_star_partition(points):
                 assignment[Edge.of(b, order[2 * j - 2])] = i - 1  # b -- rank 2j-1
             else:
                 assignment[Edge.of(b, order[2 * j - 1])] = i - 1  # b -- rank 2j
-    return Coloring(points.n, n, assignment)
+    return Coloring(points.n, n, [assignment.get(e) for e in all_edges(points.n)])
 
 
 def verify_spanning_tree(points, edges):

@@ -9,7 +9,7 @@ import pytest
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
-from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon
+from beyondplanar.geometry import all_edges, gen_convex_polygon
 from beyondplanar.svg import PALETTE, render_svg
 
 
@@ -38,7 +38,7 @@ class TestPipelines:
 
     def test_quasiplanar_full_k6_fails_with_witness(self, tmp_path, capsys):
         col = tmp_path / "k6.txt"
-        col.write_text(write_coloring(Coloring(6, 1, {e: 0 for e in all_edges(6)})))
+        col.write_text(write_coloring(Coloring(6, 1, [0] * 15)))
         assert run("verify", "quasiplanar", "--k", "3", "--in", str(col)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
@@ -71,7 +71,7 @@ class TestPipelines:
         assert run("render", "--in", str(inst), "--out", str(svg)) == 0
         assert svg.read_text() == render_svg(points)
         if n == 2:
-            coloring = Coloring(2, 1, {Edge(0, 1): 0})
+            coloring = Coloring(2, 1, [0])
             col.write_text(write_coloring(coloring))
             assert run("render", "--in", str(inst), "--coloring", str(col), "--out", str(svg)) == 0
             assert svg.read_text() == render_svg(points, coloring)
@@ -107,6 +107,16 @@ class TestExitCodes:
         assert run("partition", "slope", "--s", "3", "--in", paths["inst"]) == 2
         assert "convex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slope_below_three_points_is_2(self, n, tmp_path, capsys):
+        # The slope partition's own n check, not the convexity check's
+        # precondition, names the problem.
+        inst = tmp_path / "inst.txt"
+        assert run("gen", "random", "--n", str(n), "--seed", "4", "--out", str(inst)) == 0
+        capsys.readouterr()
+        assert run("partition", "slope", "--s", "3", "--in", str(inst)) == 2
+        assert capsys.readouterr() == ("", f"error: n >= 3 required, got {n}\n")
+
     def test_halving_without_family_section_is_2(self, paths, capsys):
         assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
         assert run("partition", "halving", "--k", "3", "--in", paths["inst"]) == 2
@@ -115,13 +125,13 @@ class TestExitCodes:
     def test_verify_mismatched_n_is_2(self, paths, tmp_path, capsys):
         assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
         col = tmp_path / "c.txt"
-        col.write_text(write_coloring(Coloring(4, 1, {e: 0 for e in all_edges(4)})))
+        col.write_text(write_coloring(Coloring(4, 1, [0] * 6)))
         assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 2
         assert "n=" in capsys.readouterr().err
 
     def test_kplanar_verify_failure_is_1(self, paths, tmp_path, capsys):
         col = tmp_path / "k6.txt"
-        col.write_text(write_coloring(Coloring(6, 1, {e: 0 for e in all_edges(6)})))
+        col.write_text(write_coloring(Coloring(6, 1, [0] * 15)))
         assert run("verify", "kplanar", "--k", "1", "--in", str(col)) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "crossings=" in out
@@ -327,9 +337,9 @@ class TestVerifyDeclaredColors:
     def test_fail_line_skips_empty_classes(self, mode, k, line, tmp_path, capsys):
         # Convex K_6: class 0 holds the hull edges, which cross nothing;
         # class 2 holds the diagonals; classes 1 and 3 are empty.
-        assignment = {e: (0 if e.v - e.u in (1, 5) else 2) for e in all_edges(6)}
+        colors = [0 if e.v - e.u in (1, 5) else 2 for e in all_edges(6)]
         col = tmp_path / "k6.txt"
-        col.write_text(write_coloring(Coloring(6, 4, assignment)))
+        col.write_text(write_coloring(Coloring(6, 4, colors)))
         assert run("verify", mode, "--k", str(k), "--in", str(col)) == 1
         assert capsys.readouterr().out == line + "\n"
 
@@ -409,7 +419,9 @@ class TestDeterminism:
     def test_bounds_and_verify_byte_identical(self, tmp_path, monkeypatch, capsys):
         # Digest of exit codes, stdout and stderr as the CLI wrote them when
         # the bounds rows formatted themselves and verify printed its
-        # summary from three places.
+        # summary from three places, re-recorded when `partition slope` on
+        # 1 or 2 points came to name its own n check: those 8 stderr lines
+        # are the only records that changed.
         monkeypatch.chdir(tmp_path)  # relative paths keep messages fixed
         h = hashlib.sha256()
 
@@ -437,7 +449,7 @@ class TestDeterminism:
                     for k in range(-1, 5):
                         record("verify", mode, "--k", str(k), "--in", col)
                         record("verify", mode, "--k", str(k), "--in", col, "--instance", "inst.txt")
-        assert h.hexdigest() == "7262c0f478f63ee17a00cb687fe8afe90d1a0047dfcdcf7697e2261e90b2f42d"
+        assert h.hexdigest() == "2cc388dffa97bdfff9fba1d167f998109bbf952ab71c819a13b0164c40a42d8a"
 
     @pytest.mark.parametrize(
         "argv, rc, text",
@@ -462,9 +474,14 @@ class TestDeterminism:
         assert outcomes[0][0] == rc and text in outcomes[0][1] + outcomes[0][2]
 
 
+def on_circle(n, coloring=None):
+    """n points in convex position drawn on a circle, in index order."""
+    return render_svg(gen_convex_polygon(n, seed=n), coloring, order=tuple(range(n)))
+
+
 class TestRenderSvg:
     def test_three_points_single_class(self):
-        svg = render_svg(3)
+        svg = on_circle(3)
         assert svg.count("<circle") == 3
         assert svg.count("<line") == 3
         assert svg.count("<g stroke=") == 1
@@ -479,15 +496,15 @@ class TestRenderSvg:
 
     def test_palette_cycles(self):
         n = 40
-        coloring = Coloring(n, 14, {e: (e.u + e.v) % 14 for e in all_edges(n)})
-        svg = render_svg(n, coloring)
+        coloring = Coloring(n, 14, [(e.u + e.v) % 14 for e in all_edges(n)])
+        svg = on_circle(n, coloring)
         assert f'stroke="{PALETTE[0]}"' in svg
         assert svg.count(f'stroke="{PALETTE[0]}"') == 2  # color 0 and color 12 reuse it
         assert svg.count("<g stroke=") == 14
 
     def test_class_count_matches_coloring(self):
-        coloring = Coloring(12, 4, {e: (e.u % 4) for e in all_edges(12)})
-        svg = render_svg(12, coloring)
+        coloring = Coloring(12, 4, [e.u % 4 for e in all_edges(12)])
+        svg = on_circle(12, coloring)
         assert svg.count("<g stroke=") == 4
         assert svg.count("<line") == 66
 
@@ -500,7 +517,7 @@ class TestRenderSvg:
         h = hashlib.sha256()
         for n in range(8, 41):
             for s in (3, 4):
-                h.update(render_svg(n, slope_partition(n, s)).encode())
+                h.update(on_circle(n, slope_partition(n, s)).encode())
             h.update(render_svg(gen_convex_polygon(n, seed=n), slope_partition(n, 3)).encode())
         assert h.hexdigest() == "69625b096dd6a686026cccccd164b085b72472a78f7898e59fb6ca4cc67f6d3a"
 
@@ -516,8 +533,8 @@ class TestRenderSvg:
         assert len(text) < 2000
 
     def test_empty_class_between_used_ones_keeps_strokes(self):
-        coloring = Coloring(4, 3, {e: 0 if e.u == 0 else 2 for e in all_edges(4)})
-        svg = render_svg(4, coloring)
+        coloring = Coloring(4, 3, [0 if e.u == 0 else 2 for e in all_edges(4)])
+        svg = on_circle(4, coloring)
         assert svg.count("<g stroke=") == 2
         assert f'<g stroke="{PALETTE[0]}"' in svg and f'<g stroke="{PALETTE[2]}"' in svg
         assert f'stroke="{PALETTE[1]}"' not in svg
@@ -530,7 +547,7 @@ class TestRenderSvg:
     def test_order_permutation_layout(self):
         points = gen_convex_polygon(6, seed=4)
         identity = tuple(range(6))
-        assert render_svg(points, order=identity) == render_svg(6)
+        assert render_svg(points, order=identity) == on_circle(6)
 
     def test_bad_order_rejected(self):
         points = gen_convex_polygon(4, seed=0)
@@ -538,6 +555,6 @@ class TestRenderSvg:
             render_svg(points, order=(0, 1, 2, 2))
 
     def test_mismatched_coloring_rejected(self):
-        coloring = Coloring(4, 1, {e: 0 for e in all_edges(4)})
+        coloring = Coloring(4, 1, [0] * 6)
         with pytest.raises(ValueError, match="n="):
-            render_svg(5, coloring)
+            on_circle(5, coloring)

@@ -177,7 +177,7 @@ class TestColoringFormat:
             parse_coloring("3\n")
 
     def test_single_color_round_trip(self):
-        coloring = Coloring(5, 1, {e: 0 for e in all_edges(5)})
+        coloring = Coloring(5, 1, [0] * 10)
         assert parse_coloring(write_coloring(coloring)) == coloring
 
     def test_classes_list_only_the_colors_in_use(self):
@@ -186,76 +186,57 @@ class TestColoringFormat:
         assert coloring.classes() == {0: [(0, 1), (0, 2), (1, 2)]}
 
     def test_classes_come_in_color_order(self):
-        coloring = Coloring(4, 5, {e: (4 if e == (0, 1) else 1) for e in all_edges(4)})
+        coloring = Coloring(4, 5, [4 if e == (0, 1) else 1 for e in all_edges(4)])
         assert list(coloring.classes()) == [1, 4]
         assert coloring.classes()[1] == all_edges(4)[1:]
 
-    def test_items_in_edge_order_whatever_the_input_order(self):
-        # Built from plain tuples in reverse order, the store still holds
-        # `Edge`s in `all_edges` order, so items() and classes() need no sort.
-        edges = all_edges(7)
-        coloring = Coloring(7, 3, {(e.u, e.v): (e.u * e.v) % 3 for e in reversed(edges)})
-        assert list(coloring.items()) == [(e, (e.u * e.v) % 3) for e in edges]
-        assert all(type(e) is Edge for e, _ in coloring.items())
-        assert coloring.classes() == {c: [e for e in edges if (e.u * e.v) % 3 == c] for c in range(3)}
-
     @pytest.mark.parametrize(
-        "missing, colors, message",
+        "colors, error, message",
         [
-            ([(1, 3), (0, 2)], {(4, 5): 0}, "edge (0, 2) has no color"),
-            ([], {(2, 3): 3, (0, 4): -1}, "edge (0, 4) has color -1 outside 0..2"),
-            ([(1, 2)], {(3, 4): 7}, "edge (1, 2) has no color"),
-            ([], {(0, 1): 3}, "edge (0, 1) has color 3 outside 0..2"),
-            ([], {(4, 5): 2, (1, 5): 0}, None),
+            ([0] * 14, ValueError, "coloring covers 14 edges, K_6 has 15"),
+            ([0] * 16, ValueError, "coloring covers 16 edges, K_6 has 15"),
+            ([9] * 14, ValueError, "coloring covers 14 edges, K_6 has 15"),
+            ([None] * 14, ValueError, "coloring covers 14 edges, K_6 has 15"),
+            ([0, 1, 2, 3, -1] + [0] * 10, ValueError, "edge (0, 4) has color 3 outside 0..2"),
+            ([0] * 3 + [-1] + [7] * 11, ValueError, "edge (0, 4) has color -1 outside 0..2"),
+            ([2] * 14 + [3], ValueError, "edge (4, 5) has color 3 outside 0..2"),
+            ([3] + [0] * 14, ValueError, "edge (0, 1) has color 3 outside 0..2"),
+            ([0] * 4 + [None] + [0] * 10, TypeError, "edge (0, 5) has color None, not an int"),
+            ([True] + [0] * 14, TypeError, "edge (0, 1) has color True, not an int"),
+            ([0] * 14 + [False], TypeError, "edge (4, 5) has color False, not an int"),
+            ([0, 0.5] + [0] * 13, TypeError, "edge (0, 2) has color 0.5, not an int"),
+            ([0, 1.0] + [0] * 13, TypeError, "edge (0, 2) has color 1.0, not an int"),
+            (["0"] * 15, TypeError, "edge (0, 1) has color '0', not an int"),
+            # Every color is checked for its type before any for its range.
+            ([7, 0, "1"] + [0] * 12, TypeError, "edge (0, 3) has color '1', not an int"),
+            ([(e.u + e.v) % 3 for e in all_edges(6)], None, None),
         ],
     )
-    def test_constructor_names_the_first_bad_edge_in_edge_order(self, missing, colors, message):
-        # Each missing edge is replaced by a key outside K_6, so the edge
-        # count still matches.
-        assignment = {e: (e.u + e.v) % 3 for e in all_edges(6) if e not in missing}
-        assignment.update({(6 + i, 7 + i): 0 for i in range(len(missing))})
-        assignment.update(colors)
-        if message is None:
-            assert list(Coloring(6, 3, assignment).items()) == [(e, assignment[e]) for e in all_edges(6)]
+    def test_constructor_names_the_first_bad_edge_in_edge_order(self, colors, error, message):
+        if error is None:
+            assert list(Coloring(6, 3, colors).items()) == list(zip(all_edges(6), colors))
             return
-        with pytest.raises(ValueError) as err:
-            Coloring(6, 3, assignment)
+        with pytest.raises(error) as err:
+            Coloring(6, 3, colors)
         assert str(err.value) == message
 
     def test_constructor_checks_the_edge_count_first(self):
-        assignment = {e: 5 for e in all_edges(6)[1:]}
         with pytest.raises(ValueError, match=r"^coloring covers 14 edges, K_6 has 15$"):
-            Coloring(6, 3, assignment)
+            Coloring(6, 3, [5] * 14)
 
-    def test_sequence_form_equals_the_mapping_form(self):
-        assignment = {e: (e.u * e.v) % 3 for e in reversed(all_edges(7))}
-        colors = [assignment[e] for e in all_edges(7)]
-        coloring = Coloring(7, 3, assignment)
+    def test_any_sequence_of_colors_gives_the_same_coloring(self):
+        # The store holds `Edge`s in `all_edges` order, so items() and
+        # classes() need no sort.
+        edges = all_edges(7)
+        colors = [(e.u * e.v) % 3 for e in edges]
+        coloring = Coloring(7, 3, colors)
+        assert list(coloring.items()) == list(zip(edges, colors))
+        assert all(type(e) is Edge for e, _ in coloring.items())
+        assert coloring.classes() == {c: [e for e in edges if (e.u * e.v) % 3 == c] for c in range(3)}
         for form in (list, tuple, iter):
             got = Coloring(7, 3, form(colors))
             assert got == coloring and list(got.items()) == list(coloring.items())
         assert Coloring(7, 4, colors) != coloring and Coloring(7, 3, colors[::-1]) != coloring
-
-    @pytest.mark.parametrize(
-        "colors, message",
-        [
-            ([0] * 14, "coloring covers 14 edges, K_6 has 15"),
-            ([0] * 16, "coloring covers 16 edges, K_6 has 15"),
-            ([9] * 14, "coloring covers 14 edges, K_6 has 15"),
-            ([0, 1, 2, 3, -1] + [0] * 10, "edge (0, 4) has color 3 outside 0..2"),
-            ([0] * 3 + [-1] + [7] * 11, "edge (0, 4) has color -1 outside 0..2"),
-            ([2] * 14 + [3], "edge (4, 5) has color 3 outside 0..2"),
-        ],
-    )
-    def test_sequence_form_gives_the_mapping_forms_messages(self, colors, message):
-        # The mapping pairs the colors with K_6's edges and then with keys
-        # outside K_6, so both forms cover the same count.
-        assignment = dict(zip(all_edges(6), colors))
-        assignment.update({(6 + i, 7 + i): c for i, c in enumerate(colors[15:])})
-        for given in (colors, assignment):
-            with pytest.raises(ValueError) as err:
-                Coloring(6, 3, given)
-            assert str(err.value) == message
 
 
 def _written_colorings():

@@ -80,7 +80,7 @@ class TestMaxClique:
         rng = random.Random(f"degree-order:{seed}")
         for v in range(21):
             adj = random_graph(v, rng.random(), rng.randrange(10**6))
-            order, rows = _kernels_py.degree_order(adj)
+            order, rows = reference_relabel(adj)
             for floor in range(-1, 5):
                 for target in (None, floor + 1):
                     for budget in (1, 2, 10**8):
@@ -311,26 +311,41 @@ class TestInduced:
 
 
 class TestDegreeOrder:
+    """`clique_order`'s relabelling; a budget of 1 skips its coloring of the root."""
+
     @pytest.mark.parametrize("v", [0, 1, 2, 63, 64, 65, 130])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_matches_the_bitwise_relabel_on_random_graphs(self, v, p):
         adj = random_graph(v, p, v)
-        assert _kernels_py.degree_order(adj) == reference_relabel(adj)
+        assert _kernels_py.clique_order(adj, 1, 0) == (*reference_relabel(adj), (1 << v) - 1)
 
     def test_matches_the_bitwise_relabel_on_a_crossing_graph(self):
         n = 40
         adj = crossing_masks(gen_random_pointset(n, seed=n), all_edges(n))
-        assert _kernels_py.degree_order(adj) == reference_relabel(adj)
+        assert _kernels_py.clique_order(adj, 1, 0) == (*reference_relabel(adj), (1 << len(adj)) - 1)
 
     @pytest.mark.parametrize("v", [0, 1, 65, 130])
     def test_rows_already_in_degree_order_come_back_as_given(self, v):
-        _, rows = _kernels_py.degree_order(random_graph(v, 0.3, v))
-        assert _kernels_py.degree_order(rows) == (list(range(v)), rows)
+        _, rows, _ = _kernels_py.clique_order(random_graph(v, 0.3, v), 1, 0)
+        assert _kernels_py.clique_order(rows, 1, 0) == (list(range(v)), rows, (1 << v) - 1)
 
     def test_crossing_rows_already_in_degree_order(self):
         n = 40
-        _, rows = _kernels_py.degree_order(crossing_masks(gen_random_pointset(n, seed=n), all_edges(n)))
-        assert _kernels_py.degree_order(rows) == (list(range(len(rows))), rows)
+        _, rows, _ = _kernels_py.clique_order(crossing_masks(gen_random_pointset(n, seed=n), all_edges(n)), 1, 0)
+        assert _kernels_py.clique_order(rows, 1, 0) == (list(range(len(rows))), rows, (1 << len(rows)) - 1)
+
+    @pytest.mark.parametrize("v", [0, 63, 64, 65, 130])
+    def test_allowed_is_relabelled_bit_by_bit(self, v):
+        # Random bits up to v + 8, so some lie past the last vertex and
+        # are ignored; on unsorted rows and on rows already in order.
+        rng = random.Random(f"allow:{v}")
+        adj = random_graph(v, 0.3, v)
+        for rows in (adj, reference_relabel(adj)[1]):
+            order = reference_relabel(rows)[0]
+            for allowed in (None, 0, rng.getrandbits(v + 8), rng.getrandbits(v + 8)):
+                inside = set(range(v)) if allowed is None else {u for u in range(v) if allowed >> u & 1}
+                want = sum(1 << i for i in range(v) if order[i] in inside)
+                assert _kernels_py.clique_order(rows, 1, 0, allowed)[2] == want
 
 
 class TestMaxConflictBoundedSet:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,9 +15,10 @@ from oracles import naive_crossing_masks, naive_edge_depths
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import slope_partition, verify_k_planar
-from beyondplanar.crossings import crossing_masks
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import (
+    COORD_LIMIT,
     Edge,
     PointSet,
     all_edges,
@@ -26,6 +28,8 @@ from beyondplanar.geometry import (
 )
 from beyondplanar.quasiplanar import (
     check_pairwise_crossing,
+    crossing_family_partition,
+    double_star_partition,
     is_k_quasi_planar,
     max_crossing_family,
 )
@@ -49,8 +53,8 @@ def point_sets(draw, min_n=3, max_n=8):
 def colorings(draw):
     n = draw(st.integers(min_value=2, max_value=9))
     c = draw(st.integers(min_value=1, max_value=4))
-    assignment = {e: draw(st.integers(min_value=0, max_value=c - 1)) for e in all_edges(n)}
-    return Coloring(n, c, assignment)
+    size = n * (n - 1) // 2
+    return Coloring(n, c, draw(st.lists(st.integers(min_value=0, max_value=c - 1), min_size=size, max_size=size)))
 
 
 class TestFileRoundTrips:
@@ -69,6 +73,26 @@ class TestFileRoundTrips:
         back = parse_coloring(text)
         assert back == coloring
         assert write_coloring(back) == text
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_accepted_coloring_reads_back(self, n, c, data):
+        # In-range colors with up to two replaced by a value of any type:
+        # the constructor accepts exactly the plain ints in range, and the
+        # file of every coloring it accepts reads back as that coloring.
+        size = n * (n - 1) // 2
+        colors = data.draw(st.lists(st.integers(min_value=0, max_value=c - 1), min_size=size, max_size=size))
+        anything = st.one_of(st.integers(-2, c + 1), st.booleans(), st.floats(), st.text(max_size=3), st.none())
+        for i in data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=2)):
+            colors[i] = data.draw(anything)
+        accepted = all(type(x) is int and 0 <= x < c for x in colors)
+        try:
+            coloring = Coloring(n, c, colors)
+        except (TypeError, ValueError):
+            assert not accepted
+            return
+        assert accepted
+        assert parse_coloring(write_coloring(coloring)) == coloring
 
 
 class TestCrossingMasks:
@@ -145,6 +169,66 @@ class TestSlopePartition:
         assert sorted(union) == list(all_edges(n))
 
 
+# Integer maps that keep the order type: unimodular maps (a reflection
+# flips every orientation at once, which no crossing notices), a
+# translation and a scaling. Every image of a generated set stays within
+# COORD_LIMIT.
+ORDER_TYPE_MAPS = {
+    "reflection": lambda x, y: (-x, y),
+    "axis-swap": lambda x, y: (y, x),
+    "rotation-90": lambda x, y: (-y, x),
+    "shear-x": lambda x, y: (x + 7 * y, y),
+    "shear-y": lambda x, y: (x, y - 3 * x),
+    "translation": lambda x, y: (x + 10**8 + 1, y - 10**8 - 3),
+    "scaling": lambda x, y: (512 * x, 512 * y),
+}
+
+
+def _crossing_structure(points, relabel):
+    """(edges crossed, depth) of each edge of K(P), every edge renamed by `relabel`."""
+    edges, masks, depths = build_crossing_graph(points)
+    named = [relabel(e) for e in edges]
+    crossed = [{named[j] for j, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"} for mask in masks]
+    return dict(zip(named, crossed)), dict(zip(named, depths))
+
+
+class TestOrderTypeInvariance:
+    """Every verdict depends only on the order type, whatever the coordinates and the index order.
+
+    Node counts and which family is chosen may change, since ties break
+    by edge index, so they are not compared.
+    """
+
+    @pytest.mark.parametrize("name", ORDER_TYPE_MAPS)
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_a_map_and_a_relabelling_keep_every_verdict(self, name, kind):
+        generate = gen_random_pointset if kind == "random" else gen_convex_polygon
+        for n in (8, 13, 20, 30):
+            for seed in range(3):
+                points = generate(n, seed)
+                rng = random.Random(f"order-type:{name}:{kind}:{n}:{seed}")
+                new_index = rng.sample(range(n), n)  # point i becomes point new_index[i]
+                image = [None] * n
+                for i, p in enumerate(points):
+                    image[new_index[i]] = ORDER_TYPE_MAPS[name](p.x, p.y)
+                mapped = PointSet(image)
+                assert max(max(abs(p.x), abs(p.y)) for p in mapped) <= COORD_LIMIT
+
+                def relabel(e):
+                    return Edge.of(new_index[e.u], new_index[e.v])
+
+                assert _crossing_structure(mapped, lambda e: e) == _crossing_structure(points, relabel)
+                family, mapped_family = max_crossing_family(points), max_crossing_family(mapped)
+                assert (mapped_family.size, mapped_family.proven_maximum) == (family.size, family.proven_maximum)
+                partition = crossing_family_partition(points, 3)[0]
+                assert crossing_family_partition(mapped, 3)[0].num_colors == partition.num_colors
+                colorings = [partition, double_star_partition(points)] if n % 2 == 0 else [partition]
+                # A class of every edge, then the partitions' classes.
+                for classes in [[all_edges(n)]] + [list(c.classes().values()) for c in colorings]:
+                    want = is_k_quasi_planar(points, classes, 3).ok
+                    assert is_k_quasi_planar(mapped, [[relabel(e) for e in c] for c in classes], 3).ok == want
+
+
 def _mutated(draw, text):
     """The text as is, or with one or two lines dropped, duplicated, or given an out-of-range or non-integer token."""
     lines = text.splitlines()
@@ -180,7 +264,7 @@ def cli_files(draw):
     else:
         instance = Instance(gen_random_pointset(n, seed))
     c = draw(st.integers(min_value=1, max_value=4))
-    coloring = Coloring(n, c, {e: draw(st.integers(min_value=0, max_value=c - 1)) for e in all_edges(n)})
+    coloring = Coloring(n, c, [draw(st.integers(min_value=0, max_value=c - 1)) for _ in all_edges(n)])
     return _mutated(draw, write_instance(instance)), _mutated(draw, write_coloring(coloring))
 
 
