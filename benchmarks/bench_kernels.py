@@ -47,11 +47,14 @@ classes of n - 1 edges.
 
 A sixth table times the existence checks of `verify quasiplanar`,
 `is_k_quasi_planar(points, classes, 3)`, on the double-star classes of
-random n = 40 and 100 and the family classes (k = 3) of random n = 40
-and 60 (and 100 under --heavy, whose maximum family takes about a
-minute to find with the pure kernels): its total search nodes, one per
-class when every search ends at its root, and its wall time on each
-kernel. Every verdict must be True.
+random n = 40, 100 and 200 and the family classes (k = 3) of random
+n = 40 and 60 (and 100 under --heavy, whose maximum family takes about a
+minute to find with the pure kernels). A class that two vertices cover
+is certified without crossing rows or a search; the table reports the
+classes certified and searched, the search nodes of the searched
+classes, one per class when every search ends at its root, the peak of
+the Python allocations that `tracemalloc` sees in one check, and its
+wall time on each kernel. Every verdict must be True.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
@@ -61,13 +64,14 @@ from __future__ import annotations
 import argparse
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from math import comb
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
 from beyondplanar.convex import slope_partition
-from beyondplanar.crossings import build_crossing_graph, class_crossing_masks, crossing_masks
+from beyondplanar.crossings import build_crossing_graph, crossing_masks
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon, gen_random_pointset
 from beyondplanar.quasiplanar import (
@@ -122,17 +126,26 @@ def family_workloads(heavy: bool):
 
 
 def existence_workloads(heavy: bool):
-    for n in (40, 100):
+    for n in (40, 100, 200):
         yield f"double-star classes random n={n}", gen_random_pointset(n, seed=n), double_star_partition
     for n in (40, 60) + ((100,) if heavy else ()):
         yield f"family classes random n={n}", gen_random_pointset(n, seed=n), lambda p: crossing_family_partition(p, 3)[0]
 
 
 @contextmanager
-def clique_kernel(kernels):
-    """`_native.max_clique`, which the verifiers call, set to the kernels' one for the block."""
+def clique_kernel(kernels, spent: list[int] | None = None):
+    """`_native.max_clique`, which the verifiers call, set to the kernels' one for the block.
+
+    With `spent`, the nodes of each call go on it.
+    """
     saved = _native.max_clique
-    _native.max_clique = kernels.max_clique
+
+    def counted(*args, **kwargs):
+        result = kernels.max_clique(*args, **kwargs)
+        spent.append(result[3])
+        return result
+
+    _native.max_clique = kernels.max_clique if spent is None else counted
     try:
         yield
     finally:
@@ -260,13 +273,17 @@ def main() -> None:
         print(f"{f'parse_instance random n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
 
     print()
-    header = f"{'existence checks k=3':<38} {'nodes':>9} {'python':>9} {'compiled':>9}"
+    header = f"{'existence checks k=3':<38} {'certified':>9} {'searched':>8} {'nodes':>9} {'peak':>8} {'python':>9} {'compiled':>9}"
     print(header)
     print("-" * len(header))
     for label, points, partition in existence_workloads(args.heavy):
         classes = list(partition(points).classes().values())
-        rows = [masks for _, masks in class_crossing_masks(points, classes)]
-        nodes = sum(_native.max_clique(masks, target=3, floor_size=2)[3] for masks in rows)
+        spent: list[int] = []  # nodes of each class search, from one check outside the timing
+        with clique_kernel(_kernels_py, spent):
+            tracemalloc.start()
+            is_k_quasi_planar(points, classes, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
         times = []
         for kernels in (_kernels_py, compiled) if compiled is not None else (_kernels_py,):
             with clique_kernel(kernels):
@@ -276,7 +293,8 @@ def main() -> None:
             times.append(f"{t * 1000:7.1f}ms")
         if compiled is None:
             times.append(f"{'-':>9}")
-        print(f"{label:<38} {nodes:>9} {' '.join(times)}")
+        counts = f"{len(classes) - len(spent):>9} {len(spent):>8} {sum(spent):>9}"
+        print(f"{label:<38} {counts} {peak / 2**20:6.1f}MB {' '.join(times)}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import Coloring
-from .crossings import canonical_edge, class_crossing_masks
+from .crossings import canonical_edge, canonical_edges, class_crossing_masks
 from .geometry import Edge, PointSet, validate_pointset
 
 
@@ -83,7 +83,8 @@ def verify_k_planar(instance: PointSet | int, classes: Iterable[Iterable[Edge]],
     """
     if k < 0:
         raise ValueError(f"k >= 0 required, got {k}")
-    for index, (edges, masks) in enumerate(class_crossing_masks(instance, classes)):
+    groups = [canonical_edges(instance, edges) for edges in classes]
+    for index, (edges, masks) in enumerate(zip(groups, class_crossing_masks(instance, groups))):
         for e, mask in zip(edges, masks):
             if mask.bit_count() > k:
                 return KPlanarResult(False, e, mask.bit_count(), index)

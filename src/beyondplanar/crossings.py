@@ -119,21 +119,20 @@ def crossing_masks(instance: PointSet | int, edges: Sequence[Edge]) -> list[int]
     return _ring_rows(edges, *convex)
 
 
-def class_crossing_masks(
-    instance: PointSet | int, classes: Iterable[Iterable]
-) -> Iterator[tuple[list[Edge], list[int]]]:
-    """Per class, its `canonical_edges` and their `crossing_masks` within the class.
+def class_crossing_masks(instance: PointSet | int, classes: Sequence[Sequence[Edge]]) -> Iterator[list[int]]:
+    """Per class, the `crossing_masks` of its edges within the class.
 
-    One `crossing_masks` call covers the classes' edges end to end; the
-    rows of a class at offset lo with w edges are its edges' rows shifted
-    down by lo and cut to w bits. An edge may lie in several classes.
+    The classes must already be in `canonical_edges` form, as
+    `crossing_masks` takes its edges. One `crossing_masks` call covers the
+    classes' edges end to end; the rows of a class at offset lo with w
+    edges are its edges' rows shifted down by lo and cut to w bits. An
+    edge may lie in several classes.
     """
-    groups = [canonical_edges(instance, edges) for edges in classes]
-    rows = crossing_masks(instance, [e for edges in groups for e in edges])
+    rows = crossing_masks(instance, [e for edges in classes for e in edges])
     lo = 0
-    for edges in groups:
+    for edges in classes:
         cut = (1 << len(edges)) - 1
-        yield edges, [row >> lo & cut for row in rows[lo : lo + len(edges)]]
+        yield [row >> lo & cut for row in rows[lo : lo + len(edges)]]
         lo += len(edges)
 
 

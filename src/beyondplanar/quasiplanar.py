@@ -11,17 +11,22 @@ Two constructions on point sets in general position:
   each; with an exact maximum family it is the family partition.
 
 All verifiers are independent of the constructions: they recheck crossing
-properties with the exact segment predicate.
+properties with the exact segment predicate. The one exception is a class
+whose edges all touch at most k-1 vertices, such as a double star for
+k = 3: it is decided by its incidences alone, since pairwise crossing
+edges share no endpoint and so need k distinct cover vertices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from . import _kernels_py, _native
 from .coloring import Coloring
-from .crossings import build_crossing_graph, canonical_edge, class_crossing_masks
+from .crossings import build_crossing_graph, canonical_edge, canonical_edges, class_crossing_masks
 from .geometry import Edge, PointSet, check_pairwise_crossing, direction_key, orientation
 
 DEFAULT_BUDGET = 10**8
@@ -118,26 +123,56 @@ class QuasiPlanarResult:
         return self.ok
 
 
+def _small_cover(edges: list[Edge], size: int) -> bool:
+    """True if at most `size` vertices touch every edge, by a greedy test.
+
+    Pairwise crossing edges share no endpoint, so such a class holds no
+    size + 1 of them. The test is sound but may miss a cover. One scan
+    keeps pairwise-disjoint edges: size + 1 of them need size + 1 cover
+    vertices, so the class fails there. Otherwise the vertex touching the
+    most edges left goes into the cover, at most `size` times.
+    """
+    used: set[int] = set()
+    for u, v in edges:
+        if u not in used and v not in used:
+            if len(used) == 2 * size:
+                return False
+            used.add(u)
+            used.add(v)
+    for _ in range(size):
+        if not edges:
+            break
+        w = Counter(chain.from_iterable(edges)).most_common(1)[0][0]
+        edges = [e for e in edges if w not in e]
+    return not edges
+
+
 def is_k_quasi_planar(
     points: PointSet, classes: Iterable[Iterable[Edge]], k: int, budget: int = DEFAULT_BUDGET
 ) -> QuasiPlanarResult:
     """True iff no class contains k pairwise crossing edges.
 
     classes is a sequence of edge lists, such as
-    `coloring.classes().values()`, checked in one crossing pass and then
-    one clique search per class, each within `budget` nodes. Every class
-    is range-checked before any is searched, so an out-of-range edge in
-    any class raises ValueError. On failure, index is the position of
-    the first failing class and the witness a
-    crossing family of exactly k of its edges, re-verified with the exact
-    segment predicate.
+    `coloring.classes().values()`. Every class is range-checked before any
+    is decided, so an out-of-range edge in any class raises ValueError.
+    k pairwise crossing edges form a matching, which no k - 1 vertices
+    cover, so a class that a greedy search covers with at most k - 1
+    vertices passes without crossing rows or search. The other classes are
+    checked in one crossing pass and then one clique search per class,
+    each within `budget` nodes. On failure, index is the position of the
+    first failing class and the witness a crossing family of exactly k of
+    its edges, re-verified with the exact segment predicate.
     """
     if k < 2:
         raise ValueError(f"k >= 2 required, got {k}")
-    for index, (es, masks) in enumerate(class_crossing_masks(points, classes)):
+    groups = [canonical_edges(points, edges) for edges in classes]
+    searched = [index for index, edges in enumerate(groups) if not _small_cover(edges, k - 1)]
+    if not searched:
+        return QuasiPlanarResult(True)
+    for index, masks in zip(searched, class_crossing_masks(points, [groups[index] for index in searched])):
         size, members, proven, nodes = _native.max_clique(masks, budget=budget, target=k, floor_size=k - 1)
         if size >= k:
-            witness = tuple(es[i] for i in members[:k])
+            witness = tuple(groups[index][i] for i in members[:k])
             if not check_pairwise_crossing(points, witness):
                 raise AssertionError("quasi-planarity witness fails exact re-verification")
             return QuasiPlanarResult(False, witness, index)
@@ -203,6 +238,8 @@ def halving_line_partition(points: PointSet, family, k: int) -> Coloring:
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
+    if points.n < 2:
+        raise ValueError(f"n >= 2 required, got {points.n}")
     edges = [canonical_edge(points.n, e) for e in family]
     if not check_pairwise_crossing(points, edges):
         raise ValueError("family edges do not pairwise cross")
@@ -253,6 +290,8 @@ def crossing_family_partition(
     """
     if k < 3:
         raise ValueError(f"k >= 3 required, got {k}")
+    if points.n < 2:
+        raise ValueError(f"n >= 2 required, got {points.n}")
     family = max_crossing_family(points, budget=budget)
     if not family.proven_maximum:
         raise SearchBudgetError(

@@ -117,6 +117,14 @@ class TestExitCodes:
         assert run("partition", "slope", "--s", "3", "--in", str(inst)) == 2
         assert capsys.readouterr() == ("", f"error: n >= 3 required, got {n}\n")
 
+    def test_family_on_one_point_is_2(self, tmp_path, capsys):
+        # The family partition's own n check, not the coloring's, names the problem.
+        inst = tmp_path / "inst.txt"
+        assert run("gen", "random", "--n", "1", "--out", str(inst)) == 0
+        capsys.readouterr()
+        assert run("partition", "family", "--k", "3", "--in", str(inst)) == 2
+        assert capsys.readouterr() == ("", "error: n >= 2 required, got 1\n")
+
     def test_halving_without_family_section_is_2(self, paths, capsys):
         assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
         assert run("partition", "halving", "--k", "3", "--in", paths["inst"]) == 2
@@ -148,6 +156,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: maximum crossing family not proven within budget 3 after 3 nodes" in captured.err
+
+    def test_doublestar_verify_spends_no_budget(self, paths, capsys):
+        # Each double star is covered by its two centres, so no class is
+        # searched and not even a one-node budget is spent.
+        assert run("gen", "random", "--n", "20", "--seed", "1", "--out", paths["inst"]) == 0
+        assert run("partition", "doublestar", "--in", paths["inst"], "--out", paths["col"]) == 0
+        capsys.readouterr()
+        argv = ("verify", "quasiplanar", "--k", "3", "--budget", "1", "--in", paths["col"], "--instance", paths["inst"])
+        assert run(*argv) == 0
+        assert capsys.readouterr() == ("verified quasiplanar k=3 n=20 classes=10\n", "")
 
     @pytest.mark.parametrize(
         "argv, text, message",

@@ -45,7 +45,12 @@ Parallel directions share a key.
 
 The class-list verifiers, which take every class in one crossing pass,
 are compared with a loop of one-class calls: the same first failing
-class, witness, crossing count and budget stop.
+class, witness, crossing count and budget stop. `is_k_quasi_planar`,
+which certifies a class that k - 1 vertices cover without a search, is
+compared with one pair-by-pair clique search per class on unions of up
+to k stars, with single edges and empty classes, on random, convex and
+crossing-family sets; an out-of-range edge in a covered class still
+raises.
 """
 
 import hashlib
@@ -55,6 +60,7 @@ import random
 import pytest
 from oracles import naive_crossing_masks, naive_edge_depths, naive_max_clique_enum, naive_side_masks
 
+from beyondplanar import _native
 from beyondplanar.bounds import _diagonals
 from beyondplanar.coloring import Coloring
 from beyondplanar.convex import verify_k_planar
@@ -526,11 +532,96 @@ class TestParallelPairs:
     @pytest.mark.parametrize("points", PARALLEL_SETS, ids=PARALLEL_IDS)
     def test_class_rows_with_an_edge_in_two_classes(self, points, seed):
         classes = random_classes(points.n, seed)
-        got = list(class_crossing_masks(points, classes))
-        want = [canonical_edges(points, edges) for edges in classes]
-        assert len({e for edges in want for e in edges}) < sum(map(len, want))  # an edge in two classes
-        assert [edges for edges, _ in got] == want
-        assert [masks for _, masks in got] == [naive_crossing_masks(points, edges) for edges in want]
+        groups = [canonical_edges(points, edges) for edges in classes]
+        assert len({e for edges in groups for e in edges}) < sum(map(len, groups))  # an edge in two classes
+        got = list(class_crossing_masks(points, groups))
+        assert got == [naive_crossing_masks(points, edges) for edges in groups]
+
+
+def star_union(rng, n, centres, extra=0):
+    """Stars at the centres with random leaves, plus `extra` single edges, shuffled and partly written backwards."""
+    edges = {Edge.of(c, w) for c in centres for w in rng.sample([w for w in range(n) if w != c], rng.randrange(1, n))}
+    edges |= set(rng.sample(all_edges(n), extra))
+    return [e if rng.random() < 0.7 else (e.v, e.u) for e in rng.sample(sorted(edges), len(edges))]
+
+
+def star_classes(points, k, seed, family):
+    """(classes, crossing): unions of j = 0..k stars, some with single edges, and empty classes, in random order.
+
+    With a family, the crossing classes hold k family edges, which
+    pairwise cross: k stars centred on one end of each; k - 1 of them,
+    the k-th edge single and one star edge at it; and the first k family
+    edges with the edge 01. When 0 and 1 lie on two family edges, 01
+    comes first, so the scan for disjoint edges keeps fewer than k of
+    them, and k - 1 greedy cover vertices leave one edge. The crossing
+    classes are among the classes too.
+    """
+    rng = random.Random(f"stars:{points.n}:{k}:{seed}")
+    n = points.n
+    classes = [[], []]
+    for j in range(k + 1):
+        for extra in (0, 0, 1, 2):
+            classes.append(star_union(rng, n, rng.sample(range(n), j), extra))
+    crossing = []
+    if len(family) >= k:
+        chosen = rng.sample(family, k)
+        ends = [rng.choice(e) for e in chosen]
+        bridge = (ends[1], rng.choice(chosen[0]))
+        crossing = [star_union(rng, n, ends) + chosen, star_union(rng, n, ends[1:]) + chosen + [bridge]]
+        crossing.append(family[:k] + [Edge(0, 1)])
+    classes += crossing
+    rng.shuffle(classes)
+    return classes, crossing
+
+
+def reference_quasi_planar(points, classes, k):
+    """(ok, witness, index) from each class's pair-by-pair rows and one clique search per class."""
+    for index, edges in enumerate([canonical_edges(points, c) for c in classes]):
+        size, members, _, _ = _native.max_clique(naive_crossing_masks(points, edges), target=k, floor_size=k - 1)
+        if size >= k:
+            return False, tuple(edges[i] for i in members[:k]), index
+    return True, None, None
+
+
+def swapped_family_set(m, seed):
+    """`gen_perfect_crossing_family_pointset(m)` with points 1 and 2 swapped: its family starts (0, 2), (1, 3)."""
+    points, family = gen_perfect_crossing_family_pointset(m, seed=seed)
+    points = PointSet([points[0], points[2], points[1], *points[3:]])
+    return points, [Edge(0, 2), Edge(1, 3), *family[2:]]
+
+
+STAR_SETS = {  # (points, a perfect crossing family or none)
+    **{f"random{n}": (gen_random_pointset(n, seed=n), []) for n in (9, 14)},
+    **{f"convex{n}": (gen_convex_polygon(n, seed=n), []) for n in (9, 14)},
+    "family5": gen_perfect_crossing_family_pointset(5, seed=5),
+    "family7-swapped": swapped_family_set(7, 7),
+}
+
+
+class TestSmallCovers:
+    """Classes that at most k - 1 vertices touch pass without a search; every verdict matches the reference."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", STAR_SETS)
+    def test_star_unions_match_the_per_class_reference(self, name, k, seed):
+        points, family = STAR_SETS[name]
+        classes, crossing = star_classes(points, k, seed, family)
+        for end in range(1, len(classes) + 1):  # every prefix, so each class is first to fail in one of them
+            result = is_k_quasi_planar(points, classes[:end], k)
+            assert (result.ok, result.witness, result.index) == reference_quasi_planar(points, classes[:end], k)
+        for edges in crossing:
+            result = is_k_quasi_planar(points, [[], edges], k)
+            assert (result.ok, result.index) == (False, 1)
+            assert (result.ok, result.witness, result.index) == reference_quasi_planar(points, [[], edges], k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_covered_class_is_range_checked_first(self, k):
+        points = gen_random_pointset(10, seed=3)
+        star = [(0, w) for w in range(1, 11)]  # (0, 10) is out of range
+        for classes in ([star], [all_edges(10), star], [[], star, all_edges(10)]):
+            with pytest.raises(ValueError, match=r"edge \(0, 10\) out of range for n=10"):
+                is_k_quasi_planar(points, classes, k, budget=1)
 
 
 def cross_cmp(a, b):
@@ -646,10 +737,9 @@ class TestClassLists:
     def test_rows_are_those_of_each_class_alone(self, n, seed):
         classes = random_classes(n, seed)
         for instance in (gen_random_pointset(n, seed=seed), n):
-            got = list(class_crossing_masks(instance, classes))
-            want = [canonical_edges(instance, edges) for edges in classes]
-            assert [edges for edges, _ in got] == want
-            assert [masks for _, masks in got] == [naive_crossing_masks(instance, edges) for edges in want]
+            groups = [canonical_edges(instance, edges) for edges in classes]
+            got = list(class_crossing_masks(instance, groups))
+            assert got == [naive_crossing_masks(instance, edges) for edges in groups]
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [6, 10, 16])

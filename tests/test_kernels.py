@@ -168,7 +168,7 @@ class TestExistenceAtTheRoot:
     def class_rows(n):
         points = gen_random_pointset(n, seed=0)
         colorings = double_star_partition(points), crossing_family_partition(points, 3)[0]
-        return [rows for coloring in colorings for _, rows in class_crossing_masks(points, coloring.classes().values())]
+        return [rows for coloring in colorings for rows in class_crossing_masks(points, list(coloring.classes().values()))]
 
     @pytest.mark.parametrize("n", [24, 32, 40])
     def test_quasi_planar_classes_close_at_the_root_unrelabelled(self, kernel, monkeypatch, n):

@@ -338,6 +338,15 @@ class TestHalvingLinePartition:
         with pytest.raises(ValueError):
             halving_line_partition(ps, fam, 2)
 
+    def test_rejects_one_point_after_k(self):
+        ps = PointSet([(0, 0)])
+        with pytest.raises(ValueError, match="k >= 3 required, got 2"):
+            halving_line_partition(ps, [], 2)
+        with pytest.raises(ValueError, match="n >= 2 required, got 1"):
+            halving_line_partition(ps, [], 3)
+        with pytest.raises(ValueError, match="n >= 2 required, got 1"):
+            crossing_family_partition(ps, 3)
+
     def test_rejects_non_crossing_family(self):
         ps = gen_convex_polygon(4, 0)
         with pytest.raises(ValueError, match="family edges do not pairwise cross"):
