@@ -56,6 +56,15 @@ classes, one per class when every search ends at its root, the peak of
 the Python allocations that `tracemalloc` sees in one check, and its
 wall time on each kernel. Every verdict must be True.
 
+Before each table the script times `probe()` from `perfbench/run.py`
+once, a fixed crossing loop that does not touch the package, and prints
+every time in the table twice: in milliseconds and as a multiple of that
+probe (`p`). A busy shared host slows the probe with the rows next to it,
+so a multiple still compares across runs when the host's speed has
+changed between them; one probe run has its own noise, about +/-10% on
+a quiet host. The probe is imported from the benchmark's directory
+without writing bytecode there.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
 
@@ -63,10 +72,12 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
 from math import comb
+from pathlib import Path
 
 from beyondplanar import _kernels_py, _native
 from beyondplanar.bounds import _diagonals, max_k_plane_subgraph
@@ -82,6 +93,26 @@ from beyondplanar.quasiplanar import (
 )
 
 compiled = _native if _native.IMPLEMENTATION == "compiled" else None
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_probe():
+    """`perfbench/run.py`'s `probe()`, imported without writing bytecode into `perfbench/`."""
+    sys.path.insert(0, str(PERFBENCH))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import run
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(PERFBENCH))
+    return run.probe
+
+
+def table(header: str, probe):
+    """Time the probe once, print it and the header, and return the formatter of this table's times."""
+    unit = probe()
+    print(f"\nprobe {unit * 1000:.1f}ms\n{header}\n{'-' * len(header)}")
+    return lambda seconds: f"{seconds * 1000:7.1f}ms {seconds / unit:7.3f}p"
 
 
 def random_graph(v: int, p: float, seed: int) -> list[int]:
@@ -168,11 +199,10 @@ def main() -> None:
     parser.add_argument("--heavy", action="store_true", help="include the larger workloads")
     args = parser.parse_args()
 
+    probe = load_probe()
     if compiled is None:
         print("compiled kernel not built; timing the pure-Python implementation only")
-    header = f"{'workload':<38} {'size':>5} {'nodes':>9} {'python':>9} {'compiled':>9} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
+    fmt = table(f"{'workload':<38} {'size':>5} {'nodes':>9} {'python':>18} {'compiled':>18} {'speedup':>8}", probe)
     for label, op, wargs, wkwargs in list(clique_workloads(args.heavy)) + list(subset_workloads(args.heavy)):
         py_result, py_time = run_one(getattr(_kernels_py, op), wargs, wkwargs, args.repeat)
         if compiled is not None:
@@ -180,15 +210,12 @@ def main() -> None:
             if (py_result[0], py_result[3]) != (c_result[0], c_result[3]):
                 raise SystemExit(f"implementations disagree on {label}: {py_result} vs {c_result}")
             speedup = f"{py_time / c_time:8.1f}x" if c_time > 0 else "     inf"
-            c_ms = f"{c_time * 1000:7.1f}ms"
+            c_ms = fmt(c_time)
         else:
-            speedup, c_ms = "       -", "        -"
-        print(f"{label:<38} {py_result[0]:>5} {py_result[3]:>9} {py_time * 1000:7.1f}ms {c_ms} {speedup}")
+            speedup, c_ms = "       -", f"{'-':>18}"
+        print(f"{label:<38} {py_result[0]:>5} {py_result[3]:>9} {fmt(py_time)} {c_ms} {speedup}")
 
-    print()
-    header = f"{'crossing layer':<38} {'crossings':>9} {'python':>9}"
-    print(header)
-    print("-" * len(header))
+    fmt = table(f"{'crossing layer':<38} {'crossings':>9} {'python':>18}", probe)
     complete = [(n, "random", all_edges(n)) for n in (24, 32, 40, 60) + ((100,) if args.heavy else ())]
     stars = [(n, "star", [Edge(0, w) for w in range(1, n)]) for n in (40, 100)]
     for n, shape, edges in complete + stars:
@@ -198,14 +225,14 @@ def main() -> None:
         got = sum(m.bit_count() for m in masks) // 2
         if got != want:
             raise SystemExit(f"crossing_masks counts {got} crossings on {shape} n={n}, edges_cross {want}")
-        print(f"{f'crossing masks {shape} n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+        print(f"{f'crossing masks {shape} n={n} E={len(edges)}':<38} {got:>9} {fmt(t)}")
     for n in (24, 32, 40, 60):
         edges = all_edges(n)
         masks, t = run_one(crossing_masks, (n, edges), {}, args.repeat)
         got = sum(m.bit_count() for m in masks) // 2
         if got != comb(n, 4):
             raise SystemExit(f"crossing_masks counts {got} crossings on convex n={n}, C(n, 4) = {comb(n, 4)}")
-        print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {t * 1000:7.1f}ms")
+        print(f"{f'crossing masks convex n={n} E={len(edges)}':<38} {got:>9} {fmt(t)}")
     graphs = [(n, "random", gen_random_pointset(n, seed=n)) for n in (40, 60) + ((100,) if args.heavy else ())]
     graphs += [(n, "convex", gen_convex_polygon(n, seed=n)) for n in (40, 60)]
     for n, shape, points in graphs:
@@ -216,20 +243,15 @@ def main() -> None:
         if edges != sorted(all_edges(n), key=lambda e: (-degree[e], e)):
             raise SystemExit(f"build_crossing_graph on {shape} n={n}: edges not in descending degree order")
         got = sum(degree.values()) // 2
-        print(f"{f'crossing graph {shape} n={n}':<38} {got:>9} {t * 1000:7.1f}ms")
+        print(f"{f'crossing graph {shape} n={n}':<38} {got:>9} {fmt(t)}")
 
-    print()
-    header = f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>9}"
-    print(header)
-    print("-" * len(header))
+    fmt = table(f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>18}", probe)
     for n, k in ((9, 4), (10, 2), (11, 2), (12, 1)):
         result, t = run_one(max_k_plane_subgraph, (n, k), {}, args.repeat)
-        print(f"{f'max_k_plane_subgraph n={n} k={k}':<38} {result.size:>5} {result.nodes:>9} {t * 1000:7.1f}ms")
+        print(f"{f'max_k_plane_subgraph n={n} k={k}':<38} {result.size:>5} {result.nodes:>9} {fmt(t)}")
 
-    print()
-    header = f"{'maximum crossing family':<38} {'size':>5} {'proven':>6} {'nodes':>9} {_native.IMPLEMENTATION:>9}"
-    print(header)
-    print("-" * len(header))
+    header = f"{'maximum crossing family':<38} {'size':>5} {'proven':>6} {'nodes':>9} {_native.IMPLEMENTATION:>18}"
+    fmt = table(header, probe)
     for n, seed, want in family_workloads(args.heavy):
         points = gen_random_pointset(n, seed=seed)
         family, t = run_one(max_crossing_family, (points,), {}, args.repeat)
@@ -240,42 +262,37 @@ def main() -> None:
         if family.edges != tuple(sorted(edges[i] for i in members)):
             raise SystemExit(f"max_crossing_family on random n={n} seed={seed} differs from the unrestricted search")
         label = f"max_crossing_family random n={n} s={seed}"
-        print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {t * 1000:7.1f}ms")
+        print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {fmt(t)}")
 
-    print()
-    header = f"{'colorings and file I/O':<38} {'bytes':>9} {'python':>9}"
-    print(header)
-    print("-" * len(header))
+    fmt = table(f"{'colorings and file I/O':<38} {'bytes':>9} {'python':>18}", probe)
     slopes = {}
     for n in (40, 100, 200):
         slopes[n], t = run_one(slope_partition, (n, 3), {}, args.repeat)
-        print(f"{f'slope_partition convex n={n} s=3':<38} {'-':>9} {t * 1000:7.1f}ms")
+        print(f"{f'slope_partition convex n={n} s=3':<38} {'-':>9} {fmt(t)}")
     for n in (40, 100):
         coloring, t = run_one(double_star_partition, (gen_random_pointset(n, seed=n),), {}, args.repeat)
         sizes = [len(edges) for edges in coloring.classes().values()]
         if coloring.num_colors != n // 2 or sizes != [n - 1] * (n // 2):
             raise SystemExit(f"double_star_partition on random n={n}: class sizes {sizes}")
-        print(f"{f'double_star_partition random n={n}':<38} {'-':>9} {t * 1000:7.1f}ms")
+        print(f"{f'double_star_partition random n={n}':<38} {'-':>9} {fmt(t)}")
     for n, coloring in slopes.items():
         text, t_write = run_one(write_coloring, (coloring,), {}, args.repeat)
         parsed, t_parse = run_one(parse_coloring, (text,), {}, args.repeat)
         if parsed != coloring or write_coloring(parsed) != text:
             raise SystemExit(f"coloring of slope n={n} does not survive its round trip")
-        print(f"{f'write_coloring slope n={n}':<38} {len(text):>9} {t_write * 1000:7.1f}ms")
-        print(f"{f'parse_coloring slope n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
+        print(f"{f'write_coloring slope n={n}':<38} {len(text):>9} {fmt(t_write)}")
+        print(f"{f'parse_coloring slope n={n}':<38} {len(text):>9} {fmt(t_parse)}")
     for n in (40, 100):
         instance = Instance(gen_random_pointset(n, seed=n))
         text, t_write = run_one(write_instance, (instance,), {}, args.repeat)
         parsed, t_parse = run_one(parse_instance, (text,), {}, args.repeat)
         if parsed != instance or write_instance(parsed) != text:
             raise SystemExit(f"instance of random n={n} does not survive its round trip")
-        print(f"{f'write_instance random n={n}':<38} {len(text):>9} {t_write * 1000:7.1f}ms")
-        print(f"{f'parse_instance random n={n}':<38} {len(text):>9} {t_parse * 1000:7.1f}ms")
+        print(f"{f'write_instance random n={n}':<38} {len(text):>9} {fmt(t_write)}")
+        print(f"{f'parse_instance random n={n}':<38} {len(text):>9} {fmt(t_parse)}")
 
-    print()
-    header = f"{'existence checks k=3':<38} {'certified':>9} {'searched':>8} {'nodes':>9} {'peak':>8} {'python':>9} {'compiled':>9}"
-    print(header)
-    print("-" * len(header))
+    header = f"{'existence checks k=3':<38} {'certified':>9} {'searched':>8} {'nodes':>9} {'peak':>8} {'python':>18} {'compiled':>18}"
+    fmt = table(header, probe)
     for label, points, partition in existence_workloads(args.heavy):
         classes = list(partition(points).classes().values())
         spent: list[int] = []  # nodes of each class search, from one check outside the timing
@@ -290,9 +307,9 @@ def main() -> None:
                 verdict, t = run_one(is_k_quasi_planar, (points, classes, 3), {}, args.repeat)
             if not verdict:
                 raise SystemExit(f"is_k_quasi_planar on {label} found {verdict.witness} in class {verdict.index}")
-            times.append(f"{t * 1000:7.1f}ms")
+            times.append(fmt(t))
         if compiled is None:
-            times.append(f"{'-':>9}")
+            times.append(f"{'-':>18}")
         counts = f"{len(classes) - len(spent):>9} {len(spent):>8} {sum(spent):>9}"
         print(f"{label:<38} {counts} {peak / 2**20:6.1f}MB {' '.join(times)}")
 

@@ -18,7 +18,6 @@ from .convex import slope_partition, verify_k_planar
 from .fileio import Instance, ParseError, parse_coloring, parse_instance, write_coloring, write_instance
 from .geometry import (
     GenerationError,
-    PointSet,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
@@ -121,11 +120,6 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _convex_realization(n: int) -> PointSet:
-    # Index order equals clockwise order, so crossings depend only on n.
-    return gen_convex_polygon(n, seed=0)
-
-
 def _cmd_verify(args) -> int:
     _check_budget(args.budget)
     coloring = parse_coloring(_read_text(getattr(args, "in")))
@@ -146,7 +140,8 @@ def _cmd_verify(args) -> int:
         if args.instance is None and coloring.n < 3:
             classes = {}  # one edge at most, so nothing crosses
         elif args.instance is None:
-            instance = _convex_realization(coloring.n)
+            # Index order equals clockwise order, so crossings depend only on n.
+            instance = gen_convex_polygon(coloring.n, seed=0)
     colors = list(classes)
     if args.mode == "kplanar":
         result = verify_k_planar(instance, classes.values(), args.k)

@@ -1,9 +1,10 @@
 """Exact integer geometry: points, crossing predicates, validation, generators.
 
 All predicates work on integer coordinates with exact arithmetic; there is
-no floating point anywhere in a decision path. Generators use floats only
-to place candidate points, then certify the result exactly and retry on
-failure, so their output is always certificate-grade.
+no floating point in any decision path or generator. The convex and
+crossing-family generators construct points on the parabola y = x^2,
+in convex general position by construction, and certify them exactly;
+only the random generator rejects candidates, drawing again in their place.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from typing import Iterable, NamedTuple, Sequence
 COORD_LIMIT = 1 << 30
 
 _GEN_BOX = 10**6
-_GEN_RADIUS = 10**6
-_GEN_ATTEMPTS = 64  # whole-construction resamples (convex, crossing family)
 _GEN_ATTEMPTS_PER_POINT = 500  # candidate draws per point (random)
+_PARABOLA_POINTS = math.isqrt(COORD_LIMIT)  # past isqrt(_GEN_BOX) points x reaches n, and x^2 <= COORD_LIMIT
 
 
 class GenerationError(RuntimeError):
-    """A randomized generator exhausted its retry budget."""
+    """The random generator exhausted its candidate draws."""
 
 
 def quote_int(x: int) -> str:
@@ -235,32 +235,36 @@ def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
     return tuple(cw[start:] + cw[:start])
 
 
-def _attempt_points(raw: list[tuple[float, float]], rng: random.Random) -> list[Point]:
-    # Round to the grid and break ties/collinearities with a +/-1 jitter.
-    return [Point(round(x) + rng.randrange(-1, 2), round(y) + rng.randrange(-1, 2)) for x, y in raw]
+def _parabola(n: int, rng: random.Random) -> list[Point]:
+    """n points (x, x^2) for distinct integers x in [-t, t], in decreasing x.
+
+    t = max(isqrt(_GEN_BOX), n): coordinates stay within +/-_GEN_BOX up to
+    n = isqrt(_GEN_BOX), which leaves fixed integer maps of the points
+    room below COORD_LIMIT, and the box widens only as far as n needs.
+    Any three points of a parabola span a triangle, so the points are in
+    convex general position, clockwise in index order; the callers
+    certify that exactly all the same.
+    """
+    if n > _PARABOLA_POINTS:
+        raise ValueError(f"at most {_PARABOLA_POINTS} points fit on y = x^2 within +/-{COORD_LIMIT}, got {n} points")
+    t = max(math.isqrt(_GEN_BOX), n)
+    return [Point(x, x * x) for x in sorted(rng.sample(range(-t, t + 1), n), reverse=True)]
 
 
 def gen_convex_polygon(n: int, seed: int = 0) -> PointSet:
     """n integer points in convex general position, clockwise in index order.
 
-    Realized on a circle of radius ~10^6; only the cyclic order matters for
-    crossing structure, so the polygon need not be metrically regular.
+    The points (x, x^2) of distinct integers x drawn with the seed, in
+    decreasing x; only the cyclic order matters for crossing structure,
+    so the polygon need not be metrically regular. More than
+    isqrt(COORD_LIMIT) = 32768 points raise ValueError before any is drawn.
     """
     if n < 3:
         raise ValueError(f"a convex polygon needs n >= 3, got {n}")
-    rng = random.Random(f"convex:{n}:{seed}")
-    for _ in range(_GEN_ATTEMPTS):
-        raw = []
-        for i in range(n):
-            theta = math.pi / 2 - 2.0 * math.pi * i / n  # clockwise from 12 o'clock
-            raw.append((_GEN_RADIUS * math.cos(theta), _GEN_RADIUS * math.sin(theta)))
-        try:
-            points = PointSet(_attempt_points(raw, rng))
-        except ValueError:
-            continue
-        if validate_pointset(points) == tuple(range(n)):
-            return points
-    raise GenerationError(f"convex generator failed for n={n}, seed={seed} after {_GEN_ATTEMPTS} attempts")
+    points = PointSet(_parabola(n, random.Random(f"convex:{n}:{seed}")))
+    if validate_pointset(points) != tuple(range(n)):
+        raise AssertionError("parabola points are not convex in clockwise index order")
+    return points
 
 
 def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
@@ -291,31 +295,21 @@ def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
 def gen_perfect_crossing_family_pointset(n: int, seed: int = 0) -> tuple[PointSet, list[Edge]]:
     """2n points carrying a perfect crossing family of n pairwise crossing edges.
 
-    Near-diametral chords of a large circle: chord i runs from angle a_i in
-    (0, pi) to roughly a_i + pi, with all first endpoints separated and all
-    opposite-end perturbations small enough that the 2n endpoints interleave
-    as A_0..A_{n-1}, B_0..B_{n-1} around the circle. Any two such chords have
-    interleaved endpoints and therefore cross. The construction is certified
-    exactly (every pair checked with check_pairwise_crossing) and re-sampled on failure.
+    2n parabola points q_0..q_{2n-1}, drawn as `gen_convex_polygon` draws
+    them, clockwise; edge i joins q_i and q_{n+i}. For i < j the endpoints
+    interleave as q_i, q_j, q_{n+i}, q_{n+j} around the convex polygon, so
+    any two edges cross. The family is certified exactly with
+    check_pairwise_crossing. More than 16384 edges (32768 points) raise
+    ValueError before any point is drawn.
 
-    Returns the point set (endpoints of chord i at positions 2i, 2i+1) and
+    Returns the point set (endpoints of edge i at positions 2i, 2i+1) and
     the family edges (2i, 2i+1).
     """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    rng = random.Random(f"family:{n}:{seed}")
-    for _ in range(_GEN_ATTEMPTS):
-        raw: list[tuple[float, float]] = []
-        for i in range(n):
-            a = math.pi * (i + 0.2 + 0.6 * rng.random()) / n
-            b = a + math.pi + (rng.random() - 0.5) * math.pi / (6.0 * n)
-            raw.append((_GEN_RADIUS * math.cos(a), _GEN_RADIUS * math.sin(a)))
-            raw.append((_GEN_RADIUS * math.cos(b), _GEN_RADIUS * math.sin(b)))
-        try:
-            pts = PointSet(_attempt_points(raw, rng))
-        except ValueError:
-            continue
-        family = [Edge(2 * i, 2 * i + 1) for i in range(n)]
-        if check_pairwise_crossing(pts, family):
-            return pts, family
-    raise GenerationError(f"crossing-family generator failed for n={n}, seed={seed}")
+    ring = _parabola(2 * n, random.Random(f"family:{n}:{seed}"))
+    points = PointSet(chain.from_iterable(zip(ring[:n], ring[n:])))
+    family = [Edge(2 * i, 2 * i + 1) for i in range(n)]
+    if not check_pairwise_crossing(points, family):
+        raise AssertionError("parabola chords fail the pairwise crossing check")
+    return points, family

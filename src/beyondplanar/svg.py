@@ -39,7 +39,8 @@ def _fmt(v: float) -> str:
 
 
 def _circle_layout(n: int) -> list[tuple[float, float]]:
-    # Clockwise from 12 o'clock, matching the convex generator's index order.
+    # n slots clockwise from 12 o'clock, one per place in a clockwise convex
+    # order, whatever the coordinates (the convex generator's lie on a parabola).
     c = _SIZE / 2.0
     r = c - _MARGIN
     out = []

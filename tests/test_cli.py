@@ -9,7 +9,7 @@ import pytest
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
-from beyondplanar.geometry import all_edges, gen_convex_polygon
+from beyondplanar.geometry import all_edges, gen_convex_polygon, validate_pointset
 from beyondplanar.svg import PALETTE, render_svg
 
 
@@ -368,6 +368,12 @@ class TestStdoutData:
         out = capsys.readouterr().out
         assert out.startswith("4\n")
 
+    def test_gen_convex_3000_reads_back_clockwise(self, capsys):
+        # 3000 points once exhausted the generator's retries on a circle.
+        assert run("gen", "convex", "--n", "3000", "--seed", "0") == 0
+        points = parse_instance(capsys.readouterr().out).points
+        assert validate_pointset(points) == tuple(range(3000))
+
     def test_partition_reads_stdin(self, paths, capsys, monkeypatch):
         import io
 
@@ -415,7 +421,10 @@ class TestDeterminism:
     def test_family_and_halving_partitions_byte_identical(self, tmp_path, monkeypatch, capsys):
         # Digest of exit codes, summaries (22 of them carry the m < k note)
         # and colorings as the CLI wrote them when the family partition
-        # returned its own report type.
+        # returned its own report type, re-recorded when the crossing-family
+        # generator moved its points onto y = x^2: the random-set family
+        # records hash as before, and the halving colorings keep their
+        # color counts but group by the lines the new coordinates give.
         monkeypatch.chdir(tmp_path)  # relative paths keep the out= summaries fixed
         h = hashlib.sha256()
         for n in range(2, 25):
@@ -432,7 +441,7 @@ class TestDeterminism:
             for k in (3, 4):
                 rc = run("partition", "halving", "--k", str(k), "--in", "inst.txt")
                 h.update(f"{rc}\n{capsys.readouterr().out}".encode())
-        assert h.hexdigest() == "f16311ed181c158080f6ad225cc2393e124b7b9cdb7910fac2571adf03325468"
+        assert h.hexdigest() == "921e18e06cfd899b09df0f1fe896f1daba57a4e24e1174a33ed3d5b0144c50f6"
 
     def test_bounds_and_verify_byte_identical(self, tmp_path, monkeypatch, capsys):
         # Digest of exit codes, stdout and stderr as the CLI wrote them when
@@ -529,7 +538,9 @@ class TestRenderSvg:
     def test_slope_partitions_render_byte_identical(self):
         # Digest of these SVGs as the renderer drew them when it wrote one
         # group per declared class; slope partitions use every class, so
-        # grouping by used class must not change a byte.
+        # grouping by used class must not change a byte. Re-recorded when
+        # the convex generator moved its points onto y = x^2: the records
+        # on a circle hash as before, and the ones drawn to scale changed.
         from beyondplanar.convex import slope_partition
 
         h = hashlib.sha256()
@@ -537,7 +548,7 @@ class TestRenderSvg:
             for s in (3, 4):
                 h.update(on_circle(n, slope_partition(n, s)).encode())
             h.update(render_svg(gen_convex_polygon(n, seed=n), slope_partition(n, 3)).encode())
-        assert h.hexdigest() == "69625b096dd6a686026cccccd164b085b72472a78f7898e59fb6ca4cc67f6d3a"
+        assert h.hexdigest() == "7924a6dda641fa8351b121d07eb830408ba817ab72962b4195653f48405dd498"
 
     def test_unused_classes_draw_no_group(self, tmp_path, capsys):
         # The header declares a million classes; the file uses one.

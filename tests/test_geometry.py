@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,14 @@ class TestGenConvexPolygon:
         with pytest.raises(ValueError):
             gen_convex_polygon(2, 0)
 
+    @pytest.mark.parametrize("n", [3, 40, 1000])
+    def test_coordinates_stay_within_a_million(self, n):
+        # The fixed maps of TestOrderTypeInvariance (scaling by 512, a
+        # shear by 7) keep such points within COORD_LIMIT.
+        points = gen_convex_polygon(n, seed=n)
+        assert max(max(abs(p.x), abs(p.y)) for p in points) <= 10**6
+        assert validate_pointset(points) == tuple(range(n))
+
 
 class TestGenRandomPointset:
     def test_single_point(self):
@@ -350,6 +359,10 @@ class TestGenPerfectCrossingFamily:
         b = gen_perfect_crossing_family_pointset(4, 9)
         assert a[0] == b[0] and a[1] == b[1]
 
+    def test_coordinates_stay_within_a_million(self):
+        points, _ = gen_perfect_crossing_family_pointset(500, seed=1)
+        assert max(max(abs(p.x), abs(p.y)) for p in points) <= 10**6
+
     @given(st.integers(1, 10), st.integers(0, 20))
     @settings(max_examples=25, deadline=None)
     def test_certificate_holds_across_seeds(self, n, seed):
@@ -357,6 +370,22 @@ class TestGenPerfectCrossingFamily:
         for i, e in enumerate(fam):
             for f in fam[i + 1 :]:
                 assert ps.edges_cross(e, f)
+
+
+@pytest.mark.parametrize(
+    "generate, n, points",
+    [
+        (gen_convex_polygon, 32769, 32769),
+        (gen_convex_polygon, 10**9, 10**9),
+        (gen_perfect_crossing_family_pointset, 16385, 32770),
+        (gen_perfect_crossing_family_pointset, 10**9, 2 * 10**9),
+    ],
+)
+def test_more_points_than_the_parabola_holds_are_refused_at_once(generate, n, points):
+    # x runs up to the point count past 1000 points, and x^2 must stay within COORD_LIMIT.
+    message = f"at most 32768 points fit on y = x^2 within +/-{COORD_LIMIT}, got {points} points"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(n)
 
 
 def test_generation_error_is_runtime_error():

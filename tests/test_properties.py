@@ -30,6 +30,7 @@ from beyondplanar.quasiplanar import (
     check_pairwise_crossing,
     crossing_family_partition,
     double_star_partition,
+    halving_line_partition,
     is_k_quasi_planar,
     max_crossing_family,
 )
@@ -184,6 +185,32 @@ ORDER_TYPE_MAPS = {
 }
 
 
+# Elementary integer maps of determinant +/-1, by name, as (a, b, c, d) for
+# (x, y) -> (ax + by, cx + dy) given a shear factor. Random sets and
+# parabola sets of up to 1000 points span at most 10^6 on each axis, so a
+# row sum |a| + |b| of at most MAX_ROW_SUM keeps their images within a
+# span of 10^9, below COORD_LIMIT = 2^30.
+ELEMENTARY_MAPS = {
+    "shear-x": lambda s: (1, s, 0, 1),
+    "shear-y": lambda s: (1, 0, s, 1),
+    "axis-swap": lambda s: (0, 1, 1, 0),
+    "reflection": lambda s: (-1, 0, 0, 1),
+}
+MAX_ROW_SUM = 1000
+
+
+@st.composite
+def unimodular_maps(draw):
+    """A product of up to five elementary maps, each kept only while every row sum stays within MAX_ROW_SUM."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        p, q, r, t = ELEMENTARY_MAPS[draw(st.sampled_from(sorted(ELEMENTARY_MAPS)))](draw(st.integers(-40, 40)))
+        product = (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
+        if max(abs(product[0]) + abs(product[1]), abs(product[2]) + abs(product[3])) <= MAX_ROW_SUM:
+            a, b, c, d = product
+    return a, b, c, d
+
+
 def _crossing_structure(points, relabel):
     """(edges crossed, depth) of each edge of K(P), every edge renamed by `relabel`."""
     edges, masks, depths = build_crossing_graph(points)
@@ -227,6 +254,66 @@ class TestOrderTypeInvariance:
                 for classes in [[all_edges(n)]] + [list(c.classes().values()) for c in colorings]:
                     want = is_k_quasi_planar(points, classes, 3).ok
                     assert is_k_quasi_planar(mapped, [[relabel(e) for e in c] for c in classes], 3).ok == want
+
+    @given(
+        st.sampled_from(["random", "convex", "family"]),
+        st.integers(min_value=3, max_value=13),
+        st.integers(min_value=0, max_value=2**16),
+        unimodular_maps(),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_maps_near_the_coordinate_limit_keep_every_verdict(self, kind, n, seed, matrix, data):
+        """A drawn unimodular map and translation put the largest coordinate within a factor of 2 of COORD_LIMIT.
+
+        The sets are random ones and parabola ones: convex in clockwise
+        index order, or the crossing-family generator's, with its family.
+        """
+        family = []
+        if kind == "random":
+            points = gen_random_pointset(n, seed)
+        elif kind == "convex":
+            points = gen_convex_polygon(n, seed)
+        else:
+            points, family = gen_perfect_crossing_family_pointset(n // 2, seed)
+        n = points.n
+        a, b, c, d = matrix
+        image = [(a * p.x + b * p.y, c * p.x + d * p.y) for p in points]
+        axes = []
+        for values in zip(*image):
+            # The extreme coordinate on a drawn side of this axis lands on a drawn target.
+            target = data.draw(st.integers(min_value=COORD_LIMIT // 2, max_value=COORD_LIMIT), label="target")
+            shift = target - max(values) if data.draw(st.booleans(), label="positive") else -target - min(values)
+            axes.append([v + shift for v in values])
+        new_index = data.draw(st.permutations(range(n)), label="new_index")  # point i becomes point new_index[i]
+        placed = [None] * n
+        for i, p in enumerate(zip(*axes)):
+            placed[new_index[i]] = p
+        mapped = PointSet(placed)
+        assert COORD_LIMIT // 2 <= max(max(abs(p.x), abs(p.y)) for p in mapped) <= COORD_LIMIT
+
+        def relabel(e):
+            return Edge.of(new_index[e.u], new_index[e.v])
+
+        assert _crossing_structure(mapped, lambda e: e) == _crossing_structure(points, relabel)
+        best, mapped_best = max_crossing_family(points), max_crossing_family(mapped)
+        assert (mapped_best.size, mapped_best.proven_maximum) == (best.size, best.proven_maximum)
+        colorings = []
+        for k in (3, 4):
+            partition = crossing_family_partition(points, k)[0]
+            assert crossing_family_partition(mapped, k)[0].num_colors == partition.num_colors
+            colorings.append(partition)
+        if family:
+            halving = halving_line_partition(points, family, 3)
+            assert halving_line_partition(mapped, [relabel(e) for e in family], 3).num_colors == halving.num_colors
+            colorings.append(halving)
+        if n % 2 == 0:
+            colorings.append(double_star_partition(points))
+        for classes in [[all_edges(n)]] + [list(c.classes().values()) for c in colorings]:
+            mapped_classes = [[relabel(e) for e in c] for c in classes]
+            for k in (3, 4):
+                assert is_k_quasi_planar(mapped, mapped_classes, k).ok == is_k_quasi_planar(points, classes, k).ok
+            assert verify_k_planar(mapped, mapped_classes, 1).ok == verify_k_planar(points, classes, 1).ok
 
 
 def _mutated(draw, text):
@@ -295,6 +382,8 @@ FLAG_VALUES = [
     ("gen convex --n 0", 2, "error: --n must be positive, got 0", ""),
     ("gen convex --n 2", 2, "error: a convex polygon needs n >= 3, got 2", ""),
     ("gen random --n 2", 0, "", ""),
+    ("gen convex --n 1000000000", 2, "error: at most 32768 points fit on y = x^2 within +/-1073741824, got 1000000000 points", ""),
+    ("gen crossing-family --n 1000000000", 2, "error: at most 32768 points fit on y = x^2 within +/-1073741824, got 2000000000 points", ""),
     ("bounds --n 0", 2, "error: --n must be at least 3, got 0", ""),
     ("bounds --n 2", 2, "error: --n must be at least 3, got 2", ""),
     ("partition family --in {random} --k 3 --budget 0", 2, "error: --budget must be positive, got 0", ""),
