@@ -36,11 +36,13 @@ search over the whole crossing graph proved for that instance, and
 return the same edges as the unrestricted search of the whole crossing
 graph for a family of that size, run outside the timing.
 
-A fifth table times the colorings and their files, none of which has a
-compiled twin: `slope_partition` (s = 3) on convex n = 40, 100 and 200
-and `double_star_partition` on random n = 40 and 100, then
-`write_coloring` and `parse_coloring` on the slope colorings and
-`write_instance` and `parse_instance` on the random point sets of
+A fifth table times the random generator, the colorings and their files,
+none of which has a compiled twin: `gen_random_pointset` at n = 400 and
+1000, whose bytes column is the peak of the Python allocations that
+`tracemalloc` sees in one run, then `slope_partition` (s = 3) on convex
+n = 40, 100 and 200 and `double_star_partition` on random n = 40 and
+100, then `write_coloring` and `parse_coloring` on the slope colorings
+and `write_instance` and `parse_instance` on the random point sets of
 n = 40 and 100. Each file row checks that the text parses back to the
 value it was written from, and each double-star row that it has n/2
 classes of n - 1 edges.
@@ -56,14 +58,14 @@ classes, one per class when every search ends at its root, the peak of
 the Python allocations that `tracemalloc` sees in one check, and its
 wall time on each kernel. Every verdict must be True.
 
-Before each table the script times `probe()` from `perfbench/run.py`
-once, a fixed crossing loop that does not touch the package, and prints
-every time in the table twice: in milliseconds and as a multiple of that
-probe (`p`). A busy shared host slows the probe with the rows next to it,
-so a multiple still compares across runs when the host's speed has
-changed between them; one probe run has its own noise, about +/-10% on
-a quiet host. The probe is imported from the benchmark's directory
-without writing bytecode there.
+Before each table the script times `probe()` from `perfbench/run.py`,
+a fixed crossing loop that does not touch the package, best of three,
+and prints every time in the table twice: in milliseconds and as a
+multiple of that probe (`p`). A busy shared host slows the probe with
+the rows next to it, so a multiple still compares across runs when the
+host's speed has changed between them; one probe run has its own noise,
+about +/-10% on a quiet host. The probe is imported from the benchmark's
+directory without writing bytecode there.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--heavy]
 """
@@ -109,8 +111,8 @@ def load_probe():
 
 
 def table(header: str, probe):
-    """Time the probe once, print it and the header, and return the formatter of this table's times."""
-    unit = probe()
+    """Time the probe, best of three, print it and the header, and return the formatter of this table's times."""
+    unit = min(probe() for _ in range(3))
     print(f"\nprobe {unit * 1000:.1f}ms\n{header}\n{'-' * len(header)}")
     return lambda seconds: f"{seconds * 1000:7.1f}ms {seconds / unit:7.3f}p"
 
@@ -265,6 +267,15 @@ def main() -> None:
         print(f"{label:<38} {family.size:>5} {'yes':>6} {family.nodes:>9} {fmt(t)}")
 
     fmt = table(f"{'colorings and file I/O':<38} {'bytes':>9} {'python':>18}", probe)
+    for n in (400, 1000):
+        tracemalloc.start()
+        gen_random_pointset(n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        points, t = run_one(gen_random_pointset, (n,), {}, args.repeat)
+        if points.n != n:
+            raise SystemExit(f"gen_random_pointset({n}) drew {points.n} points")
+        print(f"{f'gen_random_pointset n={n}':<38} {peak / 2**20:7.2f}MB {fmt(t)}")
     slopes = {}
     for n in (40, 100, 200):
         slopes[n], t = run_one(slope_partition, (n, 3), {}, args.repeat)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .convex import slope_partition, verify_k_planar
-from .fileio import Instance, ParseError, parse_coloring, parse_instance, write_coloring, write_instance
+from .fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from .geometry import (
     GenerationError,
     gen_convex_polygon,
@@ -273,7 +273,7 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CommandError, ParseError, ValueError, OverflowError, GenerationError, SearchBudgetError) as exc:
+    except (CommandError, ValueError, OverflowError, GenerationError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

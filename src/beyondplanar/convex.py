@@ -1,12 +1,12 @@
 """Convex-position combinatorics: slope classes, interval partitions, k-planarity.
 
-Everything here is index-combinatorial. For points in convex position the
-crossing structure depends only on the cyclic vertex order, so edges are
-plain index pairs on a virtual regular n-gon and no coordinates appear.
-Two chords {i, j} and {k, l} of the regular n-gon are parallel exactly when
-i + j and k + l agree mod n, which makes (i + j) mod n a slope label.
-`slope_partition` and `verify_k_planar` also take a PointSet in convex
-position, so one construction and one verifier serve both.
+For points in convex position the crossing structure depends only on the
+cyclic vertex order, so an int n stands for n points in convex position in
+index order, and edges are index pairs on a virtual regular n-gon. Two
+chords {i, j} and {k, l} of it are parallel exactly when i + j and k + l
+agree mod n, which makes (i + j) mod n a slope label. `slope_partition`
+also takes a PointSet in convex position, on its clockwise order;
+`verify_k_planar` takes any PointSet and counts crossings on its points.
 """
 
 from __future__ import annotations

@@ -133,13 +133,9 @@ def direction_key(d: Sequence[int]) -> int:
     return (-d[0] << 64) // d[1] if d[1] else -(1 << 96)
 
 
-def find_duplicate(points: Sequence[Point]) -> tuple[int, int] | None:
-    seen: dict[Point, int] = {}
-    for i, p in enumerate(points):
-        if p in seen:
-            return seen[p], i
-        seen[p] = i
-    return None
+def _direction_keys(p: Point, points: Iterable[Point]) -> list[int]:
+    """The `direction_key` of the line from p to each of the points, in order."""
+    return [direction_key((q.x - p.x, q.y - p.y)) for q in points]
 
 
 def find_collinear_triple(points: Sequence[Point]) -> tuple[int, int, int] | None:
@@ -153,7 +149,7 @@ def find_collinear_triple(points: Sequence[Point]) -> tuple[int, int, int] | Non
     first k on the line through i of an earlier j, and the first such j.
     """
     for i, p in enumerate(points):
-        keys = [direction_key((q.x - p.x, q.y - p.y)) for q in points[i + 1 :]]
+        keys = _direction_keys(p, points[i + 1 :])
         if len(set(keys)) < len(keys):
             seen: dict[int, int] = {}
             for k, key in enumerate(keys, i + 1):
@@ -176,9 +172,10 @@ class PointSet(tuple[Point, ...]):
         pts = _as_points(points)
         if not pts:
             raise ValueError("a point set needs at least one point")
-        dup = find_duplicate(pts)
-        if dup is not None:
-            raise ValueError(f"duplicate points at indices {dup[0]} and {dup[1]}")
+        first: dict[Point, int] = {}
+        for i, p in enumerate(pts):
+            if first.setdefault(p, i) != i:
+                raise ValueError(f"duplicate points at indices {first[p]} and {i}")
         bad = find_collinear_triple(pts)
         if bad is not None:
             raise ValueError(f"collinear triple at indices {bad[0]}, {bad[1]}, {bad[2]}")
@@ -268,25 +265,26 @@ def gen_convex_polygon(n: int, seed: int = 0) -> PointSet:
 
 
 def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
-    """n uniform integer points in a fixed box, collinear triples rejected."""
+    """n uniform integer points in [0, _GEN_BOX]^2, in general position.
+
+    A candidate drawn with the seed is accepted iff it repeats no accepted
+    point and its `direction_key`s to them are pairwise distinct, that is,
+    it is collinear with no two of them; else it is drawn again. 500 draws
+    for one point raise GenerationError. Only the point list grows with n.
+    """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
     rng = random.Random(f"random:{n}:{seed}")
     pts: list[Point] = []
-    directions: list[set[int]] = []  # per anchor: the direction keys of the lines to later points
     for _ in range(n):
         for _attempt in range(_GEN_ATTEMPTS_PER_POINT):
             cand = Point(rng.randrange(0, _GEN_BOX + 1), rng.randrange(0, _GEN_BOX + 1))
-            if any(cand == p for p in pts):
+            if cand in pts:
                 continue
-            dirs = [direction_key((cand.x - p.x, cand.y - p.y)) for p in pts]
-            if any(d in directions[i] for i, d in enumerate(dirs)):
-                continue
-            for i, d in enumerate(dirs):
-                directions[i].add(d)
-            directions.append(set())
-            pts.append(cand)
-            break
+            keys = _direction_keys(cand, pts)
+            if len(set(keys)) == len(keys):
+                pts.append(cand)
+                break
         else:
             raise GenerationError(f"random generator failed for n={n}, seed={seed}")
     return PointSet(pts)

@@ -186,6 +186,33 @@ def naive_collinear_triple(points):
     return None
 
 
+def naive_random_pointset(n, seed, box, attempts=500):
+    """The points of `gen_random_pointset(n, seed)` drawn in [0, box]^2, or None where it gives up.
+
+    A rejection sampler on the generator's seeded draws: a candidate is
+    kept iff it differs from every kept point and makes a nonzero exact
+    orientation determinant with every two of them, checked triple by
+    triple. After `attempts` draws for one point it gives up.
+    """
+    import random
+
+    from beyondplanar.geometry import Point
+
+    rng = random.Random(f"random:{n}:{seed}")
+    kept = []
+    for _ in range(n):
+        for _attempt in range(attempts):
+            c = Point(rng.randrange(0, box + 1), rng.randrange(0, box + 1))
+            if c not in kept and all(
+                (a.x - c.x) * (b.y - c.y) != (a.y - c.y) * (b.x - c.x) for i, a in enumerate(kept) for b in kept[:i]
+            ):
+                kept.append(c)
+                break
+        else:
+            return None
+    return kept
+
+
 def naive_side_masks(points, edges):
     """Side masks of an edge list, one determinant per edge and used point.
 

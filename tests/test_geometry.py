@@ -4,12 +4,14 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_collinear_triple
+from oracles import naive_collinear_triple, naive_random_pointset
 
+from beyondplanar import geometry
 from beyondplanar.geometry import (
     COORD_LIMIT,
     Edge,
@@ -335,6 +337,28 @@ class TestGenRandomPointset:
     @pytest.mark.parametrize("n", [3, 20, 60])
     def test_general_position_by_the_gcd_scan(self, n):
         assert naive_collinear_triple(gen_random_pointset(n, seed=n)) is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_small_box_rejects_as_the_brute_force_sampler_does(self, monkeypatch, seed):
+        # On a 13 x 13 grid most candidates repeat a point or close a
+        # collinear triple, and from 19 points on the 500 draws can run out.
+        monkeypatch.setattr(geometry, "_GEN_BOX", 12)
+        for n in range(1, 25):
+            want = naive_random_pointset(n, seed, 12)
+            if want is None:
+                with pytest.raises(GenerationError, match=f"n={n}, seed={seed}"):
+                    gen_random_pointset(n, seed)
+            else:
+                assert list(gen_random_pointset(n, seed)) == want
+
+    def test_memory_grows_no_faster_than_the_points(self):
+        tracemalloc.start()
+        try:
+            gen_random_pointset(400, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestGenPerfectCrossingFamily:
