@@ -24,8 +24,9 @@ convex row against C(n, 4), and each crossing-graph row its masks
 against `crossing_masks` of the reordered edges and its order against
 the degrees those masks give.
 
-A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`,
-on the kernel in use: its size, the nodes of its one subset search, and
+A third table times the extremal oracle, `max_k_plane_subgraph(n, k)`
+for (n, k) = (9, 4), (10, 2), (11, 2), (11, 3), (12, 1) and (12, 2), on
+the kernel in use: its size, the nodes of its one subset search, and
 its wall time.
 
 A fourth table times `max_crossing_family` on random n = 40, 48 and 60
@@ -248,7 +249,7 @@ def main() -> None:
         print(f"{f'crossing graph {shape} n={n}':<38} {got:>9} {fmt(t)}")
 
     fmt = table(f"{'extremal oracle':<38} {'size':>5} {'nodes':>9} {_native.IMPLEMENTATION:>18}", probe)
-    for n, k in ((9, 4), (10, 2), (11, 2), (12, 1)):
+    for n, k in ((9, 4), (10, 2), (11, 2), (11, 3), (12, 1), (12, 2)):
         result, t = run_one(max_k_plane_subgraph, (n, k), {}, args.repeat)
         print(f"{f'max_k_plane_subgraph n={n} k={k}':<38} {result.size:>5} {result.nodes:>9} {fmt(t)}")
 

@@ -134,8 +134,12 @@ long long bp_max_clique(int n, int W, const u64 *adj, const u64 *allowed, long l
    chosen set S can take k|S| - 2 cr(S) more conflicts in all, a free
    index j that joins takes cnt[j] of them, so at most the free indices
    with cnt 0 plus the most of the rest that fit, cheapest first, can
-   join. It prunes only subtrees without a better subset. */
-long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, long long cap,
+   join. It prunes only subtrees without a better subset.
+
+   stop: d ints, stop[i] the index after the last of i's orbit (see
+   _kernels_py). Backtracking to a node with nothing chosen bars the rest
+   of i's orbit with i and goes on at stop[i]; elsewhere at i + 1. */
+long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts, const int *stop, long long cap,
                                       long long budget, int *cnt, int *level, u64 *blocked, u64 *chosen,
                                       u64 *best_mask, long long *best, int *exhausted)
 {
@@ -223,9 +227,11 @@ long long bp_max_conflict_bounded_set(int d, int W, int k, const u64 *conflicts,
             for (u64 m = conflicts[(size_t)i * W + w]; m; m &= m - 1)
                 cnt[w * 64 + __builtin_ctzll(m)]--;
         crossed -= cnt[i];
-        memcpy(blocked + (size_t)(i + 1) * W, blocked + (size_t)i * W, W * sizeof(u64));
-        blocked[(size_t)(i + 1) * W + (i >> 6)] |= BIT(i);
-        i++;
+        int after = size ? i + 1 : stop[i]; /* on the spine: past i's whole orbit */
+        u64 *to = blocked + (size_t)after * W;
+        memcpy(to, blocked + (size_t)i * W, W * sizeof(u64));
+        for (; i < after; i++)
+            to[i >> 6] |= BIT(i);
     }
     return nodes;
 }

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import sys
 from array import array
+from typing import Sequence
 
 from . import _kernels_py
 
@@ -52,7 +53,7 @@ class CompiledKernels:
         self._clique.restype = _ll
         self._subset = lib.bp_max_conflict_bounded_set
         self._subset.argtypes = [
-            _int, _int, _int, _u64p, _ll, _ll, _intp, _intp, _u64p, _u64p, _u64p, _llp, _intp
+            _int, _int, _int, _u64p, _intp, _ll, _ll, _intp, _intp, _u64p, _u64p, _u64p, _llp, _intp
         ]
         self._subset.restype = _ll
 
@@ -91,15 +92,17 @@ class CompiledKernels:
         k: int,
         cap: int | None = None,
         budget: int = 10**8,
+        orbits: Sequence[int] | None = None,
     ) -> tuple[int, list[int], bool, int]:
         """Largest index subset in which every member conflicts with at most k members; see _kernels_py."""
         _kernels_py.check_conflicts(conflicts)
         d = len(conflicts)
+        stops = _kernels_py.orbit_stops(orbits, d)
         w = max(1, -(-d // 64))
         best, exhausted = _ll(-1), _int(0)
         best_mask = _zeros(_u64, w)
         nodes = self._subset(
-            d, w, _clamp(k, -1, d + 1), _words(conflicts, w),
+            d, w, _clamp(k, -1, d + 1), _words(conflicts, w), (_int * max(d, 1))(*stops),
             d + 1 if cap is None else _clamp(cap, -1, d + 1), _clamp(budget, 0, 2**62),
             _zeros(_int, d), _zeros(_int, d + 1), _zeros(_u64, (d + 1) * w), _zeros(_u64, w), best_mask,
             ctypes.byref(best), ctypes.byref(exhausted),

@@ -210,11 +210,28 @@ def max_clique(
     return best_size, members, not exhausted, nodes
 
 
+def orbit_stops(orbits: Sequence[int] | None, d: int) -> list[int]:
+    """stops[i]: the index after the last of i's orbit, the orbits being runs of the given lengths.
+
+    None makes every index its own orbit. Raises ValueError unless the
+    lengths are at least 1 and sum to d.
+    """
+    if orbits is None:
+        return list(range(1, d + 1))
+    if any(length < 1 for length in orbits) or sum(orbits) != d:
+        raise ValueError(f"orbit lengths {list(orbits)} must be at least 1 and sum to {d}")
+    stops: list[int] = []
+    for length in orbits:
+        stops += [len(stops) + length] * length
+    return stops
+
+
 def max_conflict_bounded_set(
     conflicts: list[int],
     k: int,
     cap: int | None = None,
     budget: int = 10**8,
+    orbits: Sequence[int] | None = None,
 ) -> tuple[int, list[int], bool, int]:
     """Largest index subset in which every member conflicts with at most k members.
 
@@ -246,9 +263,25 @@ def max_conflict_bounded_set(
     hold no better subset, so the answer and the witness are those of the
     search without it. For k = 0 nothing is spare and every free index
     has c_j = 0, so the bound is the free count, as it is for k < 0.
+
+    `orbits` lists the lengths of consecutive index runs, each an orbit
+    of a group of index permutations that maps conflicts to conflicts.
+    Like `cap` it is a fact the caller has proven; None makes every index
+    its own orbit, the plain search. The spine is the path of nodes with
+    nothing chosen. Backtracking to a spine node takes its exclude branch
+    with the rest of the index's orbit barred too, and goes on past the
+    orbit (to i + 1 when the orbit is i alone). So a spine node decides
+    the first index i of an orbit, every earlier orbit barred. A subset W
+    in its exclude branch that holds a member j of i's orbit avoids the
+    earlier orbits, and a symmetry taking j to i maps it to a subset of
+    the same size that holds i and avoids them too: one in the include
+    branch, searched first. So the first largest subset in branch order
+    is never barred, and the size, members and `proven` are those of the
+    search without `orbits`, in no more nodes.
     """
     check_conflicts(conflicts)
     d = len(conflicts)
+    stops = orbit_stops(orbits, d)
     k = max(-1, min(k, d))  # no index conflicts with d others, so a larger k never binds
     if cap is None:
         cap = d + 1  # no subset is larger
@@ -322,11 +355,12 @@ def max_conflict_bounded_set(
                 i, blocked = i + 1, blocked | bit
                 continue
         # Backtrack: return to the deepest open include branch and take its
-        # exclude branch.
+        # exclude branch, which on the spine also bars the rest of i's orbit.
         if not stack:
             break
         i, size, crossed, chosen, blocked, ge = stack.pop()
-        i, blocked = i + 1, blocked | 1 << i
+        after = i + 1 if size else stops[i]
+        i, blocked = after, blocked | suffix[i] ^ suffix[after]
 
     members = [i for i in range(d) if best_mask >> i & 1]
     return best_size, members, not exhausted, nodes

@@ -13,6 +13,16 @@ edge order), as the clique kernel colors dense vertices first: including
 one fills the crossing capacity of many others early, so the subset
 kernel's spare-capacity bound closes subtrees near the root. The order
 changes which maximum witness comes back, never its size.
+
+Most of the search proves the optimum rather than finding it, and much
+of that proof re-searches images under the polygon's dihedral symmetry.
+The rotations and reflections map the diagonals of one skip onto each
+other and crossing pairs onto crossing pairs, so each skip's run of the
+branch order is an orbit, and the search takes the runs as its `orbits`
+(orbital branching): where it backtracks with nothing chosen, the
+exclude branch bars the rest of that skip. Every subset so barred has a
+rotated image of the same size in the include branch searched just
+before, so the witness, the size and `proven` stay the same.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 from . import _native
@@ -110,6 +121,16 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     k <= 4. The witness is the first largest set in that branch order,
     and it is re-verified independently before returning. A budget below
     1 searches nothing: the hull comes back unproven, with 0 nodes.
+
+    Each skip's run of diagonals goes to the search as one orbit. Where
+    the search backtracks to a node with nothing chosen, deciding the
+    first diagonal e of a skip with every longer skip excluded, its
+    exclude branch also bars e's skip. A barred subset W holds some
+    diagonal f of e's skip and no longer one; the rotation taking f to e
+    keeps skips and crossings, so it maps W to a k-plane set of the same
+    size with e and no longer diagonal, in the include branch searched
+    first. So the first largest set is never barred, and the witness, the
+    size and `proven` are those of the search without orbits.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got {n}")
@@ -120,8 +141,9 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
         return SubgraphSearchResult(n, hull, False, 0)
     diagonals = _diagonals(n)
     cap = int(edge_bound_small_k(n, k)) - n if k <= 4 else None  # rounded down: a sound pruning cap
+    skips = [len(list(run)) for _, run in groupby(diagonals, key=lambda e: _skip(n, e))]
     _, members, proven, nodes = _native.max_conflict_bounded_set(
-        crossing_masks(n, diagonals), k, cap=cap, budget=budget
+        crossing_masks(n, diagonals), k, cap=cap, budget=budget, orbits=skips
     )
     edges = hull + tuple(diagonals[i] for i in members)
 

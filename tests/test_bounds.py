@@ -6,7 +6,10 @@ from math import comb
 import pytest
 from oracles import naive_color_lower, naive_convex_crossings, naive_max_k_plane_convex
 
+from beyondplanar import _native
 from beyondplanar.bounds import (
+    _diagonals,
+    _skip,
     count_crossings,
     crossing_lemma_bound,
     edge_bound_general,
@@ -18,6 +21,7 @@ from beyondplanar.bounds import (
     quasi_color_bounds,
 )
 from beyondplanar.convex import verify_k_planar
+from beyondplanar.crossings import crossing_masks
 from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon
 
 
@@ -186,13 +190,18 @@ class TestMaxKPlaneSubgraph:
         assert r.proven and r.size == 28 == edge_bound_small_k(11, 2) and r.nodes <= 45
 
     def test_most_crossed_first_proves_with_few_nodes(self):
-        # Most-crossed diagonals first and the spare-capacity bound: these
-        # took 336,205 and 118,165 nodes in ascending skip order with the
-        # free-index bound alone.
+        # Most-crossed diagonals first, the spare-capacity bound and the skip
+        # orbits: (9, 4) and (10, 2) took 336,205 and 118,165 nodes in
+        # ascending skip order with the free-index bound alone, and 6,324
+        # and 10,599 without the orbits.
         r = max_k_plane_subgraph(9, 4)
-        assert r.proven and r.size == 24 and r.nodes <= 6_324
+        assert r.proven and r.size == 24 and r.nodes <= 2_690
         r = max_k_plane_subgraph(10, 2)
-        assert r.proven and r.size == 24 and r.nodes <= 10_599
+        assert r.proven and r.size == 24 and r.nodes <= 2_830
+        r = max_k_plane_subgraph(11, 3)
+        assert r.proven and r.size == 29 and r.nodes <= 36_999
+        r = max_k_plane_subgraph(12, 2)
+        assert r.proven and r.size == 30 and r.nodes <= 60_465
 
     @pytest.mark.parametrize("n, sizes", sorted(PROVEN_SIZES.items()))
     def test_pinned_sizes_are_proven(self, n, sizes):
@@ -221,6 +230,53 @@ class TestMaxKPlaneSubgraph:
             max_k_plane_subgraph(2, 0)
         with pytest.raises(ValueError):
             max_k_plane_subgraph(5, -1)
+
+
+def dihedral_images(n):
+    """The generators of the dihedral group on convex K_n: rotation v -> v+1 and reflection v -> -v, mod n."""
+    return {"rotation": lambda v: (v + 1) % n, "reflection": lambda v: -v % n}
+
+
+class TestSkipOrbits:
+    """The symmetry that lets the oracle's search bar each skip's run on its empty-set spine."""
+
+    @staticmethod
+    def skip_runs(n):
+        diagonals = _diagonals(n)
+        runs = [[e for e in diagonals if _skip(n, e) == s] for s in range(n // 2, 1, -1)]
+        assert sum(runs, []) == diagonals  # one consecutive run per skip, longest first
+        return runs
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_rotation_and_reflection_map_each_skip_run_onto_itself(self, n):
+        runs = self.skip_runs(n)
+        for name, g in dihedral_images(n).items():
+            for run in runs:
+                assert {Edge.of(g(e.u), g(e.v)) for e in run} == set(run), (name, _skip(n, run[0]))
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_rotation_and_reflection_map_crossings_onto_crossings(self, n):
+        diagonals = _diagonals(n)
+        masks = crossing_masks(n, diagonals)
+        index = {e: i for i, e in enumerate(diagonals)}
+        for name, g in dihedral_images(n).items():
+            image = [index[Edge.of(g(e.u), g(e.v))] for e in diagonals]
+            for i, mask in enumerate(masks):
+                mapped = sum(1 << image[j] for j in range(len(diagonals)) if mask >> j & 1)
+                assert masks[image[i]] == mapped, (name, diagonals[i])
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_the_search_gets_the_skip_runs(self, n, monkeypatch):
+        seen = []
+        search = _native.max_conflict_bounded_set
+
+        def spy(conflicts, k, **kwargs):
+            seen.append(kwargs["orbits"])
+            return search(conflicts, k, **kwargs)
+
+        monkeypatch.setattr(_native, "max_conflict_bounded_set", spy)
+        max_k_plane_subgraph(n, 1)
+        assert seen == [[len(run) for run in self.skip_runs(n)]]
 
 
 class TestOnePlanarLowerBound:

@@ -1,13 +1,14 @@
 """Search kernels against exhaustive subset-enumeration oracles."""
 
 import random
+from math import gcd
 
 import pytest
 from oracles import naive_max_clique_mask as naive_max_clique
 from oracles import naive_first_conflict_bounded, naive_max_conflict_bounded
 
 from beyondplanar import _kernels_py, _native
-from beyondplanar.bounds import _diagonals
+from beyondplanar.bounds import _diagonals, _skip
 from beyondplanar.crossings import build_crossing_graph, class_crossing_masks, crossing_masks
 from beyondplanar.geometry import all_edges, gen_random_pointset
 from beyondplanar.quasiplanar import (
@@ -28,6 +29,41 @@ def random_graph(v, p, seed):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def block_circulant(blocks, p, seed):
+    """Random conflicts on consecutive blocks of the given lengths, kept by rotating every block at once.
+
+    Index x of block a conflicts with index y of block b iff (y - x) mod
+    gcd(|a|, |b|) lies in a random set S(a, b), with S(b, a) = -S(a, b)
+    and 0 never in S(a, a). So x -> x + 1 mod |a| in every block a maps
+    conflicts to conflicts, and each block is one orbit of the rotations.
+    """
+    rng = random.Random(seed)
+    starts = [sum(blocks[:a]) for a in range(len(blocks))]
+    conflicts = [0] * sum(blocks)
+    for a, la in enumerate(blocks):
+        for b in range(a, len(blocks)):
+            g = gcd(la, blocks[b])
+            shifts = {t for t in range(g) if rng.random() < p and (a != b or t != 0)}
+            if a == b:
+                shifts &= {-t % g for t in shifts}
+            for x in range(la):
+                for y in range(blocks[b]):
+                    if (y - x) % g in shifts:
+                        conflicts[starts[a] + x] |= 1 << starts[b] + y
+                        conflicts[starts[b] + y] |= 1 << starts[a] + x
+    return conflicts
+
+
+def random_blocks(rng, most):
+    """Block lengths 1..5 summing to at most `most`."""
+    blocks = []
+    while True:
+        length = rng.randint(1, 5)
+        if sum(blocks) + length > most:
+            return blocks
+        blocks.append(length)
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -446,19 +482,86 @@ class TestMaxConflictBoundedSet:
         assert kernel.max_conflict_bounded_set([0] * 1200, 0) == (1200, list(range(1200)), True, 2401)
 
     @pytest.mark.parametrize("n", [13, 15])  # 65 and 90 diagonals: more than one 64-bit word
-    @pytest.mark.parametrize("case", ["budget", "cap"])
+    @pytest.mark.parametrize("case", ["budget", "cap", "spine"])
     def test_implementations_agree_beyond_64_indices(self, compiled_kernels, n, case):
-        conflicts = crossing_masks(n, _diagonals(n))
+        diagonals = _diagonals(n)
+        conflicts = crossing_masks(n, diagonals)
+        skips = [sum(_skip(n, e) == s for e in diagonals) for s in range(n // 2, 1, -1)]
         k, kwargs = {
             "budget": (2, {"budget": 20000}),
             "cap": (0, {"cap": n - 3}),  # a triangulation's diagonal count
+            # With the skip orbits n = 13 proves in 114,952 nodes, its last
+            # spine jump barring indices 52..64, across the word boundary.
+            "spine": (0, {"budget": 120_000}),
         }[case]
-        result = compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs)
-        assert result == _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
-        size, members, _, _ = result
-        chosen = sum(1 << i for i in members)
-        assert len(members) == max(size, 0)
-        assert all((conflicts[i] & chosen).bit_count() <= k for i in members)
+        for orbits in (None, skips):
+            result = compiled_kernels.max_conflict_bounded_set(conflicts, k, orbits=orbits, **kwargs)
+            assert result == _kernels_py.max_conflict_bounded_set(conflicts, k, orbits=orbits, **kwargs)
+            size, members, _, _ = result
+            chosen = sum(1 << i for i in members)
+            assert len(members) == max(size, 0)
+            assert all((conflicts[i] & chosen).bit_count() <= k for i in members)
+        if case == "spine" and n == 13:
+            assert result[2:] == (True, 114_952)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_orbits_keep_the_first_subset_in_branch_order(self, kernel, k):
+        rng = random.Random(700 + k)
+        for trial in range(30):
+            blocks = random_blocks(rng, 14)
+            conflicts = block_circulant(blocks, rng.random(), 1000 * k + trial)
+            for kwargs in ({}, {"cap": rng.randint(0, len(conflicts) + 1)}):
+                size, members, proven, _ = kernel.max_conflict_bounded_set(conflicts, k, orbits=blocks, **kwargs)
+                assert proven and (size, members) == naive_first_conflict_bounded(conflicts, k, **kwargs), blocks
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_orbits_keep_the_answer_in_no_more_nodes(self, kernel, k):
+        rng = random.Random(800 + k)
+        for trial in range(100):
+            blocks = random_blocks(rng, 14)
+            conflicts = block_circulant(blocks, rng.random(), 1000 * k + trial)
+            kwargs = {"cap": rng.randint(0, len(conflicts) + 1)} if rng.random() < 0.5 else {}
+            plain = kernel.max_conflict_bounded_set(conflicts, k, **kwargs)
+            got = kernel.max_conflict_bounded_set(conflicts, k, orbits=blocks, **kwargs)
+            assert got[:3] == plain[:3] and got[3] <= plain[3], (blocks, kwargs)
+
+    def test_singleton_orbits_are_the_plain_search(self, kernel):
+        rng = random.Random(900)
+        for trial in range(300):
+            d = rng.randint(0, 16)
+            conflicts = random_graph(d, rng.random(), trial)
+            k = rng.choice([-1, 0, 1, 2, d])
+            kwargs = {"cap": rng.randint(-1, d + 1)} if rng.random() < 0.5 else {}
+            plain = kernel.max_conflict_bounded_set(conflicts, k, **kwargs)
+            assert kernel.max_conflict_bounded_set(conflicts, k, orbits=None, **kwargs) == plain
+            assert kernel.max_conflict_bounded_set(conflicts, k, orbits=[1] * d, **kwargs) == plain
+
+    @pytest.mark.parametrize("n, k, nodes", [(9, 4, 6_324), (10, 2, 10_599)])
+    def test_singleton_orbits_keep_the_oracle_node_counts(self, kernel, n, k, nodes):
+        conflicts = crossing_masks(n, _diagonals(n))
+        cap = (k + 4) * n // 2 - (k + 3) - n  # the oracle's closed-form cap
+        for orbits in (None, [1] * len(conflicts)):
+            size, _, proven, got = kernel.max_conflict_bounded_set(conflicts, k, cap=cap, orbits=orbits)
+            assert (size + n, proven, got) == (24, True, nodes)
+
+    @pytest.mark.parametrize("orbits", [[2, 2], [3, 3], [5, 0], [4, 2, -1], [0, 0, 5], [-1, 6], []])
+    def test_rejects_bad_orbits(self, kernel, orbits):
+        with pytest.raises(ValueError, match="orbit lengths"):
+            kernel.max_conflict_bounded_set([0] * 5, 1, orbits=orbits)
+
+    def test_implementations_agree_on_orbits(self, compiled_kernels):
+        rng = random.Random(2025)
+        for trial in range(1000):
+            blocks = random_blocks(rng, 20)
+            conflicts = block_circulant(blocks, rng.random(), trial)
+            d, k = len(conflicts), rng.choice([-1, 0, 1, 2, 5])
+            kwargs = {"orbits": blocks}
+            if rng.random() < 0.5:
+                kwargs["budget"] = rng.randint(0, 2000)
+            if rng.random() < 0.5:
+                kwargs["cap"] = rng.randint(-2, d + 2)
+            want = _kernels_py.max_conflict_bounded_set(conflicts, k, **kwargs)
+            assert compiled_kernels.max_conflict_bounded_set(conflicts, k, **kwargs) == want, (blocks, k, kwargs)
 
     def test_implementations_agree_on_random_arguments(self, compiled_kernels):
         # The pure kernel's counter masks against the compiled kernel's
