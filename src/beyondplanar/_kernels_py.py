@@ -54,8 +54,6 @@ def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
 
     When `keep` is every vertex in order, the rows come back as given.
     """
-    if keep == list(range(len(masks))):
-        return list(masks)
     if not keep:
         return []
     n, width = len(masks), f"0{len(masks)}b"

@@ -21,7 +21,6 @@ from .geometry import (
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
     gen_random_pointset,
-    validate_pointset,
 )
 from .quasiplanar import (
     DEFAULT_BUDGET,
@@ -208,9 +207,7 @@ def _cmd_render(args) -> int:
     coloring = parse_coloring(_read_text(args.coloring)) if args.coloring is not None else None
     if coloring is not None and coloring.n != points.n:
         raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
-    # Fewer than 3 points have no convex order and are drawn to scale.
-    order = validate_pointset(points) if points.n >= 3 else None
-    svg = render_svg(points, coloring, order=order)
+    svg = render_svg(points, coloring)
     classes = coloring.num_colors if coloring is not None else 1
     _emit(svg, args.out, f"svg n={points.n} classes={classes}")
     return 0

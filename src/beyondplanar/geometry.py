@@ -192,15 +192,17 @@ class PointSet(tuple[Point, ...]):
         return segments_cross(self[e.u], self[e.v], self[f.u], self[f.v])
 
 
-def convex_hull_indices(points: Sequence[Point]) -> list[int]:
-    """Hull vertex indices in counter-clockwise order (monotone chain).
+def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
+    """The clockwise cyclic order of a point set in convex position, else None.
 
-    Requires general position; with no collinear triples the hull is unique
-    and every hull vertex is strict.
+    The hull comes from Andrew's monotone chain, and the order lists its
+    indices clockwise, rotated to start at the smallest index. General
+    position needs no check: the PointSet constructor already rejected
+    duplicates and collinear triples, so every hull vertex is strict.
     """
-    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
-    if len(order) <= 2:
-        return order
+    if points.n < 3:
+        raise ValueError(f"validation needs at least 3 points, got {points.n}")
+    order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
 
     def build(indices):
         chain: list[int] = []
@@ -210,24 +212,10 @@ def convex_hull_indices(points: Sequence[Point]) -> list[int]:
             chain.append(i)
         return chain
 
-    lower = build(order)
-    upper = build(reversed(order))
-    return lower[:-1] + upper[:-1]
-
-
-def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
-    """The clockwise cyclic order of a point set in convex position, else None.
-
-    The order lists hull indices, rotated to start at the smallest index.
-    General position needs no check: the PointSet constructor already
-    rejected duplicates and collinear triples.
-    """
-    if points.n < 3:
-        raise ValueError(f"validation needs at least 3 points, got {points.n}")
-    hull = convex_hull_indices(points)
+    hull = build(order)[:-1] + build(reversed(order))[:-1]
     if len(hull) != points.n:
         return None
-    cw = list(reversed(hull))
+    cw = hull[::-1]
     start = cw.index(min(cw))
     return tuple(cw[start:] + cw[:start])
 

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of point sets and edge partitions.
 
 One stroke color per class from a fixed 12-color palette (cycling when a
-partition has more classes). Output is byte-stable: fixed float format,
-one group per class that holds an edge, in color order, with its edges
-in lexicographic order, and vertices last.
+partition has more classes). Points in convex position go on a circle
+in their clockwise order, any other set is drawn to scale. Output is
+byte-stable: fixed float format, one group per class that holds an edge,
+in color order, with its edges in lexicographic order, and vertices last.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .coloring import Coloring
-from .geometry import PointSet
+from .geometry import PointSet, validate_pointset
 
 PALETTE = (
     "#1f77b4",
@@ -62,30 +63,24 @@ def _coordinate_layout(points: PointSet) -> list[tuple[float, float]]:
     return [(off_x + (p.x - lo_x) * scale, _SIZE - off_y - (p.y - lo_y) * scale) for p in points]
 
 
-def render_svg(
-    points: PointSet,
-    coloring: Coloring | None = None,
-    *,
-    order: tuple[int, ...] | None = None,
-) -> str:
+def render_svg(points: PointSet, coloring: Coloring | None = None) -> str:
     """Render the point set and its edge partition as an SVG document.
 
-    The points are drawn to scale from their coordinates, or on a circle
-    when `order` gives their clockwise convex order, which is how convex
-    position is drawn. Without a coloring, all edges form one class.
-    Empty classes draw nothing, so the output grows with the edges, not
-    with the declared class count.
+    Three or more points in convex position are drawn on a circle in
+    their clockwise convex order; any other set, 1 or 2 points included,
+    is drawn to scale from its coordinates. Without a coloring, all edges
+    form one class. Empty classes draw nothing, so the output grows with
+    the edges, not with the declared class count.
     """
     n = points.n
-    if order is not None:
-        if sorted(order) != list(range(n)):
-            raise ValueError("order must be a permutation of the point indices")
+    order = validate_pointset(points) if n >= 3 else None
+    if order is None:
+        pos = _coordinate_layout(points)
+    else:
         slots = _circle_layout(n)
         pos = [(0.0, 0.0)] * n
         for slot, orig in enumerate(order):
             pos[orig] = slots[slot]
-    else:
-        pos = _coordinate_layout(points)
     if coloring is None:
         coloring = Coloring(n, 1, [0] * (n * (n - 1) // 2)) if n >= 2 else None
     elif coloring.n != n:

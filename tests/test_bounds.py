@@ -134,6 +134,15 @@ PROVEN_SIZES = {
 }
 
 
+# Sizes for k = 0..6 that the compiled subset kernel proves at the default
+# budget. (12, 6) takes 2,314,176 nodes, so a budget of 2*10^6 leaves it
+# unproven at 39 edges.
+COMPILED_PROVEN_SIZES = {
+    11: (19, 23, 28, 29, 32, 33, 35),
+    12: (21, 26, 30, 32, 35, 38, 41),
+}
+
+
 class TestMaxKPlaneSubgraph:
     def test_known_small_values(self):
         assert max_k_plane_subgraph(5, 0).size == 7
@@ -205,6 +214,13 @@ class TestMaxKPlaneSubgraph:
 
     @pytest.mark.parametrize("n, sizes", sorted(PROVEN_SIZES.items()))
     def test_pinned_sizes_are_proven(self, n, sizes):
+        for k, size in enumerate(sizes):
+            r = max_k_plane_subgraph(n, k)
+            assert (r.size, r.proven) == (size, True), k
+
+    @pytest.mark.parametrize("n, sizes", sorted(COMPILED_PROVEN_SIZES.items()))
+    def test_compiled_kernel_proves_n11_and_n12(self, n, sizes, compiled_kernels, monkeypatch):
+        monkeypatch.setattr(_native, "max_conflict_bounded_set", compiled_kernels.max_conflict_bounded_set)
         for k, size in enumerate(sizes):
             r = max_k_plane_subgraph(n, k)
             assert (r.size, r.proven) == (size, True), k

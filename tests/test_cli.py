@@ -9,7 +9,7 @@ import pytest
 from beyondplanar.cli import cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
-from beyondplanar.geometry import all_edges, gen_convex_polygon, validate_pointset
+from beyondplanar.geometry import PointSet, all_edges, gen_convex_polygon, gen_random_pointset, validate_pointset
 from beyondplanar.svg import PALETTE, render_svg
 
 
@@ -503,7 +503,12 @@ class TestDeterminism:
 
 def on_circle(n, coloring=None):
     """n points in convex position drawn on a circle, in index order."""
-    return render_svg(gen_convex_polygon(n, seed=n), coloring, order=tuple(range(n)))
+    return render_svg(gen_convex_polygon(n, seed=n), coloring)
+
+
+def circles(svg):
+    """The vertex markers of an SVG, one line per point in index order."""
+    return [line for line in svg.splitlines() if line.startswith("<circle")]
 
 
 class TestRenderSvg:
@@ -539,16 +544,18 @@ class TestRenderSvg:
         # Digest of these SVGs as the renderer drew them when it wrote one
         # group per declared class; slope partitions use every class, so
         # grouping by used class must not change a byte. Re-recorded when
-        # the convex generator moved its points onto y = x^2: the records
-        # on a circle hash as before, and the ones drawn to scale changed.
+        # the convex generator moved its points onto y = x^2, and again
+        # when the renderer found convex order itself and the to-scale
+        # records moved to random sets: the records on a circle alone
+        # hash to 87365a22... before and after.
         from beyondplanar.convex import slope_partition
 
         h = hashlib.sha256()
         for n in range(8, 41):
             for s in (3, 4):
                 h.update(on_circle(n, slope_partition(n, s)).encode())
-            h.update(render_svg(gen_convex_polygon(n, seed=n), slope_partition(n, 3)).encode())
-        assert h.hexdigest() == "7924a6dda641fa8351b121d07eb830408ba817ab72962b4195653f48405dd498"
+            h.update(render_svg(gen_random_pointset(n, seed=n), slope_partition(n, 3)).encode())
+        assert h.hexdigest() == "e1f3d5329af7d80621b803439404419b6fb557337e261de18e3ba806037c6696"
 
     def test_unused_classes_draw_no_group(self, tmp_path, capsys):
         # The header declares a million classes; the file uses one.
@@ -569,19 +576,28 @@ class TestRenderSvg:
         assert f'stroke="{PALETTE[1]}"' not in svg
 
     def test_coordinate_layout_respects_scale(self):
-        points = gen_convex_polygon(5, seed=1)
-        svg = render_svg(points)
-        assert "<circle" in svg and svg.count("<circle") == 5
+        points = gen_random_pointset(5, seed=1)
+        assert validate_pointset(points) is None
+        drawn = [line.split('"') for line in circles(render_svg(points))]
+        cx = [float(f[1]) for f in drawn]
+        cy = [float(f[3]) for f in drawn]
+        # One scale on both axes, y flipped; the longer side spans 560 px.
+        xs, ys = [p.x for p in points], [p.y for p in points]
+        span = max(max(xs) - min(xs), max(ys) - min(ys))
+        for i in range(1, 5):
+            assert cx[i] - cx[0] == pytest.approx((points[i].x - points[0].x) * 560 / span, abs=0.02)
+            assert cy[0] - cy[i] == pytest.approx((points[i].y - points[0].y) * 560 / span, abs=0.02)
 
     def test_order_permutation_layout(self):
-        points = gen_convex_polygon(6, seed=4)
-        identity = tuple(range(6))
-        assert render_svg(points, order=identity) == on_circle(6)
-
-    def test_bad_order_rejected(self):
-        points = gen_convex_polygon(4, seed=0)
-        with pytest.raises(ValueError, match="permutation"):
-            render_svg(points, order=(0, 1, 2, 2))
+        # A shuffled convex polygon is drawn in its clockwise hull order.
+        polygon = gen_convex_polygon(6, seed=4)
+        perm = (3, 0, 5, 1, 4, 2)
+        shuffled = PointSet([polygon[i] for i in perm])
+        # Shuffled point j is polygon point perm[j]; the clockwise order
+        # starts at point 0 (polygon point 3), so it takes slot perm[j] - 3.
+        assert validate_pointset(shuffled) == (0, 4, 2, 1, 3, 5)
+        slots = circles(on_circle(6))
+        assert circles(render_svg(shuffled)) == [slots[(perm[j] - 3) % 6] for j in range(6)]
 
     def test_mismatched_coloring_rejected(self):
         coloring = Coloring(4, 1, [0] * 6)

@@ -19,7 +19,6 @@ from beyondplanar.geometry import (
     Point,
     PointSet,
     all_edges,
-    convex_hull_indices,
     find_collinear_triple,
     gen_convex_polygon,
     gen_perfect_crossing_family_pointset,
@@ -282,13 +281,14 @@ class TestValidatePointset:
 class TestConvexHull:
     def test_triangle_with_interior_point(self):
         pts = [P(0, 0), P(10, 0), P(5, 9), P(5, 3)]
-        assert sorted(convex_hull_indices(pts)) == [0, 1, 2]
+        assert validate_pointset(PointSet(pts)) is None
+        assert validate_pointset(PointSet(pts[:3])) == (0, 2, 1)
 
     @given(st.integers(3, 30), st.integers(0, 10))
     @settings(max_examples=30, deadline=None)
     def test_hull_of_convex_polygon_is_everything(self, n, seed):
         ps = gen_convex_polygon(n, seed)
-        assert sorted(convex_hull_indices(ps)) == list(range(n))
+        assert validate_pointset(ps) == tuple(range(n))
 
 
 class TestGenConvexPolygon:
