@@ -60,7 +60,7 @@ class CompiledKernels:
     def max_clique(
         self,
         adj: list[int],
-        budget: int = 10**8,
+        budget: int = _kernels_py.DEFAULT_BUDGET,
         target: int | None = None,
         floor_size: int = 0,
         allowed: int | None = None,
@@ -91,7 +91,7 @@ class CompiledKernels:
         conflicts: list[int],
         k: int,
         cap: int | None = None,
-        budget: int = 10**8,
+        budget: int = _kernels_py.DEFAULT_BUDGET,
         orbits: Sequence[int] | None = None,
     ) -> tuple[int, list[int], bool, int]:
         """Largest index subset in which every member conflicts with at most k members; see _kernels_py."""

@@ -33,6 +33,7 @@ from operator import itemgetter
 from typing import Sequence
 
 IMPLEMENTATION = "python"
+DEFAULT_BUDGET = 10**8  # search nodes, when the caller sets no budget
 
 
 def _check_masks(masks: list[int], wide: str, self_loop: str) -> None:
@@ -52,7 +53,7 @@ def check_conflicts(conflicts: list[int]) -> None:
 def induced(masks: Sequence[int], keep: list[int]) -> list[int]:
     """Adjacency masks of the subgraph on the vertices `keep`, vertex keep[j] relabelled j.
 
-    When `keep` is every vertex in order, the rows come back as given.
+    When `keep` is every vertex in order, the rows come back equal, in a new list.
     """
     if not keep:
         return []
@@ -113,7 +114,7 @@ def clique_order(
 
 def max_clique(
     adj: list[int],
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     target: int | None = None,
     floor_size: int = 0,
     allowed: int | None = None,
@@ -228,7 +229,7 @@ def max_conflict_bounded_set(
     conflicts: list[int],
     k: int,
     cap: int | None = None,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     orbits: Sequence[int] | None = None,
 ) -> tuple[int, list[int], bool, int]:
     """Largest index subset in which every member conflicts with at most k members.

@@ -3,7 +3,7 @@
 Formulas are evaluated exactly (Fraction for half-integral or rational
 values, pure integer arithmetic for ceilings) so that tightness questions
 are never blurred by rounding. The one deliberately floating-point value
-is the general edge bound, whose constant is irrational.
+is the edge bound for k >= 5, whose constant is irrational.
 
 The extremal oracle searches convex position only: hull edges cross
 nothing, so some maximum k-plane edge set contains all of them, and one
@@ -40,19 +40,18 @@ from .geometry import Edge, PointSet, all_edges
 from .quasiplanar import DEFAULT_BUDGET
 
 
-def edge_bound_small_k(n: int, k: int) -> Fraction:
-    """Max edges of a convex k-plane graph on n points, k <= 4: (k+4)n/2 - (k+3)."""
+def kplanar_edge_bound(n: int, k: int) -> Fraction | float:
+    """Edge bound of a convex k-plane graph on n points, for n >= 2 and k >= 0.
+
+    (k+4)n/2 - (k+3), exact, for k <= 4; sqrt(243k/40) * n in double
+    precision for k >= 5.
+    """
     if n < 2:
         raise ValueError(f"n >= 2 required, got {n}")
-    if not 0 <= k <= 4:
-        raise ValueError(f"k must be in 0..4, got {k} (use edge_bound_general for k >= 5)")
-    return Fraction(k + 4, 2) * n - (k + 3)
-
-
-def edge_bound_general(n: int, k: int) -> float:
-    """Edge bound sqrt(243k/40) * n for k >= 5 (double precision)."""
-    if k < 5:
-        raise ValueError(f"k must be >= 5, got {k} (use edge_bound_small_k)")
+    if k < 0:
+        raise ValueError(f"k >= 0 required, got {k}")
+    if k <= 4:
+        return Fraction(k + 4, 2) * n - (k + 3)
     return math.sqrt(243 * k / 40) * n
 
 
@@ -140,7 +139,7 @@ def max_k_plane_subgraph(n: int, k: int, budget: int = DEFAULT_BUDGET) -> Subgra
     if budget < 1:  # the kernel would count its root as one node
         return SubgraphSearchResult(n, hull, False, 0)
     diagonals = _diagonals(n)
-    cap = int(edge_bound_small_k(n, k)) - n if k <= 4 else None  # rounded down: a sound pruning cap
+    cap = int(kplanar_edge_bound(n, k)) - n if k <= 4 else None  # rounded down: a sound pruning cap
     skips = [len(list(run)) for _, run in groupby(diagonals, key=lambda e: _skip(n, e))]
     _, members, proven, nodes = _native.max_conflict_bounded_set(
         crossing_masks(n, diagonals), k, cap=cap, budget=budget, orbits=skips

@@ -179,9 +179,8 @@ def _cmd_bounds(args) -> int:
         shown = str(observed)  # C(n, 4), the largest number a row prints
     except ValueError:  # more digits than the interpreter converts to text
         raise CommandError("--n is too large to print its rows") from None
-    edge_bound = bounds_mod.edge_bound_small_k if k <= 4 else bounds_mod.edge_bound_general
     # (bound, instance, formula, observed, holds); holds is None when nothing is checked.
-    rows = [("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(edge_bound(n, k)), "-", None)]
+    rows = [("kplanar-edge-bound", f"n={n} k={k}", _fraction_str(bounds_mod.kplanar_edge_bound(n, k)), "-", None)]
     if 2 * e >= 9 * n:
         lemma = bounds_mod.crossing_lemma_bound(n, e)
         rows.append(("crossing-lemma", f"n={n} e={e}", _fraction_str(lemma), shown, observed >= lemma))
@@ -192,7 +191,7 @@ def _cmd_bounds(args) -> int:
         rows.append(("kplanar-colors", f"n={n} k={k}", f"[{lower}, {upper}]", "-", lower <= upper))
     if n >= 5:
         lo = bounds_mod.one_planar_lower_bound(n)
-        hi = -(-n // 3)
+        hi = bounds_mod.kplanar_color_bounds(n, 1)[1]
         rows.append(("one-planar-colors", f"n={n}", f"[{lo}, {hi}]", "-", lo <= hi))
 
     line = "{:<24} {:<22} {:>14} {:>14} {}".format
@@ -205,8 +204,6 @@ def _cmd_bounds(args) -> int:
 def _cmd_render(args) -> int:
     points = parse_instance(_read_text(getattr(args, "in"))).points
     coloring = parse_coloring(_read_text(args.coloring)) if args.coloring is not None else None
-    if coloring is not None and coloring.n != points.n:
-        raise CommandError(f"instance has n={points.n}, coloring has n={coloring.n}")
     svg = render_svg(points, coloring)
     classes = coloring.num_colors if coloring is not None else 1
     _emit(svg, args.out, f"svg n={points.n} classes={classes}")

@@ -18,15 +18,15 @@ from .geometry import Edge, all_edges
 class Coloring:
     """Total map from the edges of K_n to colors 0..num_colors-1.
 
-    It keeps `all_edges(n)` and one list of colors in that order, as the
-    partition constructors and the file parser give them. The colors are
-    checked in three passes: the edge count, then the first edge in
+    It keeps one list of colors in `all_edges(n)` order, as the partition
+    constructors and the file parser give them, and no edges. The colors
+    are checked in three passes: the edge count, then the first edge in
     `all_edges` order whose color is not a plain `int` (a `TypeError`, so
     that every accepted coloring writes a file that its parser reads),
     then the first one whose color is out of range.
     """
 
-    __slots__ = ("n", "num_colors", "_edges", "_colors")
+    __slots__ = ("n", "num_colors", "_colors")
 
     def __init__(self, n: int, num_colors: int, colors: Iterable[int]):
         if n < 2:
@@ -37,16 +37,14 @@ class Coloring:
         size = n * (n - 1) // 2
         if len(colors) != size:
             raise ValueError(f"coloring covers {len(colors)} edges, K_{n} has {size}")
-        edges = all_edges(n)
         if not set(map(type, colors)) <= {int}:
-            e, c = next((e, c) for e, c in zip(edges, colors) if type(c) is not int)
+            e, c = next((e, c) for e, c in zip(all_edges(n), colors) if type(c) is not int)
             raise TypeError(f"edge {tuple(e)} has color {c!r}, not an int")
         if not 0 <= min(colors) <= max(colors) < num_colors:
-            e, c = next((e, c) for e, c in zip(edges, colors) if not 0 <= c < num_colors)
+            e, c = next((e, c) for e, c in zip(all_edges(n), colors) if not 0 <= c < num_colors)
             raise ValueError(f"edge {tuple(e)} has color {c} outside 0..{num_colors - 1}")
         self.n = n
         self.num_colors = num_colors
-        self._edges = edges
         self._colors = colors
 
     def classes(self) -> dict[int, list[Edge]]:
@@ -56,13 +54,13 @@ class Coloring:
         declared color count.
         """
         out: dict[int, list[Edge]] = {}
-        for e, color in zip(self._edges, self._colors):
+        for e, color in zip(all_edges(self.n), self._colors):
             out.setdefault(color, []).append(e)
         return dict(sorted(out.items()))
 
     def items(self) -> Iterator[tuple[Edge, int]]:
         """(edge, color) for every edge, in `all_edges` order."""
-        return zip(self._edges, self._colors)
+        return zip(all_edges(self.n), self._colors)
 
     def __eq__(self, other) -> bool:
         return (

@@ -163,7 +163,7 @@ def _convex_cuts(instance: PointSet | int, edges: Sequence[Edge]) -> tuple[list[
     """
     used = {w for e in edges for w in e}
     if isinstance(instance, PointSet):
-        order = validate_pointset(instance) if instance.n >= 3 else range(instance.n)
+        order = validate_pointset(instance)
         if order is None:
             return None
     else:

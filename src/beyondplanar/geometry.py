@@ -193,7 +193,7 @@ class PointSet(tuple[Point, ...]):
 
 
 def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
-    """The clockwise cyclic order of a point set in convex position, else None.
+    """The clockwise cyclic order of 3 or more points in convex position, else None.
 
     The hull comes from Andrew's monotone chain, and the order lists its
     indices clockwise, rotated to start at the smallest index. General
@@ -201,7 +201,7 @@ def validate_pointset(points: PointSet) -> tuple[int, ...] | None:
     duplicates and collinear triples, so every hull vertex is strict.
     """
     if points.n < 3:
-        raise ValueError(f"validation needs at least 3 points, got {points.n}")
+        return None
     order = sorted(range(points.n), key=lambda i: (points[i].x, points[i].y))
 
     def build(indices):
@@ -259,9 +259,14 @@ def gen_random_pointset(n: int, seed: int = 0) -> PointSet:
     point and its `direction_key`s to them are pairwise distinct, that is,
     it is collinear with no two of them; else it is drawn again. 500 draws
     for one point raise GenerationError. Only the point list grows with n.
+    Each of the box's _GEN_BOX + 1 rows holds two points at most, so more
+    than 2(_GEN_BOX + 1) raise ValueError before any is drawn.
     """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
+    fit = 2 * (_GEN_BOX + 1)
+    if n > fit:
+        raise ValueError(f"at most {fit} points in general position fit in [0, {_GEN_BOX}]^2, got {quote_int(n)}")
     rng = random.Random(f"random:{n}:{seed}")
     pts: list[Point] = []
     for _ in range(n):

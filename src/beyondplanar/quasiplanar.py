@@ -25,11 +25,10 @@ from itertools import chain
 from typing import Iterable
 
 from . import _kernels_py, _native
+from ._kernels_py import DEFAULT_BUDGET
 from .coloring import Coloring
 from .crossings import build_crossing_graph, canonical_edge, canonical_edges, class_crossing_masks
 from .geometry import Edge, PointSet, check_pairwise_crossing, direction_key, orientation
-
-DEFAULT_BUDGET = 10**8
 
 
 class SearchBudgetError(RuntimeError):

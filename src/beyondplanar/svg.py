@@ -66,14 +66,18 @@ def _coordinate_layout(points: PointSet) -> list[tuple[float, float]]:
 def render_svg(points: PointSet, coloring: Coloring | None = None) -> str:
     """Render the point set and its edge partition as an SVG document.
 
-    Three or more points in convex position are drawn on a circle in
-    their clockwise convex order; any other set, 1 or 2 points included,
-    is drawn to scale from its coordinates. Without a coloring, all edges
-    form one class. Empty classes draw nothing, so the output grows with
-    the edges, not with the declared class count.
+    Points that `validate_pointset` gives a clockwise convex order go on
+    a circle in that order; any other set, 1 or 2 points included, is
+    drawn to scale. Without a coloring, all edges form one class; one of
+    another n raises ValueError. Empty classes draw nothing, so the output
+    grows with the edges, not with the declared class count.
     """
     n = points.n
-    order = validate_pointset(points) if n >= 3 else None
+    if coloring is None:
+        coloring = Coloring(n, 1, [0] * (n * (n - 1) // 2)) if n >= 2 else None
+    elif coloring.n != n:
+        raise ValueError(f"instance has n={n}, coloring has n={coloring.n}")
+    order = validate_pointset(points)
     if order is None:
         pos = _coordinate_layout(points)
     else:
@@ -81,10 +85,6 @@ def render_svg(points: PointSet, coloring: Coloring | None = None) -> str:
         pos = [(0.0, 0.0)] * n
         for slot, orig in enumerate(order):
             pos[orig] = slots[slot]
-    if coloring is None:
-        coloring = Coloring(n, 1, [0] * (n * (n - 1) // 2)) if n >= 2 else None
-    elif coloring.n != n:
-        raise ValueError(f"coloring is over n={coloring.n}, instance has n={n}")
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '

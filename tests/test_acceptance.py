@@ -15,7 +15,7 @@ from fractions import Fraction
 from beyondplanar.bounds import (
     count_crossings,
     crossing_lemma_bound,
-    edge_bound_small_k,
+    kplanar_edge_bound,
     max_k_plane_subgraph,
     one_planar_lower_bound,
     peeling_bound,
@@ -82,7 +82,7 @@ def test_criterion_03_extremal_oracle_within_edge_formula():
         for k in range(5):
             result = max_k_plane_subgraph(n, k)
             assert result.proven
-            bound = edge_bound_small_k(n, k)
+            bound = kplanar_edge_bound(n, k)
             assert result.size <= math.floor(bound)
             if k == 0:
                 assert result.size == 2 * n - 3

@@ -12,9 +12,8 @@ from beyondplanar.bounds import (
     _skip,
     count_crossings,
     crossing_lemma_bound,
-    edge_bound_general,
-    edge_bound_small_k,
     kplanar_color_bounds,
+    kplanar_edge_bound,
     max_k_plane_subgraph,
     one_planar_lower_bound,
     peeling_bound,
@@ -27,35 +26,40 @@ from beyondplanar.geometry import Edge, all_edges, gen_convex_polygon
 
 class TestEdgeBoundSmallK:
     def test_examples(self):
-        assert edge_bound_small_k(5, 0) == 7
-        assert edge_bound_small_k(5, 1) == Fraction(17, 2)
-        assert edge_bound_small_k(5, 2) == 10
+        assert kplanar_edge_bound(5, 0) == 7
+        assert kplanar_edge_bound(5, 1) == Fraction(17, 2)
+        assert kplanar_edge_bound(5, 2) == 10
 
     def test_k0_is_outerplanar_bound(self):
         for n in range(3, 30):
-            assert edge_bound_small_k(n, 0) == 2 * n - 3
+            assert kplanar_edge_bound(n, 0) == 2 * n - 3
 
     def test_strictly_increasing_in_k(self):
         for n in range(3, 20):
-            vals = [edge_bound_small_k(n, k) for k in range(5)]
+            vals = [kplanar_edge_bound(n, k) for k in range(5)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            edge_bound_small_k(5, 5)
-        with pytest.raises(ValueError):
-            edge_bound_small_k(1, 0)
+        # n >= 2 in both regimes; k = 5 is the general bound's first k, not an error.
+        for k in (0, 4, 5, 8):
+            with pytest.raises(ValueError, match=r"^n >= 2 required, got 1$"):
+                kplanar_edge_bound(1, k)
+        assert type(kplanar_edge_bound(5, 4)) is Fraction
+        assert type(kplanar_edge_bound(5, 5)) is float
 
 
 class TestEdgeBoundGeneral:
     def test_examples(self):
-        assert edge_bound_general(100, 5) == pytest.approx(551.13, abs=0.01)
-        assert edge_bound_general(1, 5) == pytest.approx(5.5113, abs=0.0001)
-        assert edge_bound_general(100, 8) == pytest.approx(697.14, abs=0.01)
+        assert kplanar_edge_bound(100, 5) == pytest.approx(551.13, abs=0.01)
+        assert kplanar_edge_bound(2, 5) == pytest.approx(11.0227, abs=0.0001)
+        assert kplanar_edge_bound(100, 8) == pytest.approx(697.14, abs=0.01)
 
     def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            edge_bound_general(10, 4)
+        # Below k = 5 the bound is the exact small-k formula; only a negative k is refused.
+        assert kplanar_edge_bound(10, 4) == 33
+        for n in (2, 10):
+            with pytest.raises(ValueError, match=r"^k >= 0 required, got -1$"):
+                kplanar_edge_bound(n, -1)
 
 
 class TestCountCrossings:
@@ -173,7 +177,7 @@ class TestMaxKPlaneSubgraph:
     def test_never_exceeds_formula(self, n, k):
         r = max_k_plane_subgraph(n, k)
         assert r.proven
-        assert r.size <= edge_bound_small_k(n, k)
+        assert r.size <= kplanar_edge_bound(n, k)
 
     def test_witness_is_k_planar_and_deterministic(self):
         a = max_k_plane_subgraph(7, 2)
@@ -193,10 +197,10 @@ class TestMaxKPlaneSubgraph:
         # The search meets the closed-form cap of 26 and 28 edges early, and
         # reaching the cap proves the optimum.
         r = max_k_plane_subgraph(12, 1)
-        assert r.proven and r.size == 26 == edge_bound_small_k(12, 1)
+        assert r.proven and r.size == 26 == kplanar_edge_bound(12, 1)
         assert r.nodes <= 55
         r = max_k_plane_subgraph(11, 2)
-        assert r.proven and r.size == 28 == edge_bound_small_k(11, 2) and r.nodes <= 45
+        assert r.proven and r.size == 28 == kplanar_edge_bound(11, 2) and r.nodes <= 45
 
     def test_most_crossed_first_proves_with_few_nodes(self):
         # Most-crossed diagonals first, the spare-capacity bound and the skip

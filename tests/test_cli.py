@@ -125,6 +125,11 @@ class TestExitCodes:
         assert run("partition", "family", "--k", "3", "--in", str(inst)) == 2
         assert capsys.readouterr() == ("", "error: n >= 2 required, got 1\n")
 
+    def test_gen_random_more_points_than_fit_is_2(self, capsys):
+        assert run("gen", "random", "--n", "100000000000000000000") == 2
+        message = "error: at most 2000002 points in general position fit in [0, 1000000]^2, got <21 digits>\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_halving_without_family_section_is_2(self, paths, capsys):
         assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
         assert run("partition", "halving", "--k", "3", "--in", paths["inst"]) == 2
@@ -136,6 +141,22 @@ class TestExitCodes:
         col.write_text(write_coloring(Coloring(4, 1, [0] * 6)))
         assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 2
         assert "n=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "--in", "{inst}", "--coloring", "{col}"),
+            ("verify", "kplanar", "--k", "1", "--in", "{col}", "--instance", "{inst}"),
+        ],
+        ids=["render", "verify"],
+    )
+    def test_mismatched_n_message_is_pinned(self, argv, paths, tmp_path, capsys):
+        assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
+        col = tmp_path / "c.txt"
+        col.write_text(write_coloring(Coloring(4, 1, [0] * 6)))
+        capsys.readouterr()
+        assert run(*(a.format(inst=paths["inst"], col=col) for a in argv)) == 2
+        assert capsys.readouterr() == ("", "error: instance has n=6, coloring has n=4\n")
 
     def test_kplanar_verify_failure_is_1(self, paths, tmp_path, capsys):
         col = tmp_path / "k6.txt"

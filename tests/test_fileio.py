@@ -225,8 +225,8 @@ class TestColoringFormat:
             Coloring(6, 3, [5] * 14)
 
     def test_any_sequence_of_colors_gives_the_same_coloring(self):
-        # The store holds `Edge`s in `all_edges` order, so items() and
-        # classes() need no sort.
+        # The colors are stored in `all_edges` order, so items() and
+        # classes() pair them with `all_edges(n)` and need no sort.
         edges = all_edges(7)
         colors = [(e.u * e.v) % 3 for e in edges]
         coloring = Coloring(7, 3, colors)

@@ -270,8 +270,9 @@ class TestValidatePointset:
         assert validate_pointset(PointSet([P(0, 0), P(4, 0), P(2, 3), P(2, 1)])) is None
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            validate_pointset(PointSet([P(0, 0), P(1, 0)]))
+        # One or two points have no convex order.
+        assert validate_pointset(PointSet([P(0, 0)])) is None
+        assert validate_pointset(PointSet([P(0, 0), P(1, 0)])) is None
 
     def test_order_is_clockwise(self):
         # Clockwise square in index order must come back as the identity.
@@ -350,6 +351,22 @@ class TestGenRandomPointset:
                     gen_random_pointset(n, seed)
             else:
                 assert list(gen_random_pointset(n, seed)) == want
+
+    @pytest.mark.parametrize("n", [2 * (10**6 + 1) + 1, 10**20])
+    def test_more_points_than_the_box_holds_are_refused_at_once(self, monkeypatch, n):
+        # Each of the box's 10^6 + 1 rows holds at most two points, and no point is drawn.
+        monkeypatch.setattr(geometry.random, "Random", None)
+        message = f"at most 2000002 points in general position fit in [0, 1000000]^2, got {quote_int(n)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen_random_pointset(n)
+
+    def test_the_refusal_starts_just_past_the_bound(self, monkeypatch):
+        # On a 13 x 13 grid 26 points may fit, so they are drawn for; 27 cannot.
+        monkeypatch.setattr(geometry, "_GEN_BOX", 12)
+        with pytest.raises(GenerationError):
+            gen_random_pointset(26, 0)
+        with pytest.raises(ValueError, match=re.escape("at most 26 points")):
+            gen_random_pointset(27, 0)
 
     def test_memory_grows_no_faster_than_the_points(self):
         tracemalloc.start()
