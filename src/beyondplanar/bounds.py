@@ -34,10 +34,10 @@ from itertools import groupby
 from typing import Iterable
 
 from . import _native
+from ._kernels_py import DEFAULT_BUDGET
 from .convex import choose_block_size, count_convex_crossings, verify_k_planar
 from .crossings import canonical_edges, crossing_masks
 from .geometry import Edge, PointSet, all_edges
-from .quasiplanar import DEFAULT_BUDGET
 
 
 def kplanar_edge_bound(n: int, k: int) -> Fraction | float:

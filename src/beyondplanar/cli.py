@@ -85,20 +85,15 @@ def _check_budget(budget: int) -> None:
 
 
 def _cmd_partition(args) -> int:
-    _check_budget(args.budget)
     instance = parse_instance(_read_text(getattr(args, "in")))
     points = instance.points
     extra = ""
 
     if args.mode == "slope":
-        if args.s is None:
-            raise CommandError("partition slope requires --s")
         coloring = slope_partition(points, args.s)
     elif args.mode == "doublestar":
         coloring = double_star_partition(points)
     elif args.mode == "halving":
-        if args.k is None:
-            raise CommandError("partition halving requires --k")
         if instance.family is None:
             raise CommandError("partition halving requires an instance with a family section")
         m = len(instance.family)
@@ -106,8 +101,6 @@ def _cmd_partition(args) -> int:
             raise CommandError(f"family of size {m} cannot be perfect on {points.n} points")
         coloring = halving_line_partition(points, instance.family, args.k)
     else:  # family
-        if args.k is None:
-            raise CommandError("partition family requires --k")
         coloring, family = crossing_family_partition(points, args.k, budget=args.budget)
         extra = f" m={family.size}"
         if family.size < args.k:
@@ -120,7 +113,6 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_budget(args.budget)
     coloring = parse_coloring(_read_text(getattr(args, "in")))
     if args.instance is None:
         instance = coloring.n  # points in convex position, index order clockwise
@@ -133,12 +125,10 @@ def _cmd_verify(args) -> int:
     # has edges.
     classes = coloring.classes()
 
-    if args.mode == "quasiplanar":
-        if args.k < 2:
-            raise CommandError(f"quasiplanar verification requires k >= 2, got {args.k}")
-        if args.instance is None and coloring.n < 3:
+    if args.mode == "quasiplanar" and args.instance is None:
+        if coloring.n < 3:
             classes = {}  # one edge at most, so nothing crosses
-        elif args.instance is None:
+        else:
             # Index order equals clockwise order, so crossings depend only on n.
             instance = gen_convex_polygon(coloring.n, seed=0)
     colors = list(classes)
@@ -225,26 +215,33 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    part = sub.add_parser("partition", help="partition an instance into subgraph classes")
-    part.add_argument("mode", choices=["slope", "doublestar", "halving", "family"])
-    part.add_argument("--in", required=True, help="instance file ('-' for stdin)")
-    part.add_argument("--out", default=None)
-    part.add_argument("--s", type=int, default=None, help="slope interval size (slope mode)")
-    part.add_argument("--k", type=int, default=None, help="quasi-planarity parameter (halving/family modes)")
-    part.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    part.set_defaults(func=_cmd_partition)
-
-    ver = sub.add_parser("verify", help="verify a coloring file")
-    ver.add_argument("mode", choices=["kplanar", "quasiplanar"])
-    ver.add_argument("--in", required=True, help="coloring file ('-' for stdin)")
-    ver.add_argument("--k", type=int, required=True)
-    ver.add_argument(
-        "--instance",
-        default=None,
-        help="instance file with coordinates; omitted means convex position in index order",
-    )
-    ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ver.set_defaults(func=_cmd_verify)
+    # Each mode declares only the flags it reads; argparse refuses any other.
+    flags = {
+        "--out": {"default": None},
+        "--s": {"type": int, "required": True, "help": "slopes per class"},
+        "--k": {"type": int, "required": True, "help": "kplanar: crossings per edge; else: no k edges cross pairwise"},
+        "--instance": {"default": None, "help": "instance file; omitted means convex position in index order"},
+        "--budget": {"type": int, "default": DEFAULT_BUDGET, "help": "node budget of the exact search"},
+    }
+    for command, text, func, source, modes in (
+        ("partition", "partition an instance into subgraph classes", _cmd_partition, "instance", (
+            ("slope", "convex position: ceil(n/s) classes by slope, each (s-1)(s-2)/2-planar", "--out --s"),
+            ("doublestar", "2n points: n spanning double stars, each 3-quasi-planar", "--out"),
+            ("halving", "k-quasi-planar classes from the instance's perfect crossing family", "--out --k"),
+            ("family", "k-quasi-planar classes from the maximum crossing family", "--out --k --budget"),
+        )),
+        ("verify", "verify a coloring file", _cmd_verify, "coloring", (
+            ("kplanar", "each edge crosses at most k edges of its class", "--k --instance"),
+            ("quasiplanar", "no class holds k pairwise crossing edges", "--k --instance --budget"),
+        )),
+    ):
+        choice = sub.add_parser(command, help=text).add_subparsers(dest="mode", required=True)
+        for mode, summary, names in modes:
+            mode_parser = choice.add_parser(mode, help=summary)
+            mode_parser.add_argument("--in", required=True, help=f"{source} file ('-' for stdin)")
+            for name in names.split():
+                mode_parser.add_argument(name, **flags[name])
+            mode_parser.set_defaults(func=func)
 
     bnd = sub.add_parser("bounds", help="print a bound report table")
     bnd.add_argument("--n", type=int, required=True)
@@ -266,6 +263,8 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "budget" in args:  # partition family and verify quasiplanar, the modes that search
+            _check_budget(args.budget)
         return args.func(args)
     except (CommandError, ValueError, OverflowError, GenerationError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,7 +163,7 @@ def is_k_quasi_planar(
     its edges, re-verified with the exact segment predicate.
     """
     if k < 2:
-        raise ValueError(f"k >= 2 required, got {k}")
+        raise ValueError(f"quasiplanar verification requires k >= 2, got {k}")
     groups = [canonical_edges(points, edges) for edges in classes]
     searched = [index for index, edges in enumerate(groups) if not _small_cover(edges, k - 1)]
     if not searched:

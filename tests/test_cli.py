@@ -1,12 +1,13 @@
 """Command-line behavior: pipelines, exit codes, witnesses, determinism."""
 
+import argparse
 import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from beyondplanar.cli import cli_dispatch
+from beyondplanar.cli import _build_parser, cli_dispatch
 from beyondplanar.coloring import Coloring
 from beyondplanar.fileio import Instance, parse_coloring, parse_instance, write_coloring, write_instance
 from beyondplanar.geometry import PointSet, all_edges, gen_convex_polygon, gen_random_pointset, validate_pointset
@@ -134,13 +135,6 @@ class TestExitCodes:
         assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
         assert run("partition", "halving", "--k", "3", "--in", paths["inst"]) == 2
         assert "family" in capsys.readouterr().err
-
-    def test_verify_mismatched_n_is_2(self, paths, tmp_path, capsys):
-        assert run("gen", "convex", "--n", "6", "--out", paths["inst"]) == 0
-        col = tmp_path / "c.txt"
-        col.write_text(write_coloring(Coloring(4, 1, [0] * 6)))
-        assert run("verify", "kplanar", "--k", "1", "--in", str(col), "--instance", paths["inst"]) == 2
-        assert "n=" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -354,6 +348,72 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: family of size 3 cannot be perfect on 8 points\n"
         assert run("partition", "halving", "--k", "2", "--in", str(inst)) == 2
         assert capsys.readouterr().err == "error: k >= 3 required, got 2\n"
+
+
+# The flags each partition and verify mode reads; --in, --s and --k are required.
+MODE_FLAGS = {
+    ("partition", "slope"): ["--in", "--out", "--s"],
+    ("partition", "doublestar"): ["--in", "--out"],
+    ("partition", "halving"): ["--in", "--out", "--k"],
+    ("partition", "family"): ["--in", "--out", "--k", "--budget"],
+    ("verify", "kplanar"): ["--in", "--k", "--instance"],
+    ("verify", "quasiplanar"): ["--in", "--k", "--instance", "--budget"],
+}
+
+
+def subparsers(parser):
+    """The sub-parsers of an argparse parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestModeFlags:
+    @pytest.fixture
+    def files(self, tmp_path):
+        files = {name: str(tmp_path / f"{name}.txt") for name in ("convex", "coloring")}
+        assert run("gen", "convex", "--n", "8", "--out", files["convex"]) == 0
+        assert run("partition", "slope", "--s", "3", "--in", files["convex"], "--out", files["coloring"]) == 0
+        return files
+
+    def test_the_parser_declares_each_modes_flags_only(self):
+        parsers = subparsers(_build_parser())
+        declared, required = {}, set()
+        for command in ("partition", "verify"):
+            for mode, parser in subparsers(parsers[command]).items():
+                options = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+                declared[command, mode] = [a.option_strings[0] for a in options]
+                required |= {a.option_strings[0] for a in options if a.required}
+        assert declared == MODE_FLAGS
+        assert required == {"--in", "--s", "--k"}
+        assert sum(map(len, declared.values())) == 19
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "partition slope --in {convex} --s 3 --k 5",
+            "partition slope --in {convex} --s 3 --budget -1",
+            "partition doublestar --in {convex} --s 2",
+            "partition doublestar --in {convex} --k 5",
+            "partition doublestar --in {convex} --budget 7",
+            "partition halving --in {convex} --k 3 --s 2",
+            "partition halving --in {convex} --k 3 --budget 7",
+            "partition family --in {convex} --k 3 --s 2",
+            "verify kplanar --in {coloring} --k 1 --budget -1",
+        ],
+    )
+    def test_a_flag_the_mode_does_not_read_is_a_usage_error(self, command, files, capsys):
+        capsys.readouterr()
+        assert run(*command.format(**files).split()) == 2
+        out, err = capsys.readouterr()
+        unread = " ".join(command.split()[-2:])
+        assert out == "" and err.endswith(f"error: unrecognized arguments: {unread}\n")
+
+    @pytest.mark.parametrize("mode, flag", [("slope", "--s"), ("halving", "--k"), ("family", "--k")])
+    def test_a_missing_parameter_is_a_usage_error(self, mode, flag, files, capsys):
+        capsys.readouterr()
+        assert run("partition", mode, "--in", files["convex"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: the following arguments are required: {flag}\n")
 
 
 class TestVerifyDeclaredColors:

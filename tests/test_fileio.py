@@ -336,6 +336,11 @@ def test_geometry_and_fileio_import_no_higher_layer():
         assert not imported_names(package / name) & {"quasiplanar", "convex", "bounds"}, name
 
 
+def test_bounds_imports_nothing_from_quasiplanar():
+    # The extremal oracle takes its default budget from the kernels that spend it.
+    assert "quasiplanar" not in imported_names(Path(beyondplanar.__file__).parent / "bounds.py")
+
+
 def test_oracles_import_no_code_they_check():
     # The brute-force oracles share no code with the searches, the
     # crossing layer and the constructions they certify.

@@ -387,9 +387,7 @@ FLAG_VALUES = [
     ("bounds --n 0", 2, "error: --n must be at least 3, got 0", ""),
     ("bounds --n 2", 2, "error: --n must be at least 3, got 2", ""),
     ("partition family --in {random} --k 3 --budget 0", 2, "error: --budget must be positive, got 0", ""),
-    ("partition slope --in {convex} --s 3 --budget -1", 2, "error: --budget must be positive, got -1", ""),
     ("verify quasiplanar --in {coloring} --k 3 --budget 0", 2, "error: --budget must be positive, got 0", ""),
-    ("verify kplanar --in {coloring} --k 1 --budget -1", 2, "error: --budget must be positive, got -1", ""),
     ("verify quasiplanar --in {coloring} --k 3 --budget 1", 2, "error: existence search for 3 pairwise", ""),
     ("partition slope --in {convex} --s {e30} --out {coloring}", 0, "", "coloring mode=slope n=8 colors=1 out={coloring}"),
     ("verify kplanar --in {coloring} --k {e29}", 0, "", "verified kplanar k={e29} n=8 classes=3"),
